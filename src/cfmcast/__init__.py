@@ -12,7 +12,7 @@ from .geometry import Deployment, build_deployment
 from .grouping import GroupAssignment, kmeans_subgroups, make_plan
 from .pilots import PilotPlan, assign_pilots_and_cluster
 from .estimation import CompositeStats, composite_stats
-from .precoding import GroupPrecoders, cb_precoders, centralized_precoders
+from .precoding import GroupPrecoders, cb_precoders
 from .evaluation import SeReport
 from .harness import CampaignResult, run_campaign, run_snapshot, write_outputs
 
@@ -36,7 +36,6 @@ __all__ = [
     "assign_pilots_and_cluster",
     "build_deployment",
     "cb_precoders",
-    "centralized_precoders",
     "composite_stats",
     "kmeans_subgroups",
     "make_plan",

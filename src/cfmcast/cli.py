@@ -65,11 +65,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        workers = args.workers if args.workers is not None else default_workers()
+        if workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {workers}")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or f"simout_{cfg.config_hash()}"
-    workers = args.workers if args.workers is not None else default_workers()
     try:
         result = run_campaign(cfg, workers=workers)
     except CampaignError as exc:

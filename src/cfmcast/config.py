@@ -18,7 +18,6 @@ from .errors import ConfigError
 MODES = ("unicast", "single", "subgroup")
 PRECODERS = ("ipmmse", "cb")
 SUM_CONVENTIONS = ("per_user", "per_group")
-OMEGA_CONVENTIONS = ("share", "literal")
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,6 @@ class SystemConfig:
     # reproducibility and reporting
     master_seed: int = 0
     sum_convention: str = "per_user"
-    omega_convention: str = "share"
     split_sample_eval: bool = False
 
     def __post_init__(self):
@@ -119,8 +117,6 @@ class SystemConfig:
             raise ConfigError(f"precoder must be one of {PRECODERS}, got {self.precoder!r}")
         if self.sum_convention not in SUM_CONVENTIONS:
             raise ConfigError(f"sum_convention must be one of {SUM_CONVENTIONS}")
-        if self.omega_convention not in OMEGA_CONVENTIONS:
-            raise ConfigError(f"omega_convention must be one of {OMEGA_CONVENTIONS}")
         if self.mode == "subgroup":
             if self.n_groups is None:
                 raise ConfigError("mode 'subgroup' requires n_groups")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import covariance, estimation, evaluation, geometry, grouping, pilots, precoding
 from .config import SystemConfig
-from .errors import CampaignError
+from .errors import CampaignError, ConfigError
 
 # realizations are processed in fixed-size chunks to bound memory
 CHUNK = 64
@@ -53,7 +53,8 @@ class SnapshotResult:
     index: int
     report: evaluation.SeReport
     group_sizes: np.ndarray
-    per_ap_power: np.ndarray | None
+    per_ap_power: np.ndarray  # (L,) mean radiated power
+    radiated_frac: float  # per_ap_power.sum() / (L * dl_power_w)
 
     def summary(self) -> dict:
         rep = self.report
@@ -65,6 +66,7 @@ class SnapshotResult:
             "median_user_se": float(np.median(rep.se_user)),
             "clamped": rep.clamped,
             "n_groups": int(self.group_sizes.size),
+            "radiated_frac": self.radiated_frac,
         }
 
 
@@ -134,42 +136,31 @@ def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
             stage_rng(cfg.master_seed, index, "pilot_noise", ci),
         )
         estimates = estimation.estimate_composites(y, stats, plan)
+        n_norm = max(0, min(norm_cut, stop) - start)
         if centralized:
             blocks = []
             for g in range(n_groups):
                 dirs = precoding.ipmmse_direction(
-                    estimates,
-                    stats,
-                    plan,
-                    parts,
-                    g,
-                    cfg.group_power_w,
-                    cfg.tau_p,
-                    cfg.pilot_power_w,
-                    cfg.noise_w,
+                    estimates, stats, plan, parts, g,
+                    cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
                 )
                 per_ap = dirs.reshape(n_chunk, -1, cfg.n_antennas)
-                norm_part = slice(None, max(0, min(norm_cut, stop) - start))
-                sq_norm_sums[g] += np.sum(
-                    np.abs(per_ap[norm_part]) ** 2, axis=(0, 2)
-                )
+                sq_norm_sums[g] += np.sum(np.abs(per_ap[:n_norm]) ** 2, axis=(0, 2))
                 blocks.append(per_ap)
             group_pre = precoding.GroupPrecoders(
                 aps=[plan.serving[g] for g in range(n_groups)],
                 blocks=blocks,
                 power_scale=np.ones(n_groups),
             )
-            norm_count += max(0, min(norm_cut, stop) - start)
+            norm_count += n_norm
         else:
             group_pre = precoding.cb_precoders(
                 estimates, stats, plan, cfg.dl_power_w, cfg.resolved_nu()
             )
-        if cfg.split_sample_eval:
-            lo = max(0, norm_cut - start)
-            eval_part = slice(lo, n_chunk) if lo < n_chunk else None
-        else:
-            eval_part = slice(0, n_chunk)
-        if eval_part is not None:
+        # split-sample evaluation scores only the realizations past norm_cut
+        lo = max(0, norm_cut - start) if cfg.split_sample_eval else 0
+        if lo < n_chunk:
+            eval_part = slice(lo, n_chunk)
             sliced = precoding.GroupPrecoders(
                 aps=group_pre.aps,
                 blocks=[b[eval_part] for b in group_pre.blocks],
@@ -177,29 +168,21 @@ def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
             )
             acc.update(channels[eval_part], sliced)
 
-    per_ap_power = None
     if centralized:
-        ap_norm_list = [s / norm_count for s in sq_norm_sums]
-        norms = np.array([a.sum() for a in ap_norm_list])
-        omegas = np.array(
-            [precoding.omega_factor(a, cfg.omega_convention) for a in ap_norm_list]
+        power_scale, per_ap_power = precoding.centralized_power(
+            sq_norm_sums, norm_count, stats, plan, cfg.dl_power_w, cfg.resolved_nu(), cfg.kappa
         )
-        trace_sums = np.array(
-            [stats.trace_r_comp[plan.serving[g], g].sum() for g in range(n_groups)]
-        )
-        rho = precoding.fractional_power_centralized(
-            trace_sums, omegas, plan, cfg.dl_power_w, cfg.resolved_nu(), cfg.kappa
-        )
-        power_scale = rho / norms
-        per_ap_power = precoding.per_ap_power_centralized(plan, rho, ap_norm_list)
     else:
         power_scale = np.ones(n_groups)
+        # every serving AP splits its whole budget over the groups it serves
+        per_ap_power = precoding.apa_power(
+            stats.trace_r_comp, plan, cfg.dl_power_w, cfg.resolved_nu()
+        ).sum(axis=1)
 
     _, _, sinr, clamped = acc.finalize(power_scale, parts.group_of, cfg.noise_w)
     report = evaluation.build_report(sinr, clamped, parts, cfg.tau_p, cfg.tau_c)
-    return SnapshotResult(
-        index=index, report=report, group_sizes=parts.sizes, per_ap_power=per_ap_power
-    )
+    radiated_frac = float(per_ap_power.sum() / (cfg.n_aps * cfg.dl_power_w))
+    return SnapshotResult(index, report, parts.sizes, per_ap_power, radiated_frac)
 
 
 def _snapshot_summary_and_samples(cfg: SystemConfig, index: int) -> tuple[dict, float, float]:
@@ -213,24 +196,30 @@ def _worker(args):
 
 
 def default_workers() -> int:
+    """Worker count from $CFMCAST_WORKERS, or 1 when it is unset."""
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+    return workers
 
 
 def run_campaign(cfg: SystemConfig, workers: int | None = None) -> CampaignResult:
     """Run all snapshots and pool their sum-SE samples into the CDF.
 
-    Results are independent of the worker count; a snapshot failure aborts the
-    campaign and raises CampaignError carrying the completed prefix.
+    Results are independent of the worker count; a worker count below 1
+    raises ConfigError, and a snapshot failure aborts the campaign and raises
+    CampaignError carrying the completed prefix.
     """
     if workers is None:
         workers = default_workers()
-    workers = max(1, int(workers))
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     t0 = time.monotonic()
     indices = list(range(cfg.snapshots))
     summaries = []

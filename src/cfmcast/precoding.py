@@ -5,9 +5,13 @@ The centralized precoder regularizes each group's composite channel estimate
 against the estimates of the groups it shares serving APs with (its
 interference neighborhood), the estimation error covariances of that
 neighborhood and the full covariances of everyone else, all restricted to the
-group's serving APs.  Power follows a fractional rule normalized by the
-worst-loaded serving AP.  The distributed precoder scales each serving AP's
-own estimate with a closed-form normalization and a per-AP fractional split.
+group's serving APs.  ``ipmmse_direction`` returns the unnormalized
+directions; the caller accumulates their per-AP squared norms over the
+normalization realizations and ``centralized_power`` turns those sums into the
+per-group scale and the per-AP radiated power under the centralized fractional
+rule, normalized by the worst-loaded serving AP.  The distributed precoder
+scales each serving AP's own estimate with a closed-form normalization and a
+per-AP fractional split.
 """
 
 from __future__ import annotations
@@ -123,30 +127,16 @@ def ipmmse_direction(
     return _ipmmse_solve(v, coef, own_index, reg, noise_w, lead)
 
 
-def direction_norms(directions: np.ndarray, n_antennas: int) -> tuple[float, np.ndarray]:
-    """Sample mean of the squared norm, total and per serving AP block."""
-    if directions.shape[0] == 0:
-        raise StatsError("cannot normalize over zero realizations")
-    per_ap = directions.reshape(directions.shape[0], -1, n_antennas)
-    ap_norms = np.mean(np.sum(np.abs(per_ap) ** 2, axis=2), axis=0)
-    return float(ap_norms.sum()), ap_norms
-
-
-def omega_factor(ap_norms: np.ndarray, convention: str = "share") -> float:
+def omega_factor(ap_norms: np.ndarray) -> float:
     """Spatial power concentration of a group's precoder across its APs.
 
-    ``share`` uses the largest per-AP fraction of the mean squared norm (a
-    dimensionless load in (0, 1]); ``literal`` uses the raw largest per-AP
-    mean squared norm.
+    The largest per-AP fraction of the mean squared norm, a dimensionless
+    load in (0, 1].
     """
     total = ap_norms.sum()
     if total <= 0:
         raise StatsError("precoder norms vanished; cannot form omega")
-    if convention == "share":
-        return float(ap_norms.max() / total)
-    if convention == "literal":
-        return float(ap_norms.max())
-    raise ValueError(f"unknown omega convention {convention!r}")
+    return float(ap_norms.max() / total)
 
 
 def fractional_power_centralized(
@@ -175,69 +165,36 @@ def fractional_power_centralized(
     return rho
 
 
-def per_ap_power_centralized(plan, rho: np.ndarray, ap_norm_list: list) -> np.ndarray:
-    """Realized mean radiated power per AP under sample-mean normalization."""
-    n_aps = plan.n_aps
-    power = np.zeros(n_aps)
-    for g in range(plan.n_groups):
-        shares = ap_norm_list[g] / ap_norm_list[g].sum()
-        for j, l in enumerate(plan.serving[g]):
-            power[l] += rho[g] * shares[j]
-    return power
-
-
-def centralized_precoders(
-    estimates: dict,
+def centralized_power(
+    sq_norm_sums: list,
+    count: int,
     stats,
     plan,
-    grouping,
-    group_power_w: float,
-    tau_p: int,
-    pilot_power_w: float,
-    noise_w: float,
     dl_power_w: float,
     nu: float,
     kappa: float,
-    omega_convention: str = "share",
-    norm_slice: slice | None = None,
-) -> tuple[GroupPrecoders, dict]:
-    """Full centralized pipeline: directions, fractional powers, scaling.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power step of the centralized precoder: (power_scale, per_ap_power).
 
-    ``norm_slice`` optionally restricts the realizations used for the norm and
-    omega estimates (split-sample evaluation); by default all realizations are
-    used for both normalization and evaluation.
+    ``sq_norm_sums[g]`` holds, per serving AP of group g, the squared norm of
+    the group's precoding direction summed over ``count`` normalization
+    realizations.  The transmit precoder is sqrt(power_scale[g]) times the
+    direction, so its sample mean squared norm is the fractional power
+    rho[g]; ``per_ap_power`` is the resulting mean radiated power per AP.
     """
-    n_antennas = stats.r_comp.shape[-1]
-    n_groups = plan.n_groups
-    aps = [plan.serving[g] for g in range(n_groups)]
-    blocks = []
-    norms = np.empty(n_groups)
-    omegas = np.empty(n_groups)
-    ap_norm_list = []
-    for g in range(n_groups):
-        dirs = ipmmse_direction(
-            estimates, stats, plan, grouping, g, group_power_w, tau_p, pilot_power_w, noise_w
-        )
-        sample = dirs if norm_slice is None else dirs[norm_slice]
-        total, ap_norms = direction_norms(sample, n_antennas)
-        norms[g] = total
-        omegas[g] = omega_factor(ap_norms, omega_convention)
-        ap_norm_list.append(ap_norms)
-        blocks.append(dirs.reshape(dirs.shape[0], -1, n_antennas))
+    if count == 0:
+        raise StatsError("cannot normalize over zero realizations")
+    ap_norms = [s / count for s in sq_norm_sums]
+    norms = np.array([a.sum() for a in ap_norms])
+    omegas = np.array([omega_factor(a) for a in ap_norms])
     trace_sums = np.array(
-        [stats.trace_r_comp[plan.serving[g], g].sum() for g in range(n_groups)]
+        [stats.trace_r_comp[aps, g].sum() for g, aps in enumerate(plan.serving)]
     )
     rho = fractional_power_centralized(trace_sums, omegas, plan, dl_power_w, nu, kappa)
-    power_scale = rho / norms
-    precoders = GroupPrecoders(aps=aps, blocks=blocks, power_scale=power_scale)
-    audit = {
-        "rho": rho,
-        "omega": omegas,
-        "norms": norms,
-        "ap_norms": ap_norm_list,
-        "per_ap_power": per_ap_power_centralized(plan, rho, ap_norm_list),
-    }
-    return precoders, audit
+    per_ap_power = np.zeros(plan.n_aps)
+    for g, aps in enumerate(plan.serving):
+        per_ap_power[aps] += rho[g] * (ap_norms[g] / norms[g])
+    return rho / norms, per_ap_power
 
 
 # --- distributed conjugate beamforming --------------------------------------

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cfmcast import covariance, estimation, geometry, grouping, harness, pilots
+from cfmcast import covariance, estimation, geometry, grouping, harness, pilots, precoding
 from cfmcast.config import DeploymentSpec, SystemConfig
 
 
@@ -136,6 +136,28 @@ def oracle_direction(pipe, g):
             m = m + coef[c] * np.outer(vc[t], vc[t].conj())
         out[t] = lead * (np.linalg.inv(m) @ v_own[t])
     return out
+
+
+def ipmmse_with_power(
+    estimates, stats, plan, parts, group_power_w, tau_p, pilot_power_w, noise_w, dl_power_w, nu, kappa
+):
+    """IP-MMSE directions of every group, normalized over all realizations.
+
+    Returns (directions, power_scale, per_ap_power), with ``directions[g]`` of
+    shape (T, |serving APs|, N); the power step is the one the harness runs.
+    """
+    n_ant = stats.r_comp.shape[-1]
+    dirs = [
+        precoding.ipmmse_direction(
+            estimates, stats, plan, parts, g, group_power_w, tau_p, pilot_power_w, noise_w
+        ).reshape(-1, plan.serving[g].size, n_ant)
+        for g in range(plan.n_groups)
+    ]
+    sums = [np.sum(np.abs(d) ** 2, axis=(0, 2)) for d in dirs]
+    power_scale, per_ap_power = precoding.centralized_power(
+        sums, dirs[0].shape[0], stats, plan, dl_power_w, nu, kappa
+    )
+    return dirs, power_scale, per_ap_power
 
 
 @pytest.fixture

@@ -9,9 +9,9 @@ import pytest
 
 from cfmcast import cli, harness
 from cfmcast.config import SystemConfig
-from cfmcast.errors import CampaignError
+from cfmcast.errors import CampaignError, ConfigError
 
-from conftest import small_config
+from conftest import build_pipeline, small_config
 
 
 def tiny_campaign_config(**overrides):
@@ -85,9 +85,14 @@ class TestSnapshot:
         res = harness.run_snapshot(cfg, 0)
         assert res.per_ap_power.max() == pytest.approx(cfg.dl_power_w, rel=1e-9)
 
-    def test_distributed_has_no_audit(self):
-        res = harness.run_snapshot(tiny_campaign_config(precoder="cb"), 0)
-        assert res.per_ap_power is None
+    def test_distributed_serving_aps_radiate_full_budget(self):
+        # an AP that serves any group splits its whole budget over them; an AP
+        # that serves none stays silent
+        cfg = tiny_campaign_config(precoder="cb")
+        res = harness.run_snapshot(cfg, 0)
+        plan = build_pipeline(cfg, 0, n_real=1).plan
+        want = [cfg.dl_power_w if served.size else 0.0 for served in plan.served]
+        assert res.per_ap_power == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_split_sample_eval_changes_results(self):
         full = harness.run_snapshot(tiny_campaign_config(), 0)
@@ -95,12 +100,17 @@ class TestSnapshot:
         assert not np.allclose(full.report.sinr, split.report.sinr)
 
     def test_summary_fields(self):
-        res = harness.run_snapshot(tiny_campaign_config(), 2)
+        cfg = tiny_campaign_config()
+        res = harness.run_snapshot(cfg, 2)
         s = res.summary()
         assert s["snapshot"] == 2
         assert s["n_groups"] == 3
         assert s["sum_se_per_user"] >= s["sum_se_per_group"] >= 0.0
         assert s["min_user_se"] <= s["median_user_se"]
+        assert 0.0 < s["radiated_frac"] <= 1.0
+        assert s["radiated_frac"] == pytest.approx(
+            res.per_ap_power.sum() / (cfg.n_aps * cfg.dl_power_w), rel=1e-12
+        )
 
 
 class TestCampaign:
@@ -146,10 +156,14 @@ class TestCampaign:
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.setenv(harness.WORKERS_ENV, "6")
         assert harness.default_workers() == 6
-        monkeypatch.setenv(harness.WORKERS_ENV, "junk")
-        assert harness.default_workers() == 1
+        for bad in ("junk", "0", "-2"):
+            monkeypatch.setenv(harness.WORKERS_ENV, bad)
+            with pytest.raises(ConfigError):
+                harness.default_workers()
         monkeypatch.delenv(harness.WORKERS_ENV)
         assert harness.default_workers() == 1
+        with pytest.raises(ConfigError):
+            harness.run_campaign(tiny_campaign_config(), workers=0)
 
 
 class TestCdf:
@@ -236,6 +250,15 @@ class TestCli:
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert self.run_cli("--config", str(tmp_path / "nope.json")) == 2
+
+    def test_bad_worker_count_exits_two(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        args = ("--preset", "desk_uniform", "--snapshots", "1", "--out", str(out))
+        assert self.run_cli(*args, "--workers", "0") == 2
+        monkeypatch.setenv(harness.WORKERS_ENV, "two")
+        assert self.run_cli(*args) == 2
+        assert "CFMCAST_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_campaign_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, workers=None):

@@ -8,7 +8,7 @@ import pytest
 from cfmcast import estimation, grouping, pilots, precoding
 from cfmcast.errors import StatsError
 
-from conftest import build_pipeline, oracle_direction, small_config
+from conftest import build_pipeline, ipmmse_with_power, oracle_direction, small_config
 
 
 class TestIpmmseDirection:
@@ -83,24 +83,29 @@ class TestIpmmseDirection:
 
 
 class TestNormsAndOmega:
-    def test_direction_norms_hand_value(self):
-        dirs = np.array([[1.0 + 0j, 0.0, 3.0, 4.0], [1.0, 2.0, 2.0, 0.0]])
-        total, per_ap = precoding.direction_norms(dirs, 2)
-        assert per_ap == pytest.approx([(1 + 0 + 1 + 4) / 2, (9 + 16 + 4 + 0) / 2])
-        assert total == pytest.approx(sum(per_ap))
+    def test_centralized_power_hand_value(self):
+        # one group on two APs: over two realizations the per-AP squared norms
+        # sum to 1+0+1+4 = 6 and 9+16+4+0 = 29, so the mean norms are 3 and
+        # 14.5 and omega = 14.5/17.5; at G=1 rho = P/omega
+        plan = SimpleNamespace(
+            n_groups=1, n_aps=2, serving=[np.array([0, 1])], served=[np.array([0]), np.array([0])]
+        )
+        stats = SimpleNamespace(trace_r_comp=np.array([[1.0], [3.0]]))
+        dirs = np.array([[1.0 + 0j, 0.0, 3.0, 4.0], [1.0, 2.0, 2.0, 0.0]]).reshape(2, 2, 2)
+        sums = [np.sum(np.abs(dirs) ** 2, axis=(0, 2))]
+        assert sums[0] == pytest.approx([6.0, 29.0])
+        scale, per_ap = precoding.centralized_power(sums, 2, stats, plan, 0.2, -0.5, 0.5)
+        assert scale[0] == pytest.approx(0.2 / 14.5)
+        assert per_ap == pytest.approx([0.2 * 3.0 / 14.5, 0.2])
 
     def test_empty_sample_raises(self):
         with pytest.raises(StatsError):
-            precoding.direction_norms(np.zeros((0, 4)), 2)
+            precoding.centralized_power([np.zeros(2)], 0, None, None, 0.2, -0.5, 0.5)
 
-    def test_omega_conventions(self):
-        ap_norms = np.array([3.0, 1.0])
-        assert precoding.omega_factor(ap_norms, "share") == pytest.approx(0.75)
-        assert precoding.omega_factor(ap_norms, "literal") == pytest.approx(3.0)
+    def test_omega_factor_share(self):
+        assert precoding.omega_factor(np.array([3.0, 1.0])) == pytest.approx(0.75)
         with pytest.raises(StatsError):
-            precoding.omega_factor(np.zeros(2), "share")
-        with pytest.raises(ValueError):
-            precoding.omega_factor(ap_norms, "max")
+            precoding.omega_factor(np.zeros(2))
 
 
 class TestFractionalPower:
@@ -114,24 +119,6 @@ class TestFractionalPower:
             np.array([2.5e-7]), np.array([1.0]), plan, 0.2, -0.5, 0.5
         )
         assert rho[0] == pytest.approx(0.2)
-
-    def test_single_group_busiest_ap_binds_exactly(self):
-        cfg = small_config(mode="single", n_groups=None, realizations=30)
-        pipe = build_pipeline(cfg)
-        pre, audit = precoding.centralized_precoders(
-            pipe.estimates,
-            pipe.stats,
-            pipe.plan,
-            pipe.parts,
-            cfg.group_power_w,
-            cfg.tau_p,
-            cfg.pilot_power_w,
-            cfg.noise_w,
-            cfg.dl_power_w,
-            cfg.resolved_nu(),
-            cfg.kappa,
-        )
-        assert audit["per_ap_power"].max() == pytest.approx(cfg.dl_power_w, rel=1e-9)
 
     def test_flat_exponents_reduce_to_load_ratio(self):
         # nu = kappa = 0: the numerator is the plain budget and each AP's load
@@ -179,46 +166,38 @@ class TestCentralizedPipeline:
     def test_audit_and_normalization_identity(self):
         cfg = small_config(realizations=25)
         pipe = build_pipeline(cfg)
-        pre, audit = precoding.centralized_precoders(
+        plan, nu = pipe.plan, cfg.resolved_nu()
+        dirs, scale, per_ap_power = ipmmse_with_power(
             pipe.estimates,
             pipe.stats,
-            pipe.plan,
+            plan,
             pipe.parts,
             cfg.group_power_w,
             cfg.tau_p,
             cfg.pilot_power_w,
             cfg.noise_w,
             cfg.dl_power_w,
-            cfg.resolved_nu(),
+            nu,
             cfg.kappa,
         )
-        for g in range(pre.n_groups):
-            w = np.sqrt(pre.power_scale[g]) * pre.blocks[g]
-            mean_norm = np.mean(np.sum(np.abs(w) ** 2, axis=(1, 2)))
-            assert mean_norm == pytest.approx(audit["rho"][g], rel=1e-9)
-        assert np.all(audit["per_ap_power"] <= cfg.dl_power_w * 1.01)
-        assert audit["per_ap_power"].sum() == pytest.approx(audit["rho"].sum(), rel=1e-9)
-        assert np.all(audit["omega"] > 0) and np.all(audit["omega"] <= 1.0)
-
-    def test_norm_slice_restricts_the_sample(self):
-        cfg = small_config(realizations=24)
-        pipe = build_pipeline(cfg)
-        args = (
-            pipe.estimates,
-            pipe.stats,
-            pipe.plan,
-            pipe.parts,
-            cfg.group_power_w,
-            cfg.tau_p,
-            cfg.pilot_power_w,
-            cfg.noise_w,
-            cfg.dl_power_w,
-            cfg.resolved_nu(),
-            cfg.kappa,
+        ap_norms = [np.mean(np.sum(np.abs(d) ** 2, axis=2), axis=0) for d in dirs]
+        omega = np.array([a.max() / a.sum() for a in ap_norms])
+        assert np.all(omega > 0) and np.all(omega <= 1.0)
+        trace_sums = np.array(
+            [pipe.stats.trace_r_comp[plan.serving[g], g].sum() for g in range(plan.n_groups)]
         )
-        _, audit_full = precoding.centralized_precoders(*args)
-        _, audit_half = precoding.centralized_precoders(*args, norm_slice=slice(0, 12))
-        assert not np.allclose(audit_full["norms"], audit_half["norms"])
+        rho = precoding.fractional_power_centralized(
+            trace_sums, omega, plan, cfg.dl_power_w, nu, cfg.kappa
+        )
+        radiated = np.zeros(cfg.n_aps)
+        for g, d in enumerate(dirs):
+            w = np.sqrt(scale[g]) * d
+            per_ap = np.mean(np.sum(np.abs(w) ** 2, axis=2), axis=0)
+            assert per_ap.sum() == pytest.approx(rho[g], rel=1e-9)
+            radiated[plan.serving[g]] += per_ap
+        np.testing.assert_allclose(per_ap_power, radiated, rtol=1e-9)
+        assert np.all(per_ap_power <= cfg.dl_power_w * 1.01)
+        assert per_ap_power.sum() == pytest.approx(rho.sum(), rel=1e-9)
 
 
 class TestConjugateBeamforming:
