@@ -12,7 +12,7 @@ from .geometry import Deployment, build_deployment
 from .grouping import GroupAssignment, kmeans_subgroups, make_plan
 from .pilots import PilotPlan, assign_pilots_and_cluster
 from .estimation import CompositeStats, composite_stats
-from .precoding import GroupPrecoders, cb_precoders
+from .precoding import cb_precoders
 from .evaluation import SeReport
 from .harness import CampaignResult, run_campaign, run_snapshot, write_outputs
 
@@ -26,7 +26,6 @@ __all__ = [
     "Deployment",
     "DeploymentSpec",
     "GroupAssignment",
-    "GroupPrecoders",
     "NumericalError",
     "PilotPlan",
     "SeReport",

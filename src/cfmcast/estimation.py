@@ -3,8 +3,9 @@
 All members of a subgroup send the same pilot, so each AP observes (and each
 serving AP estimates) the scaled sum of the member channels: the composite
 channel.  Groups on the same pilot contaminate each other; the estimator folds
-the whole cohort into the Gram matrix of the observation.  Linear algebra uses
-Hermitian solves throughout, never explicit inverses.
+the whole cohort into the Gram matrix of the observation.  The estimator maps
+come from one batched LU solve (``np.linalg.solve``) of the observation
+covariance system, never from explicit inverses.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
 
@@ -78,7 +78,7 @@ def composite_stats(r_cov: np.ndarray, grouping, plan, tau_p: int, pilot_power_w
     for g in range(n_groups):
         cohort_members = np.concatenate([grouping.members[c] for c in plan.cohort[g]])
         gamma[:, g] = gamma_matrix(r_cov, cohort_members, tau_p, pilot_power_w, noise_w)
-    # estimator = K_g * r_comp @ gamma^{-1}, via Hermitian solve on the transposed system
+    # estimator = K_g * r_comp @ gamma^{-1}, via an LU solve of the transposed system
     try:
         solved = np.linalg.solve(np.swapaxes(gamma, -1, -2), np.swapaxes(r_comp, -1, -2))
     except np.linalg.LinAlgError as exc:
@@ -88,15 +88,6 @@ def composite_stats(r_cov: np.ndarray, grouping, plan, tau_p: int, pilot_power_w
     est_cov = 0.5 * (est_cov + np.conj(np.swapaxes(est_cov, -1, -2)))
     err_cov = r_comp - est_cov
     return CompositeStats(r_comp=r_comp, gamma=gamma, est_cov=est_cov, err_cov=err_cov, estimator=estimator)
-
-
-def composite_channels(channels: np.ndarray, grouping, tau_p: int, pilot_power_w: float) -> np.ndarray:
-    """Realized composite channels per group, (T, L, G, N)."""
-    scale = np.sqrt(tau_p * pilot_power_w)
-    out = np.stack(
-        [channels[:, :, m, :].sum(axis=2) / m.size for m in grouping.members], axis=2
-    )
-    return scale * out
 
 
 def project_pilots(
@@ -131,30 +122,16 @@ def project_pilots(
     return y
 
 
-def mmse_composite_estimate(
-    y: np.ndarray, r_comp: np.ndarray, gamma: np.ndarray, group_size: int
-) -> np.ndarray:
-    """MMSE estimate of one composite channel from one observation.
-
-    ``y`` is the (N,) pilot observation at one AP; solves the observation
-    covariance system instead of inverting it.
-    """
-    try:
-        factor = cho_factor(gamma, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"observation covariance is not positive definite: {exc}") from exc
-    return group_size * (r_comp @ cho_solve(factor, y))
-
-
-def estimate_composites(y: np.ndarray, stats: CompositeStats, plan) -> dict:
+def estimate_composites(y: np.ndarray, stats: CompositeStats, plan) -> np.ndarray:
     """Estimate every served composite channel for every realization.
 
-    Returns a dict mapping (ap, group) -> (T, N) estimate array, covering
-    exactly the pairs with ap in the group's serving set.
+    Returns (T, P + 1, N): row p is AP ``plan.pair_ap[p]``'s estimate of group
+    ``plan.pair_group[p]``'s composite channel, and the trailing row is zero, so
+    indexing through ``plan.pair_of`` reads zeros for unserved pairs.
     """
-    out = {}
-    for g in range(plan.n_groups):
-        t = int(plan.pilot_of[g])
-        for l in plan.serving[g]:
-            out[(int(l), g)] = y[:, l, t, :] @ stats.estimator[l, g].T
+    n_real, _, _, n_antennas = y.shape
+    obs = y[:, plan.pair_ap, plan.pilot_of[plan.pair_group]]  # (T, P, N)
+    estimator = stats.estimator[plan.pair_ap, plan.pair_group]  # (P, N, N)
+    out = np.zeros((n_real, plan.pair_ap.size + 1, n_antennas), dtype=complex)
+    out[:, :-1] = np.swapaxes(np.swapaxes(obs, 0, 1) @ np.swapaxes(estimator, -1, -2), 0, 1)
     return out

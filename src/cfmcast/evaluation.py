@@ -39,7 +39,7 @@ class SinrAccumulator:
     """Streams realization chunks into the hardening-bound moment estimates.
 
     Accumulates, per (MS, group), the mean received inner product and mean
-    squared magnitude with the *unscaled* precoder blocks; the per-group power
+    squared magnitude with the *unscaled* precoders; the per-group power
     scaling enters once at finalize time since it multiplies both moments
     linearly.
     """
@@ -49,11 +49,10 @@ class SinrAccumulator:
         self.sum_a2 = np.zeros((n_ms, n_groups))
         self.count = 0
 
-    def update(self, channels: np.ndarray, precoders) -> None:
-        """Add one chunk of matched channel/precoder realizations."""
-        for g in range(precoders.n_groups):
-            aps = precoders.aps[g]
-            w = precoders.blocks[g]
+    def update(self, channels: np.ndarray, precoders: np.ndarray, plan) -> None:
+        """Add one chunk of matched channel and (T, P, N) precoder realizations."""
+        for g, aps in enumerate(plan.serving):
+            w = precoders[:, plan.pair_of[aps, g]]
             a = np.einsum("tjkn,tjn->tk", np.conj(channels[:, aps]), w)
             self.sum_a[:, g] += a.sum(axis=0)
             self.sum_a2[:, g] += np.sum(np.abs(a) ** 2, axis=0)
@@ -74,13 +73,6 @@ class SinrAccumulator:
         denom = np.where(denom <= 0, noise_w, denom)
         sinr = desired / denom
         return desired, total, sinr, clamped
-
-
-def sinr_terms(channels: np.ndarray, precoders, group_of: np.ndarray, noise_w: float):
-    """One-shot hardening-bound SINR from matched realizations."""
-    acc = SinrAccumulator(channels.shape[2], precoders.n_groups)
-    acc.update(channels, precoders)
-    return acc.finalize(precoders.power_scale, group_of, noise_w)
 
 
 def se_user(sinr: np.ndarray, tau_p: int, tau_c: int) -> np.ndarray:

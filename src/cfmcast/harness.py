@@ -118,7 +118,7 @@ def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
     norm_cut = (total_real + 1) // 2 if cfg.split_sample_eval else total_real
     acc = evaluation.SinrAccumulator(cfg.n_ms, n_groups)
     centralized = cfg.precoder == "ipmmse"
-    sq_norm_sums = [np.zeros(plan.serving[g].size) for g in range(n_groups)] if centralized else None
+    sq_norm_sums = np.zeros((plan.n_aps, n_groups))
     norm_count = 0
 
     for ci, (start, stop) in enumerate(_chunk_bounds(total_real)):
@@ -138,35 +138,20 @@ def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
         estimates = estimation.estimate_composites(y, stats, plan)
         n_norm = max(0, min(norm_cut, stop) - start)
         if centralized:
-            blocks = []
-            for g in range(n_groups):
-                dirs = precoding.ipmmse_direction(
+            w = np.empty((n_chunk, plan.pair_ap.size, cfg.n_antennas), dtype=complex)
+            for g, aps in enumerate(plan.serving):
+                w[:, plan.pair_of[aps, g]] = precoding.ipmmse_direction(
                     estimates, stats, plan, parts, g,
                     cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
-                )
-                per_ap = dirs.reshape(n_chunk, -1, cfg.n_antennas)
-                sq_norm_sums[g] += np.sum(np.abs(per_ap[:n_norm]) ** 2, axis=(0, 2))
-                blocks.append(per_ap)
-            group_pre = precoding.GroupPrecoders(
-                aps=[plan.serving[g] for g in range(n_groups)],
-                blocks=blocks,
-                power_scale=np.ones(n_groups),
-            )
+                ).reshape(n_chunk, aps.size, cfg.n_antennas)
+            sq_norm_sums[plan.pair_ap, plan.pair_group] += np.sum(np.abs(w[:n_norm]) ** 2, axis=(0, 2))
             norm_count += n_norm
         else:
-            group_pre = precoding.cb_precoders(
-                estimates, stats, plan, cfg.dl_power_w, cfg.resolved_nu()
-            )
+            w = precoding.cb_precoders(estimates, stats, plan, cfg.dl_power_w, cfg.resolved_nu())
         # split-sample evaluation scores only the realizations past norm_cut
         lo = max(0, norm_cut - start) if cfg.split_sample_eval else 0
         if lo < n_chunk:
-            eval_part = slice(lo, n_chunk)
-            sliced = precoding.GroupPrecoders(
-                aps=group_pre.aps,
-                blocks=[b[eval_part] for b in group_pre.blocks],
-                power_scale=group_pre.power_scale,
-            )
-            acc.update(channels[eval_part], sliced)
+            acc.update(channels[lo:], w[lo:], plan)
 
     if centralized:
         power_scale, per_ap_power = precoding.centralized_power(

@@ -17,22 +17,46 @@ pilot shared by more than L groups can force an overload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass
 class PilotPlan:
-    """Pilot labels, serving sets and the derived cooperation structure."""
+    """Pilot labels, the serving relation and the served-pair layout.
+
+    ``serving_mask[l, g]`` is True when AP l serves group g.  The served pairs
+    are numbered in row-major order of the mask: pair p joins AP ``pair_ap[p]``
+    to group ``pair_group[p]``, and ``pair_of[l, g]`` is that number, or P (one
+    past the last pair) where l does not serve g.  Per-realization estimates and
+    precoders are arrays over this pair axis.  Everything but the pilot labels,
+    the mask and the anchor APs is derived from them on construction.
+    """
 
     n_pilots: int
     pilot_of: np.ndarray  # (G,) pilot label per group
-    serving: list  # per group: sorted AP indices (L_g)
-    served: list  # per AP: sorted group indices (D_l)
+    serving_mask: np.ndarray  # (L, G) bool
     master_ap: np.ndarray  # (G,) strongest serving AP per group
-    cohort: list  # per group: groups sharing its pilot, itself included
-    s_set: list  # per group: groups sharing at least one serving AP, itself included
+    pair_ap: np.ndarray = field(init=False)  # (P,)
+    pair_group: np.ndarray = field(init=False)  # (P,)
+    pair_of: np.ndarray = field(init=False)  # (L, G), P where unserved
+    serving: list = field(init=False)  # per group: sorted AP indices (L_g)
+    served: list = field(init=False)  # per AP: sorted group indices (D_l)
+    cohort: list = field(init=False)  # per group: groups sharing its pilot, itself included
+    s_set: list = field(init=False)  # per group: groups sharing at least one serving AP, itself included
+
+    def __post_init__(self):
+        mask = self.serving_mask
+        self.pair_ap, self.pair_group = np.nonzero(mask)
+        n_pairs = self.pair_ap.size
+        self.pair_of = np.full(mask.shape, n_pairs)
+        self.pair_of[self.pair_ap, self.pair_group] = np.arange(n_pairs)
+        self.serving = [np.flatnonzero(col) for col in mask.T]
+        self.served = [np.flatnonzero(row) for row in mask]
+        self.cohort = [np.flatnonzero(self.pilot_of == t) for t in self.pilot_of]
+        dense = mask.astype(float)
+        self.s_set = [np.flatnonzero(row) for row in dense.T @ dense]
 
     @property
     def n_groups(self) -> int:
@@ -40,7 +64,7 @@ class PilotPlan:
 
     @property
     def n_aps(self) -> int:
-        return len(self.served)
+        return self.serving_mask.shape[0]
 
 
 def group_gains(beta: np.ndarray, grouping) -> np.ndarray:
@@ -128,9 +152,10 @@ def _serve_starved(gains, pilot_of, masters, incumbent, counts):
 def assign_pilots_and_cluster(beta: np.ndarray, grouping, tau_p: int) -> PilotPlan:
     """Run the joint pilot assignment and AP clustering for a partition.
 
-    Returns serving sets L_g, served sets D_l, the pilot label and strongest
-    serving AP per group, and the derived cohort (same pilot) and interference
-    neighborhood (shared AP) sets.
+    Returns the serving mask and the pilot label and strongest serving AP per
+    group; the plan derives the served pairs, the serving sets L_g and served
+    sets D_l, and the cohort (same pilot) and interference neighborhood
+    (shared AP) sets from them.
     """
     if tau_p < 1:
         raise ValueError(f"tau_p must be at least 1, got {tau_p}")
@@ -141,35 +166,11 @@ def assign_pilots_and_cluster(beta: np.ndarray, grouping, tau_p: int) -> PilotPl
     incumbent, counts = _serve_strongest(gains, pilot_of, masters, tau_p)
     incumbent, counts = _serve_starved(gains, pilot_of, masters, incumbent, counts)
 
-    serving = [list() for _ in range(grouping.n_groups)]
-    for l in range(n_aps):
-        for t in range(tau_p):
-            g = incumbent[l, t]
-            if g >= 0:
-                serving[g].append(l)
+    mask = np.zeros((n_aps, grouping.n_groups), dtype=bool)
+    aps, slots = np.nonzero(incumbent >= 0)
+    mask[aps, incumbent[aps, slots]] = True
     # a fallback double-up is the only way a group is served off the incumbent table
-    for g in np.flatnonzero(counts > 0):
-        if not serving[g]:
-            serving[g].append(int(masters[g]))
-    serving = [np.array(sorted(s), dtype=int) for s in serving]
-    served = [
-        np.array(sorted(g for g in range(grouping.n_groups) if l in serving[g]), dtype=int)
-        for l in range(n_aps)
-    ]
-    master_ap = np.array(
-        [s[int(np.argmax(gains[s, g]))] for g, s in enumerate(serving)], dtype=int
-    )
-    cohort = [np.flatnonzero(pilot_of == pilot_of[g]) for g in range(grouping.n_groups)]
-    s_set = [
-        np.unique(np.concatenate([served[l] for l in serving[g]]))
-        for g in range(grouping.n_groups)
-    ]
-    return PilotPlan(
-        n_pilots=tau_p,
-        pilot_of=pilot_of,
-        serving=serving,
-        served=served,
-        master_ap=master_ap,
-        cohort=cohort,
-        s_set=s_set,
-    )
+    doubled = np.flatnonzero((counts > 0) & ~mask.any(axis=0))
+    mask[masters[doubled], doubled] = True
+    master_ap = np.argmax(np.where(mask, gains, -np.inf), axis=0)
+    return PilotPlan(n_pilots=tau_p, pilot_of=pilot_of, serving_mask=mask, master_ap=master_ap)

@@ -1,64 +1,29 @@
 """Multicast precoders: centralized improved partial MMSE (IP-MMSE) and
 distributed conjugate beamforming (CB).
 
-The centralized precoder regularizes each group's composite channel estimate
-against the estimates of the groups it shares serving APs with (its
-interference neighborhood), the estimation error covariances of that
-neighborhood and the full covariances of everyone else, all restricted to the
-group's serving APs.  ``ipmmse_direction`` returns the unnormalized
-directions; the caller accumulates their per-AP squared norms over the
-normalization realizations and ``centralized_power`` turns those sums into the
-per-group scale and the per-AP radiated power under the centralized fractional
-rule, normalized by the worst-loaded serving AP.  The distributed precoder
-scales each serving AP's own estimate with a closed-form normalization and a
-per-AP fractional split.
+Precoder realizations use the plan's served-pair layout: a (T, P, N) array
+whose row p is the part of group ``plan.pair_group[p]``'s precoder transmitted
+by AP ``plan.pair_ap[p]``.  The centralized precoder regularizes each group's
+composite channel estimate against the estimates of the groups it shares
+serving APs with (its interference neighborhood), the estimation error
+covariances of that neighborhood and the full covariances of everyone else,
+all restricted to the group's serving APs.  ``ipmmse_direction`` returns one
+group's unnormalized directions; the caller accumulates their squared norms
+per served pair over the normalization realizations into an (L, G) table, and
+``centralized_power`` turns that table into the per-group scale and the per-AP
+radiated power under the centralized fractional rule, normalized by the
+worst-loaded serving AP.  The distributed precoder scales each serving AP's
+own estimate with a closed-form normalization and a per-AP fractional split.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, StatsError
 
 
-@dataclass
-class GroupPrecoders:
-    """Per-group precoder realizations plus the scaling needed for evaluation.
-
-    ``aps[g]`` lists the serving APs of group g and ``blocks[g]`` holds the
-    matching (T, |aps|, N) per-AP precoder realizations.  The final transmit
-    precoder is sqrt(power_scale[g]) * blocks[g]; keeping the scale separate
-    lets Monte Carlo normalization reuse the same realizations.
-    """
-
-    aps: list
-    blocks: list
-    power_scale: np.ndarray  # (G,)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.aps)
-
-
 # --- centralized IP-MMSE ----------------------------------------------------
-
-
-def _stack_estimates(estimates, plan, group, neighborhood, n_antennas, n_real):
-    """Gather the neighborhood's estimates on the group's serving APs.
-
-    Returns (T, C, n) with C = len(neighborhood) and n = |L_g| * N; an AP that
-    does not serve a neighborhood group contributes a zero block.
-    """
-    aps = plan.serving[group]
-    v = np.zeros((n_real, neighborhood.size, aps.size * n_antennas), dtype=complex)
-    for ci, c in enumerate(neighborhood):
-        for j, l in enumerate(aps):
-            est = estimates.get((int(l), int(c)))
-            if est is not None:
-                v[:, ci, j * n_antennas : (j + 1) * n_antennas] = est
-    return v
 
 
 def ipmmse_regularizer(stats, plan, group, group_sizes, group_power_w, tau_p, pilot_power_w) -> np.ndarray:
@@ -100,7 +65,7 @@ def _ipmmse_solve(v, coef, own_index, regularizer, noise_w, lead_scale):
 
 
 def ipmmse_direction(
-    estimates: dict,
+    estimates: np.ndarray,
     stats,
     plan,
     grouping,
@@ -112,14 +77,14 @@ def ipmmse_direction(
 ) -> np.ndarray:
     """Unnormalized centralized precoding directions for one group, (T, n).
 
+    ``estimates`` is the (T, P + 1, N) output of ``estimate_composites``;
     ``n`` stacks the group's serving APs times the antennas per AP.
     """
     neighborhood = plan.s_set[group]
-    n_antennas = stats.r_comp.shape[-1]
-    some_est = next(iter(estimates.values()))
-    n_real = some_est.shape[0]
     sizes = grouping.sizes
-    v = _stack_estimates(estimates, plan, group, neighborhood, n_antennas, n_real)
+    # (T, C, |L_g| * N); a neighbor that an AP does not serve reads the zero row
+    v = estimates[:, plan.pair_of[np.ix_(plan.serving[group], neighborhood)].T]
+    v = v.reshape(v.shape[0], neighborhood.size, -1)
     coef = group_power_w * sizes[neighborhood].astype(float) ** 2 / (tau_p * pilot_power_w)
     own_index = int(np.flatnonzero(neighborhood == group)[0])
     reg = ipmmse_regularizer(stats, plan, group, sizes, group_power_w, tau_p, pilot_power_w)
@@ -127,16 +92,17 @@ def ipmmse_direction(
     return _ipmmse_solve(v, coef, own_index, reg, noise_w, lead)
 
 
-def omega_factor(ap_norms: np.ndarray) -> float:
-    """Spatial power concentration of a group's precoder across its APs.
+def omega_factor(ap_norms: np.ndarray) -> np.ndarray:
+    """Spatial power concentration of each group's precoder across its APs.
 
-    The largest per-AP fraction of the mean squared norm, a dimensionless
-    load in (0, 1].
+    ``ap_norms`` holds mean squared norms per AP along axis 0 (zero where an AP
+    does not serve the group); the result is the largest per-AP fraction, a
+    dimensionless load in (0, 1], per column.
     """
-    total = ap_norms.sum()
-    if total <= 0:
+    total = ap_norms.sum(axis=0)
+    if np.any(total <= 0):
         raise StatsError("precoder norms vanished; cannot form omega")
-    return float(ap_norms.max() / total)
+    return ap_norms.max(axis=0) / total
 
 
 def fractional_power_centralized(
@@ -153,20 +119,15 @@ def fractional_power_centralized(
     group's serving APs.  The denominator is the load of the group's busiest
     serving AP, which keeps every AP's expected radiated power within budget.
     """
-    n_groups = trace_sums.shape[0]
-    numer = dl_power_w * trace_sums**nu * omega ** (-kappa)
-    rho = np.empty(n_groups)
+    mask = plan.serving_mask
     load = trace_sums**nu * omega ** (1.0 - kappa)
-    ap_load = np.array(
-        [load[served].sum() if served.size else 0.0 for served in plan.served]
-    )
-    for g in range(n_groups):
-        rho[g] = numer[g] / ap_load[plan.serving[g]].max()
-    return rho
+    ap_load = np.where(mask, load, 0.0).sum(axis=1)
+    busiest = np.where(mask, ap_load[:, None], 0.0).max(axis=0)
+    return dl_power_w * trace_sums**nu * omega ** (-kappa) / busiest
 
 
 def centralized_power(
-    sq_norm_sums: list,
+    sq_norm_sums: np.ndarray,
     count: int,
     stats,
     plan,
@@ -176,25 +137,22 @@ def centralized_power(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Power step of the centralized precoder: (power_scale, per_ap_power).
 
-    ``sq_norm_sums[g]`` holds, per serving AP of group g, the squared norm of
-    the group's precoding direction summed over ``count`` normalization
-    realizations.  The transmit precoder is sqrt(power_scale[g]) times the
-    direction, so its sample mean squared norm is the fractional power
-    rho[g]; ``per_ap_power`` is the resulting mean radiated power per AP.
+    ``sq_norm_sums[l, g]`` is the squared norm of AP l's part of group g's
+    precoding direction summed over ``count`` normalization realizations,
+    zero where l does not serve g.  The transmit precoder is
+    sqrt(power_scale[g]) times the direction, so its sample mean squared norm
+    is the fractional power rho[g]; ``per_ap_power`` is the resulting mean
+    radiated power per AP.
     """
     if count == 0:
         raise StatsError("cannot normalize over zero realizations")
-    ap_norms = [s / count for s in sq_norm_sums]
-    norms = np.array([a.sum() for a in ap_norms])
-    omegas = np.array([omega_factor(a) for a in ap_norms])
-    trace_sums = np.array(
-        [stats.trace_r_comp[aps, g].sum() for g, aps in enumerate(plan.serving)]
-    )
+    ap_norms = sq_norm_sums / count
+    omegas = omega_factor(ap_norms)
+    norms = ap_norms.sum(axis=0)
+    trace_sums = np.where(plan.serving_mask, stats.trace_r_comp, 0.0).sum(axis=0)
     rho = fractional_power_centralized(trace_sums, omegas, plan, dl_power_w, nu, kappa)
-    per_ap_power = np.zeros(plan.n_aps)
-    for g, aps in enumerate(plan.serving):
-        per_ap_power[aps] += rho[g] * (ap_norms[g] / norms[g])
-    return rho / norms, per_ap_power
+    power_scale = rho / norms
+    return power_scale, ap_norms @ power_scale
 
 
 # --- distributed conjugate beamforming --------------------------------------
@@ -206,35 +164,20 @@ def apa_power(trace_r_comp: np.ndarray, plan, dl_power_w: float, nu: float) -> n
     Each AP divides its budget over the groups it serves in proportion to
     tr(r_comp)^nu; rows sum to the budget over served groups, zero elsewhere.
     """
-    n_aps, n_groups = trace_r_comp.shape
-    rho = np.zeros((n_aps, n_groups))
-    for l in range(n_aps):
-        served = plan.served[l]
-        if served.size == 0:
-            continue
-        weights = trace_r_comp[l, served] ** nu
-        rho[l, served] = dl_power_w * weights / weights.sum()
-    return rho
+    weights = np.where(plan.serving_mask, trace_r_comp**nu, 0.0)
+    totals = weights.sum(axis=1, keepdims=True)
+    return dl_power_w * weights / np.where(totals > 0, totals, 1.0)
 
 
-def cb_precoders(estimates: dict, stats, plan, dl_power_w: float, nu: float) -> GroupPrecoders:
-    """Conjugate beamforming from local estimates with closed-form scaling.
+def cb_precoders(estimates: np.ndarray, stats, plan, dl_power_w: float, nu: float) -> np.ndarray:
+    """Conjugate beamforming from local estimates with closed-form scaling, (T, P, N).
 
     Each serving AP transmits its own composite estimate normalized by the
     analytic mean squared norm tr(est_cov) and weighted by its fractional
-    power share; no Monte Carlo normalization is involved.
+    power share; no Monte Carlo normalization is involved, so the transmit
+    precoder needs no further scale.
     """
-    rho = apa_power(stats.trace_r_comp, plan, dl_power_w, nu)
-    est_norm = np.einsum("lgii->lg", stats.est_cov).real
-    n_groups = plan.n_groups
-    aps = [plan.serving[g] for g in range(n_groups)]
-    blocks = []
-    for g in range(n_groups):
-        serving = plan.serving[g]
-        some_est = estimates[(int(serving[0]), g)]
-        w = np.empty((some_est.shape[0], serving.size, some_est.shape[1]), dtype=complex)
-        for j, l in enumerate(serving):
-            scale = np.sqrt(rho[l, g] / est_norm[l, g])
-            w[:, j, :] = scale * estimates[(int(l), g)]
-        blocks.append(w)
-    return GroupPrecoders(aps=aps, blocks=blocks, power_scale=np.ones(n_groups))
+    pairs = (plan.pair_ap, plan.pair_group)
+    rho = apa_power(stats.trace_r_comp, plan, dl_power_w, nu)[pairs]
+    est_norm = np.einsum("lgii->lg", stats.est_cov).real[pairs]
+    return np.sqrt(rho / est_norm)[:, None] * estimates[:, :-1]

@@ -1,12 +1,15 @@
-"""Shared helpers for the test suite: small scenarios and fuzz instances."""
+"""Shared helpers for the test suite: small scenarios, fuzz instances and
+reference implementations the program itself does not use."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from cfmcast import covariance, estimation, geometry, grouping, harness, pilots, precoding
+from cfmcast import covariance, estimation, evaluation, geometry, grouping, harness, pilots, precoding
 from cfmcast.config import DeploymentSpec, SystemConfig
+from cfmcast.errors import NumericalError
 
 
 def small_config(**overrides) -> SystemConfig:
@@ -97,6 +100,51 @@ def random_service_instance(rng: np.random.Generator) -> SimpleNamespace:
     return SimpleNamespace(beta=beta, parts=parts, tau_p=tau_p, n_aps=n_aps, n_ms=n_ms)
 
 
+def assert_pair_layout(plan):
+    """The served-pair numbering is a bijection onto the serving mask."""
+    mask = plan.serving_mask
+    n_pairs = plan.pair_ap.size
+    assert n_pairs == mask.sum()
+    assert np.array_equal(plan.pair_of[plan.pair_ap, plan.pair_group], np.arange(n_pairs))
+    assert np.all(plan.pair_of[~mask] == n_pairs)
+    assert np.all(plan.pair_of[mask] < n_pairs)
+    for g, aps in enumerate(plan.serving):
+        assert np.array_equal(aps, np.flatnonzero(mask[:, g]))
+    for l, groups in enumerate(plan.served):
+        assert np.array_equal(groups, np.flatnonzero(mask[l]))
+
+
+def mmse_composite_estimate(
+    y: np.ndarray, r_comp: np.ndarray, gamma: np.ndarray, group_size: int
+) -> np.ndarray:
+    """MMSE estimate of one composite channel from one observation.
+
+    ``y`` is the (N,) pilot observation at one AP; solves the observation
+    covariance system instead of inverting it.
+    """
+    try:
+        factor = cho_factor(gamma, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"observation covariance is not positive definite: {exc}") from exc
+    return group_size * (r_comp @ cho_solve(factor, y))
+
+
+def composite_channels(channels: np.ndarray, grouping, tau_p: int, pilot_power_w: float) -> np.ndarray:
+    """Realized composite channels per group, (T, L, G, N)."""
+    scale = np.sqrt(tau_p * pilot_power_w)
+    out = np.stack(
+        [channels[:, :, m, :].sum(axis=2) / m.size for m in grouping.members], axis=2
+    )
+    return scale * out
+
+
+def sinr_terms(channels, w, power_scale, plan, group_of, noise_w):
+    """One-shot hardening-bound SINR from matched channel and (T, P, N) precoder realizations."""
+    acc = evaluation.SinrAccumulator(channels.shape[2], plan.n_groups)
+    acc.update(channels, w, plan)
+    return acc.finalize(power_scale, group_of, noise_w)
+
+
 def oracle_direction(pipe, g):
     """Independent reassembly of the regularized precoder solve.
 
@@ -107,15 +155,14 @@ def oracle_direction(pipe, g):
     aps = plan.serving[g]
     n_ant = cfg.n_antennas
     n = aps.size * n_ant
-    t_total = next(iter(pipe.estimates.values())).shape[0]
+    t_total = pipe.estimates.shape[0]
     coef = cfg.group_power_w * parts.sizes.astype(float) ** 2 / (cfg.tau_p * cfg.pilot_power_w)
 
     def stack(c):
         v = np.zeros((t_total, n), dtype=complex)
         for j, l in enumerate(aps):
-            est = pipe.estimates.get((int(l), int(c)))
-            if est is not None:
-                v[:, j * n_ant : (j + 1) * n_ant] = est
+            if plan.serving_mask[l, c]:
+                v[:, j * n_ant : (j + 1) * n_ant] = pipe.estimates[:, plan.pair_of[l, c]]
         return v
 
     s = set(plan.s_set[g].tolist())
@@ -143,21 +190,22 @@ def ipmmse_with_power(
 ):
     """IP-MMSE directions of every group, normalized over all realizations.
 
-    Returns (directions, power_scale, per_ap_power), with ``directions[g]`` of
-    shape (T, |serving APs|, N); the power step is the one the harness runs.
+    Returns (directions, power_scale, per_ap_power), with ``directions`` a
+    (T, P, N) array over the plan's served pairs; the power step is the one
+    the harness runs.
     """
-    n_ant = stats.r_comp.shape[-1]
-    dirs = [
-        precoding.ipmmse_direction(
+    n_real, _, n_ant = estimates.shape
+    w = np.empty((n_real, plan.pair_ap.size, n_ant), dtype=complex)
+    for g, aps in enumerate(plan.serving):
+        w[:, plan.pair_of[aps, g]] = precoding.ipmmse_direction(
             estimates, stats, plan, parts, g, group_power_w, tau_p, pilot_power_w, noise_w
-        ).reshape(-1, plan.serving[g].size, n_ant)
-        for g in range(plan.n_groups)
-    ]
-    sums = [np.sum(np.abs(d) ** 2, axis=(0, 2)) for d in dirs]
+        ).reshape(n_real, aps.size, n_ant)
+    sums = np.zeros(plan.serving_mask.shape)
+    sums[plan.pair_ap, plan.pair_group] = np.sum(np.abs(w) ** 2, axis=(0, 2))
     power_scale, per_ap_power = precoding.centralized_power(
-        sums, dirs[0].shape[0], stats, plan, dl_power_w, nu, kappa
+        sums, n_real, stats, plan, dl_power_w, nu, kappa
     )
-    return dirs, power_scale, per_ap_power
+    return w, power_scale, per_ap_power
 
 
 @pytest.fixture

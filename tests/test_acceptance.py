@@ -15,6 +15,7 @@ from cfmcast import covariance, estimation, geometry, grouping, harness, pilots,
 from cfmcast.config import SystemConfig, preset
 
 from conftest import (
+    assert_pair_layout,
     build_pipeline,
     ipmmse_with_power,
     oracle_direction,
@@ -69,7 +70,7 @@ def test_criterion_1_estimation_oracle():
     for g, members in enumerate(parts.members):
         c_xy = (tau_p * pilot_power / members.size) * r_cov[0, members].sum(axis=0)
         want = y[:, 0, 0, :] @ (c_xy @ c_yy_inv).T
-        got = estimates[(0, g)]
+        got = estimates[:, plan.pair_of[0, g]]
         worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300))))
     elapsed = time.monotonic() - t0
     _verdict(
@@ -99,8 +100,8 @@ def test_criterion_2_precoding_oracles():
     cfg_mc = small_config(n_aps=2, n_antennas=2, n_ms=4, n_groups=2, tau_p=2, realizations=100_000)
     pipe_mc = build_pipeline(cfg_mc)
     worst_norm = 0.0
-    for (l, g), est in pipe_mc.estimates.items():
-        mc = float(np.mean(np.sum(np.abs(est) ** 2, axis=1)))
+    for p, (l, g) in enumerate(zip(pipe_mc.plan.pair_ap, pipe_mc.plan.pair_group)):
+        mc = float(np.mean(np.sum(np.abs(pipe_mc.estimates[:, p]) ** 2, axis=1)))
         closed = float(np.einsum("ii->", pipe_mc.stats.est_cov[l, g]).real)
         worst_norm = max(worst_norm, abs(mc - closed) / closed)
     elapsed = time.monotonic() - t0
@@ -130,6 +131,7 @@ def test_criterion_3_invariant_suite():
             assert plan.master_ap[g] in plan.serving[g]
         for l in range(inst.n_aps):
             assert plan.served[l].size <= tau_p
+        assert_pair_layout(plan)
         # covariance cone and trace identity
         n_ant = int(rng.integers(1, 4))
         phi = rng.uniform(-np.pi, np.pi, size=beta.shape)
@@ -301,7 +303,8 @@ def test_criterion_7_statistical_checks():
     cfg = small_config(n_aps=2, n_antennas=2, n_ms=4, n_groups=2, tau_p=2, realizations=100_000)
     pipe = build_pipeline(cfg)
     worst = 0.0
-    for (l, g), est in pipe.estimates.items():
+    for p, (l, g) in enumerate(zip(pipe.plan.pair_ap, pipe.plan.pair_group)):
+        est = pipe.estimates[:, p]
         sample_cov = est.T @ est.conj() / est.shape[0]
         want = pipe.stats.est_cov[l, g]
         worst = max(worst, float(np.linalg.norm(sample_cov - want) / np.linalg.norm(want)))

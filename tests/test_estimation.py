@@ -6,7 +6,7 @@ import pytest
 from cfmcast import covariance, estimation, grouping, pilots
 from cfmcast.errors import NumericalError
 
-from conftest import build_pipeline, random_service_instance, small_config
+from conftest import build_pipeline, composite_channels, mmse_composite_estimate, small_config
 
 
 def brute_force_lmmse(y, r_members, r_cohort, tau_p, pilot_power, noise_w, group_size):
@@ -79,7 +79,7 @@ class TestEstimatorOracle:
         stats = estimation.composite_stats(r, parts, plan, tau_p, pp, noise_w)
         for _ in range(20):
             y = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            got = estimation.mmse_composite_estimate(y, stats.r_comp[0, 0], stats.gamma[0, 0], 2)
+            got = mmse_composite_estimate(y, stats.r_comp[0, 0], stats.gamma[0, 0], 2)
             want = brute_force_lmmse(
                 y, [r[0, 0], r[0, 1]], [r[0, 0], r[0, 1], r[0, 2]], tau_p, pp, noise_w, 2
             )
@@ -96,7 +96,7 @@ class TestEstimatorOracle:
 
     def test_singular_observation_covariance_raises(self):
         with pytest.raises(NumericalError):
-            estimation.mmse_composite_estimate(
+            mmse_composite_estimate(
                 np.zeros(2, dtype=complex), np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex), 1
             )
 
@@ -136,7 +136,7 @@ class TestPilotProjection:
     def test_composite_channels_definition(self, rng):
         cfg = small_config()
         pipe = build_pipeline(cfg, n_real=3)
-        comp = estimation.composite_channels(pipe.channels, pipe.parts, cfg.tau_p, cfg.pilot_power_w)
+        comp = composite_channels(pipe.channels, pipe.parts, cfg.tau_p, cfg.pilot_power_w)
         g = 1
         m = pipe.parts.members[g]
         want = np.sqrt(cfg.tau_p * cfg.pilot_power_w) * pipe.channels[:, :, m, :].sum(axis=2) / m.size
@@ -146,12 +146,13 @@ class TestPilotProjection:
 class TestEstimateRealizations:
     def test_covers_exactly_serving_pairs(self):
         pipe = build_pipeline(small_config(), n_real=2)
-        want_keys = {
-            (int(l), g) for g in range(pipe.plan.n_groups) for l in pipe.plan.serving[g]
-        }
-        assert set(pipe.estimates.keys()) == want_keys
-        for (l, g), est in pipe.estimates.items():
-            assert est.shape == (2, pipe.cfg.n_antennas)
+        plan, est = pipe.plan, pipe.estimates
+        assert est.shape == (2, plan.pair_ap.size + 1, pipe.cfg.n_antennas)
+        for p, (l, g) in enumerate(zip(plan.pair_ap, plan.pair_group)):
+            want = pipe.y[:, l, plan.pilot_of[g]] @ pipe.stats.estimator[l, g].T
+            assert np.allclose(est[:, p], want, rtol=1e-12)
+        # the padding row that unserved pairs index into is exactly zero
+        assert np.all(est[:, -1] == 0)
 
     def test_matches_single_estimate_path(self):
         pipe = build_pipeline(small_config(), n_real=3)
@@ -161,20 +162,20 @@ class TestEstimateRealizations:
         t = int(plan.pilot_of[g])
         size = int(pipe.parts.sizes[g])
         for ti in range(3):
-            want = estimation.mmse_composite_estimate(
+            want = mmse_composite_estimate(
                 pipe.y[ti, l, t], stats.r_comp[l, g], stats.gamma[l, g], size
             )
-            assert np.allclose(pipe.estimates[(l, g)][ti], want, rtol=1e-9)
+            assert np.allclose(pipe.estimates[ti, plan.pair_of[l, g]], want, rtol=1e-9)
 
     def test_orthogonality_and_second_moment(self):
         # LMMSE leaves the error uncorrelated with the estimate, and the
         # estimate's sample covariance approaches est_cov
         cfg = small_config(n_aps=2, n_antennas=2, n_ms=4, n_groups=2, tau_p=2, realizations=30_000)
         pipe = build_pipeline(cfg)
-        comp = estimation.composite_channels(pipe.channels, pipe.parts, cfg.tau_p, cfg.pilot_power_w)
+        comp = composite_channels(pipe.channels, pipe.parts, cfg.tau_p, cfg.pilot_power_w)
         g = 0
         l = int(pipe.plan.serving[g][0])
-        est = pipe.estimates[(l, g)]
+        est = pipe.estimates[:, pipe.plan.pair_of[l, g]]
         err = comp[:, l, g, :] - est
         t = est.shape[0]
         cross = np.einsum("ta,tb->ab", est, err.conj()) / t

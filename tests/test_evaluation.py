@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from cfmcast import evaluation, grouping, precoding
+from cfmcast import evaluation, grouping, pilots, precoding
 from cfmcast.errors import StatsError
 
-from conftest import build_pipeline, small_config
+from conftest import build_pipeline, sinr_terms, small_config
 
 
 def scalar_cb_setup(t_total, beta, rho, seed):
@@ -14,13 +14,8 @@ def scalar_cb_setup(t_total, beta, rho, seed):
     rng = np.random.default_rng(seed)
     h = np.sqrt(beta / 2) * (rng.standard_normal(t_total) + 1j * rng.standard_normal(t_total))
     w = np.sqrt(rho) * h / np.sqrt(beta)
-    channels = h.reshape(t_total, 1, 1, 1)
-    pre = precoding.GroupPrecoders(
-        aps=[np.array([0])],
-        blocks=[w.reshape(t_total, 1, 1)],
-        power_scale=np.array([1.0]),
-    )
-    return channels, pre
+    plan = pilots.PilotPlan(1, np.array([0]), np.array([[True]]), master_ap=np.array([0]))
+    return h.reshape(t_total, 1, 1, 1), w.reshape(t_total, 1, 1), plan
 
 
 class TestScalarOracle:
@@ -28,21 +23,16 @@ class TestScalarOracle:
         # h ~ CN(0, beta), w = sqrt(rho) h / sqrt(beta): the hardening bound
         # evaluates to rho*beta / (rho*beta + noise) in closed form
         beta, rho, noise_w = 2.0, 0.5, 0.3
-        channels, pre = scalar_cb_setup(100_000, beta, rho, seed=42)
-        _, _, sinr, clamped = evaluation.sinr_terms(
-            channels, pre, np.array([0]), noise_w
-        )
+        channels, w, plan = scalar_cb_setup(100_000, beta, rho, seed=42)
+        _, _, sinr, clamped = sinr_terms(channels, w, np.array([1.0]), plan, np.array([0]), noise_w)
         want = rho * beta / (rho * beta + noise_w)
         assert clamped == 0
         assert sinr[0] == pytest.approx(want, rel=0.02)
 
     def test_power_scale_enters_linearly(self):
         beta, noise_w = 1.0, 1e-2
-        channels, pre = scalar_cb_setup(50_000, beta, 1.0, seed=3)
-        scaled = precoding.GroupPrecoders(
-            aps=pre.aps, blocks=pre.blocks, power_scale=np.array([0.25])
-        )
-        _, _, sinr, _ = evaluation.sinr_terms(channels, scaled, np.array([0]), noise_w)
+        channels, w, plan = scalar_cb_setup(50_000, beta, 1.0, seed=3)
+        _, _, sinr, _ = sinr_terms(channels, w, np.array([0.25]), plan, np.array([0]), noise_w)
         want = 0.25 * beta / (0.25 * beta + noise_w)
         assert sinr[0] == pytest.approx(want, rel=0.02)
 
@@ -51,32 +41,31 @@ class TestAccumulator:
     def test_chunked_equals_one_shot(self):
         cfg = small_config(realizations=30)
         pipe = build_pipeline(cfg)
+        plan = pipe.plan
         pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, pipe.plan, cfg.dl_power_w, cfg.resolved_nu()
+            pipe.estimates, pipe.stats, plan, cfg.dl_power_w, cfg.resolved_nu()
         )
-        one = evaluation.SinrAccumulator(cfg.n_ms, pre.n_groups)
-        one.update(pipe.channels, pre)
-        chunked = evaluation.SinrAccumulator(cfg.n_ms, pre.n_groups)
+        one = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
+        one.update(pipe.channels, pre, plan)
+        chunked = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
         for sl in (slice(0, 11), slice(11, 30)):
-            part = precoding.GroupPrecoders(
-                aps=pre.aps, blocks=[b[sl] for b in pre.blocks], power_scale=pre.power_scale
-            )
-            chunked.update(pipe.channels[sl], part)
+            chunked.update(pipe.channels[sl], pre[sl], plan)
         for a, b in ((one.sum_a, chunked.sum_a), (one.sum_a2, chunked.sum_a2)):
             assert np.allclose(a, b, rtol=1e-12)
-        r1 = one.finalize(pre.power_scale, pipe.parts.group_of, cfg.noise_w)
-        r2 = chunked.finalize(pre.power_scale, pipe.parts.group_of, cfg.noise_w)
+        unit = np.ones(plan.n_groups)
+        r1 = one.finalize(unit, pipe.parts.group_of, cfg.noise_w)
+        r2 = chunked.finalize(unit, pipe.parts.group_of, cfg.noise_w)
         assert np.allclose(r1[2], r2[2], rtol=1e-12)
 
     def test_per_ap_unitary_rotation_invariance(self, rng):
         cfg = small_config(realizations=20)
         pipe = build_pipeline(cfg)
+        plan = pipe.plan
         pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, pipe.plan, cfg.dl_power_w, cfg.resolved_nu()
+            pipe.estimates, pipe.stats, plan, cfg.dl_power_w, cfg.resolved_nu()
         )
-        _, _, sinr, _ = evaluation.sinr_terms(
-            pipe.channels, pre, pipe.parts.group_of, cfg.noise_w
-        )
+        unit = np.ones(plan.n_groups)
+        _, _, sinr, _ = sinr_terms(pipe.channels, pre, unit, plan, pipe.parts.group_of, cfg.noise_w)
         # rotate every AP's antenna space by its own unitary
         qs = []
         for _ in range(cfg.n_aps):
@@ -87,32 +76,27 @@ class TestAccumulator:
             [np.einsum("ab,tkb->tka", qs[l], pipe.channels[:, l]) for l in range(cfg.n_aps)],
             axis=1,
         )
-        blocks_rot = []
-        for g in range(pre.n_groups):
-            rotated = np.stack(
-                [
-                    np.einsum("ab,tb->ta", qs[int(l)], pre.blocks[g][:, j])
-                    for j, l in enumerate(pre.aps[g])
-                ],
-                axis=1,
-            )
-            blocks_rot.append(rotated)
-        pre_rot = precoding.GroupPrecoders(aps=pre.aps, blocks=blocks_rot, power_scale=pre.power_scale)
-        _, _, sinr_rot, _ = evaluation.sinr_terms(
-            channels_rot, pre_rot, pipe.parts.group_of, cfg.noise_w
+        pre_rot = np.stack(
+            [np.einsum("ab,tb->ta", qs[l], pre[:, p]) for p, l in enumerate(plan.pair_ap)],
+            axis=1,
+        )
+        _, _, sinr_rot, _ = sinr_terms(
+            channels_rot, pre_rot, unit, plan, pipe.parts.group_of, cfg.noise_w
         )
         assert np.allclose(sinr, sinr_rot, rtol=1e-9)
 
     def test_noise_floor_monotonicity(self):
         cfg = small_config(realizations=25)
         pipe = build_pipeline(cfg)
+        plan = pipe.plan
         pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, pipe.plan, cfg.dl_power_w, cfg.resolved_nu()
+            pipe.estimates, pipe.stats, plan, cfg.dl_power_w, cfg.resolved_nu()
         )
-        acc = evaluation.SinrAccumulator(cfg.n_ms, pre.n_groups)
-        acc.update(pipe.channels, pre)
-        _, _, low, _ = acc.finalize(pre.power_scale, pipe.parts.group_of, cfg.noise_w)
-        _, _, high, _ = acc.finalize(pre.power_scale, pipe.parts.group_of, 100 * cfg.noise_w)
+        acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
+        acc.update(pipe.channels, pre, plan)
+        unit = np.ones(plan.n_groups)
+        _, _, low, _ = acc.finalize(unit, pipe.parts.group_of, cfg.noise_w)
+        _, _, high, _ = acc.finalize(unit, pipe.parts.group_of, 100 * cfg.noise_w)
         assert np.all(high < low)
 
     def test_clamp_counter_and_floor(self):

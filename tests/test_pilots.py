@@ -5,7 +5,7 @@ import pytest
 
 from cfmcast import grouping, pilots
 
-from conftest import random_service_instance
+from conftest import assert_pair_layout, random_service_instance
 
 
 def make_parts(labels, n_groups):
@@ -150,6 +150,7 @@ class TestInvariants:
                         share.add(c)
                 assert set(plan.s_set[g].tolist()) == share
                 assert g in plan.s_set[g]
+            assert_pair_layout(plan)
 
     def test_distinct_pilots_when_budget_allows(self, rng):
         inst = random_service_instance(rng)

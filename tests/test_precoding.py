@@ -34,25 +34,20 @@ class TestIpmmseDirection:
         # a lone group with perfect estimation: the system matrix is a rank-one
         # update of the identity, so the solution is parallel to the estimate
         n_ant, t_total = 2, 5
-        serving = np.array([0, 1])
-        plan = SimpleNamespace(
-            n_groups=1,
-            serving=[serving],
-            served=[np.array([0]), np.array([0])],
-            s_set=[np.array([0])],
-            pilot_of=np.array([0]),
-        )
+        serving_mask = np.ones((2, 1), dtype=bool)
+        plan = pilots.PilotPlan(1, np.array([0]), serving_mask, master_ap=np.array([0]))
         parts = SimpleNamespace(sizes=np.array([3]))
         r = np.eye(n_ant, dtype=complex)[None, None].repeat(2, axis=0)
         stats = SimpleNamespace(r_comp=r.copy(), err_cov=np.zeros_like(r), est_cov=r.copy())
-        estimates = {
-            (0, 0): rng.standard_normal((t_total, n_ant)) + 1j * rng.standard_normal((t_total, n_ant)),
-            (1, 0): rng.standard_normal((t_total, n_ant)) + 1j * rng.standard_normal((t_total, n_ant)),
-        }
+        # both APs' estimates of the one group, then the zero padding row
+        estimates = np.zeros((t_total, 3, n_ant), dtype=complex)
+        estimates[:, :2] = rng.standard_normal((t_total, 2, n_ant)) + 1j * rng.standard_normal(
+            (t_total, 2, n_ant)
+        )
         dirs = precoding.ipmmse_direction(
             estimates, stats, plan, parts, 0, 0.1, 2, 0.1, 1e-3
         )
-        v = np.concatenate([estimates[(0, 0)], estimates[(1, 0)]], axis=1)
+        v = estimates[:, :2].reshape(t_total, -1)
         for t in range(t_total):
             cos = np.abs(np.vdot(v[t], dirs[t])) / (
                 np.linalg.norm(v[t]) * np.linalg.norm(dirs[t])
@@ -77,7 +72,7 @@ class TestIpmmseDirection:
             cfg.noise_w,
         )
         aps = pipe.plan.serving[g]
-        v = np.concatenate([pipe.estimates[(int(l), g)] for l in aps], axis=1)
+        v = pipe.estimates[:, pipe.plan.pair_of[aps, g]].reshape(cfg.realizations, -1)
         cos = np.abs(np.vdot(v[0], dirs[0])) / (np.linalg.norm(v[0]) * np.linalg.norm(dirs[0]))
         assert cos < 1.0 - 1e-6
 
@@ -87,20 +82,18 @@ class TestNormsAndOmega:
         # one group on two APs: over two realizations the per-AP squared norms
         # sum to 1+0+1+4 = 6 and 9+16+4+0 = 29, so the mean norms are 3 and
         # 14.5 and omega = 14.5/17.5; at G=1 rho = P/omega
-        plan = SimpleNamespace(
-            n_groups=1, n_aps=2, serving=[np.array([0, 1])], served=[np.array([0]), np.array([0])]
-        )
+        plan = SimpleNamespace(serving_mask=np.ones((2, 1), dtype=bool))
         stats = SimpleNamespace(trace_r_comp=np.array([[1.0], [3.0]]))
         dirs = np.array([[1.0 + 0j, 0.0, 3.0, 4.0], [1.0, 2.0, 2.0, 0.0]]).reshape(2, 2, 2)
-        sums = [np.sum(np.abs(dirs) ** 2, axis=(0, 2))]
-        assert sums[0] == pytest.approx([6.0, 29.0])
+        sums = np.sum(np.abs(dirs) ** 2, axis=(0, 2))[:, None]
+        assert sums[:, 0] == pytest.approx([6.0, 29.0])
         scale, per_ap = precoding.centralized_power(sums, 2, stats, plan, 0.2, -0.5, 0.5)
         assert scale[0] == pytest.approx(0.2 / 14.5)
         assert per_ap == pytest.approx([0.2 * 3.0 / 14.5, 0.2])
 
     def test_empty_sample_raises(self):
         with pytest.raises(StatsError):
-            precoding.centralized_power([np.zeros(2)], 0, None, None, 0.2, -0.5, 0.5)
+            precoding.centralized_power(np.zeros((2, 1)), 0, None, None, 0.2, -0.5, 0.5)
 
     def test_omega_factor_share(self):
         assert precoding.omega_factor(np.array([3.0, 1.0])) == pytest.approx(0.75)
@@ -112,9 +105,7 @@ class TestFractionalPower:
     def test_single_group_budget(self):
         # one group served by one AP concentrates everything: rho equals the
         # downlink budget
-        plan = SimpleNamespace(
-            n_groups=1, serving=[np.array([0])], served=[np.array([0])]
-        )
+        plan = SimpleNamespace(serving_mask=np.array([[True]]))
         rho = precoding.fractional_power_centralized(
             np.array([2.5e-7]), np.array([1.0]), plan, 0.2, -0.5, 0.5
         )
@@ -123,11 +114,7 @@ class TestFractionalPower:
     def test_flat_exponents_reduce_to_load_ratio(self):
         # nu = kappa = 0: the numerator is the plain budget and each AP's load
         # is the sum of its groups' omegas
-        plan = SimpleNamespace(
-            n_groups=2,
-            serving=[np.array([0, 1]), np.array([1])],
-            served=[np.array([0]), np.array([0, 1])],
-        )
+        plan = SimpleNamespace(serving_mask=np.array([[True, False], [True, True]]))
         omega = np.array([0.6, 1.0])
         rho = precoding.fractional_power_centralized(
             np.array([3.0, 7.0]), omega, plan, 0.2, 0.0, 0.0
@@ -138,22 +125,14 @@ class TestFractionalPower:
     def test_exponent_effects(self):
         # a group with a larger covariance trace receives less power under a
         # negative trace exponent
-        plan = SimpleNamespace(
-            n_groups=2,
-            serving=[np.array([0]), np.array([1])],
-            served=[np.array([0]), np.array([1])],
-        )
+        plan = SimpleNamespace(serving_mask=np.array([[True, False], [False, True]]))
         rho = precoding.fractional_power_centralized(
             np.array([1.0, 16.0]), np.array([1.0, 1.0]), plan, 0.2, -0.5, 0.5
         )
         assert rho[0] == pytest.approx(0.2)
         assert rho[1] == pytest.approx(0.2)
         # compare across groups within one AP instead
-        plan_shared = SimpleNamespace(
-            n_groups=2,
-            serving=[np.array([0]), np.array([0])],
-            served=[np.array([0, 1])],
-        )
+        plan_shared = SimpleNamespace(serving_mask=np.array([[True, True]]))
         rho = precoding.fractional_power_centralized(
             np.array([1.0, 16.0]), np.array([1.0, 1.0]), plan_shared, 0.2, -0.5, 0.5
         )
@@ -180,7 +159,10 @@ class TestCentralizedPipeline:
             nu,
             cfg.kappa,
         )
-        ap_norms = [np.mean(np.sum(np.abs(d) ** 2, axis=2), axis=0) for d in dirs]
+        ap_norms = [
+            np.mean(np.sum(np.abs(dirs[:, plan.pair_of[aps, g]]) ** 2, axis=2), axis=0)
+            for g, aps in enumerate(plan.serving)
+        ]
         omega = np.array([a.max() / a.sum() for a in ap_norms])
         assert np.all(omega > 0) and np.all(omega <= 1.0)
         trace_sums = np.array(
@@ -190,11 +172,11 @@ class TestCentralizedPipeline:
             trace_sums, omega, plan, cfg.dl_power_w, nu, cfg.kappa
         )
         radiated = np.zeros(cfg.n_aps)
-        for g, d in enumerate(dirs):
-            w = np.sqrt(scale[g]) * d
+        for g, aps in enumerate(plan.serving):
+            w = np.sqrt(scale[g]) * dirs[:, plan.pair_of[aps, g]]
             per_ap = np.mean(np.sum(np.abs(w) ** 2, axis=2), axis=0)
             assert per_ap.sum() == pytest.approx(rho[g], rel=1e-9)
-            radiated[plan.serving[g]] += per_ap
+            radiated[aps] += per_ap
         np.testing.assert_allclose(per_ap_power, radiated, rtol=1e-9)
         assert np.all(per_ap_power <= cfg.dl_power_w * 1.01)
         assert per_ap_power.sum() == pytest.approx(rho.sum(), rel=1e-9)
@@ -212,7 +194,7 @@ class TestConjugateBeamforming:
             assert np.all(rho[l, unserved] == 0)
 
     def test_apa_proportionality(self):
-        plan = SimpleNamespace(n_groups=2, served=[np.array([0, 1])], n_aps=1)
+        plan = SimpleNamespace(serving_mask=np.array([[True, True]]))
         trace = np.array([[1.0, 9.0]])
         rho = precoding.apa_power(trace, plan, 0.2, 1.0)
         assert rho[0, 1] / rho[0, 0] == pytest.approx(9.0)
@@ -227,18 +209,9 @@ class TestConjugateBeamforming:
         pre = precoding.cb_precoders(
             pipe.estimates, pipe.stats, pipe.plan, cfg.dl_power_w, cfg.resolved_nu()
         )
-        rho = precoding.apa_power(pipe.stats.trace_r_comp, pipe.plan, cfg.dl_power_w, cfg.resolved_nu())
-        for g in range(pre.n_groups):
-            for j, l in enumerate(pre.aps[g]):
-                mean_power = np.mean(np.sum(np.abs(pre.blocks[g][:, j, :]) ** 2, axis=1))
-                assert mean_power == pytest.approx(rho[int(l), g], rel=0.03)
-
-    def test_power_scale_is_unity(self):
-        cfg = small_config(realizations=5)
-        pipe = build_pipeline(cfg)
-        pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, pipe.plan, cfg.dl_power_w, cfg.resolved_nu()
-        )
-        assert np.all(pre.power_scale == 1.0)
-        for g in range(pre.n_groups):
-            assert pre.blocks[g].shape == (5, pre.aps[g].size, cfg.n_antennas)
+        plan = pipe.plan
+        assert pre.shape == (cfg.realizations, plan.pair_ap.size, cfg.n_antennas)
+        rho = precoding.apa_power(pipe.stats.trace_r_comp, plan, cfg.dl_power_w, cfg.resolved_nu())
+        for p, (l, g) in enumerate(zip(plan.pair_ap, plan.pair_group)):
+            mean_power = np.mean(np.sum(np.abs(pre[:, p]) ** 2, axis=1))
+            assert mean_power == pytest.approx(rho[l, g], rel=0.03)
