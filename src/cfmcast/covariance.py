@@ -90,4 +90,4 @@ def sample_channels(factors: np.ndarray, n_realizations: int, rng: np.random.Gen
     shape = (n_realizations,) + factors.shape[:-2] + (factors.shape[-1],)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z *= np.sqrt(0.5)
-    return np.einsum("lkab,tlkb->tlka", factors, z)
+    return (factors @ z[..., None])[..., 0]

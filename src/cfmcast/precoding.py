@@ -4,16 +4,16 @@ distributed conjugate beamforming (CB).
 Precoder realizations use the plan's served-pair layout: a (T, P, N) array
 whose row p is the part of group ``plan.pair_group[p]``'s precoder transmitted
 by AP ``plan.pair_ap[p]``.  The centralized precoder regularizes each group's
-composite channel estimate against the estimates of the groups it shares
-serving APs with (its interference neighborhood), the estimation error
-covariances of that neighborhood and the full covariances of everyone else,
-all restricted to the group's serving APs.  ``ipmmse_direction`` returns one
-group's unnormalized directions; the caller accumulates their squared norms
-per served pair over the normalization realizations into an (L, G) table, and
-``centralized_power`` turns that table into the per-group scale and the per-AP
-radiated power under the centralized fractional rule, normalized by the
-worst-loaded serving AP.  The distributed precoder scales each serving AP's
-own estimate with a closed-form normalization and a per-AP fractional split.
+composite estimate against the estimates of its interference neighborhood S_g
+(the groups sharing a serving AP) and a deterministic regularizer held as one
+(N, N) block per serving AP, so each realization's system matrix is block
+diagonal plus rank |S_g| and is solved by the Woodbury identity.
+``ipmmse_direction`` returns one group's unnormalized directions; the caller
+sums their squared norms per served pair into an (L, G) table, which
+``centralized_power`` turns into the per-group scale and per-AP radiated power
+under the centralized fractional rule.  The distributed precoder scales each
+serving AP's own estimate with a closed-form normalization and a per-AP
+fractional split.
 """
 
 from __future__ import annotations
@@ -27,41 +27,41 @@ from .errors import NumericalError, StatsError
 
 
 def ipmmse_regularizer(stats, plan, group, group_sizes, group_power_w, tau_p, pilot_power_w) -> np.ndarray:
-    """Deterministic part of the system matrix for one group, (n, n).
+    """Deterministic part of one group's system matrix as its diagonal blocks, (|L_g|, N, N).
 
-    Block diagonal over the group's serving APs: estimation error covariances
-    of the interference neighborhood plus full composite covariances of all
-    remaining groups, weighted by the virtual powers.
+    Block j belongs to serving AP ``plan.serving[group][j]``: the estimation
+    error covariances of the interference neighborhood plus the full composite
+    covariances of all remaining groups, weighted by the virtual powers.  The
+    blocks off the diagonal are zero.
     """
-    aps = plan.serving[group]
-    n_antennas = stats.r_comp.shape[-1]
     coef = group_power_w * group_sizes.astype(float) ** 2 / (tau_p * pilot_power_w)
-    in_s = np.zeros(plan.n_groups, dtype=bool)
-    in_s[plan.s_set[group]] = True
-    z = np.zeros((aps.size * n_antennas, aps.size * n_antennas), dtype=complex)
-    for j, l in enumerate(aps):
-        block = np.einsum("g,gab->ab", coef * in_s, stats.err_cov[l]) + np.einsum(
-            "g,gab->ab", coef * ~in_s, stats.r_comp[l]
-        )
-        sl = slice(j * n_antennas, (j + 1) * n_antennas)
-        z[sl, sl] = block
-    return z
+    in_s = np.isin(np.arange(plan.n_groups), plan.s_set[group])[:, None, None]
+    aps = plan.serving[group]
+    return np.einsum("g,lgab->lab", coef, np.where(in_s, stats.err_cov[aps], stats.r_comp[aps]))
 
 
-def _ipmmse_solve(v, coef, own_index, regularizer, noise_w, lead_scale):
-    """Solve the regularized system for each realization.
+def _ipmmse_solve(v, coef, own_index, blocks, noise_w, lead_scale):
+    """Solve the regularized system for each realization by the Woodbury identity.
 
-    ``v`` is (T, C, n); the system matrix per realization is the weighted Gram
-    matrix of the rows plus the regularizer plus noise_w * I.
+    ``v`` is (T, C, n) and ``blocks`` the (|L_g|, N, N) regularizer.  The
+    system matrix is D + X diag(coef) X^H with X = v^T (n, C) and the block
+    diagonal D = blocks + noise_w * I, inverted once per call.  With
+    Y = D^-1 X and K = X^H Y the solution against the own column is
+    Y_own - Y (diag(1/coef) + K)^-1 K_own: one (C, C) solve per realization.
     """
-    n = v.shape[-1]
-    gram = np.einsum("c,tci,tcj->tij", coef, v, np.conj(v))
-    m = gram + regularizer + noise_w * np.eye(n)
     try:
-        sol = np.linalg.solve(m, v[:, own_index, :, None])[..., 0]
+        d_inv = np.linalg.inv(blocks + noise_w * np.eye(blocks.shape[-1]))
+        # one (N, N) @ (N, T * C) product per serving AP, then back to (T, n, C)
+        y = d_inv @ v.reshape(-1, *blocks.shape[:2]).transpose(1, 2, 0)
+        y = y.reshape(-1, *v.shape[:2]).transpose(1, 0, 2)
+        k = np.conj(v) @ y
+        s = np.linalg.solve(k + np.diag(1.0 / coef), k[:, :, own_index, None])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"precoder system solve failed: {exc}") from exc
-    return lead_scale * sol
+    out = lead_scale * (y[:, :, own_index] - (y @ s)[..., 0])
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("precoder direction is not finite")
+    return out
 
 
 def ipmmse_direction(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cfmcast import estimation, grouping, pilots, precoding
-from cfmcast.errors import StatsError
+from cfmcast.errors import NumericalError, StatsError
 
 from conftest import build_pipeline, ipmmse_with_power, oracle_direction, small_config
 
@@ -29,6 +29,45 @@ class TestIpmmseDirection:
             )
             want = oracle_direction(pipe, g)
             assert np.allclose(got, want, rtol=1e-8)
+
+    @pytest.mark.parametrize(
+        "overrides, regime",
+        [
+            # one group per pilot, so every AP serves every group: n = 16 * 2 >> |S_g| = 3
+            (dict(n_aps=16, n_groups=3, tau_p=3), lambda n, c: n >= 32 and c <= 3),
+            # twelve single-user groups on three pilots: some group has more neighbors than dimensions
+            (dict(mode="unicast", n_groups=None), lambda n, c: n < c),
+        ],
+        ids=["n_much_larger_than_c", "n_smaller_than_c"],
+    )
+    def test_woodbury_regimes_match_oracle(self, overrides, regime):
+        cfg = small_config(realizations=5, **overrides)
+        pipe = build_pipeline(cfg)
+        plan = pipe.plan
+        dims = [(plan.serving[g].size * cfg.n_antennas, plan.s_set[g].size) for g in range(plan.n_groups)]
+        assert any(regime(n, c) for n, c in dims)
+        for g in range(plan.n_groups):
+            got = precoding.ipmmse_direction(
+                pipe.estimates, pipe.stats, plan, pipe.parts, g,
+                cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
+            )
+            want = oracle_direction(pipe, g)
+            # relative to each realization's direction norm: on entries ~1 % of the
+            # largest the explicit-inverse oracle and the old direct LU solve
+            # already differ by ~3e-8
+            err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert np.all(err <= 1e-8)
+
+    def test_non_finite_estimate_raises(self):
+        cfg = small_config(realizations=6)
+        pipe = build_pipeline(cfg)
+        g = 0
+        pipe.estimates[2, pipe.plan.pair_of[pipe.plan.serving[g][0], g], 1] = np.nan
+        with pytest.raises(NumericalError):
+            precoding.ipmmse_direction(
+                pipe.estimates, pipe.stats, pipe.plan, pipe.parts, g,
+                cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
+            )
 
     def test_matched_filter_limit_is_colinear(self, rng):
         # a lone group with perfect estimation: the system matrix is a rank-one
