@@ -82,12 +82,14 @@ def covariance_factors(r: np.ndarray) -> np.ndarray:
 
 
 def sample_channels(factors: np.ndarray, n_realizations: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw correlated Rayleigh channel realizations, shape (T, L, K, N).
+    """Draw correlated Rayleigh channel realizations, shape (T, K, L, N).
 
     ``factors`` is the (L, K, N, N) output of :func:`covariance_factors`; each
-    realization is independent across links and time.
+    realization is independent across links and time.  The normals are drawn
+    in (T, L, K, N) order, so each link gets the draw a link-major layout gets.
     """
     shape = (n_realizations,) + factors.shape[:-2] + (factors.shape[-1],)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z *= np.sqrt(0.5)
-    return (factors @ z[..., None])[..., 0]
+    ms_major = np.ascontiguousarray(np.swapaxes(factors, 0, 1))
+    return np.matmul(ms_major, np.swapaxes(z, 1, 2)[..., None], order="C")[..., 0]

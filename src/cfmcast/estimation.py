@@ -99,13 +99,13 @@ def project_pilots(
     noise_w: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Pilot observations after despreading, (T, L, tau_p, N).
+    """Pilot observations after despreading, (T, L, tau_p, N), from (T, K, L, N) channels.
 
     Entry [..., t, :] for a pilot in use is the scaled sum of the channels of
     every MS whose group holds that pilot, plus white noise; unused pilot
     slots stay zero and draw no noise.
     """
-    n_real, n_aps, _, n_antennas = channels.shape
+    n_real, _, n_aps, n_antennas = channels.shape
     y = np.zeros((n_real, n_aps, tau_p, n_antennas), dtype=complex)
     scale = np.sqrt(tau_p * pilot_power_w)
     noise_std = np.sqrt(noise_w / 2.0)
@@ -113,7 +113,7 @@ def project_pilots(
         on_pilot = np.concatenate(
             [grouping.members[c] for c in np.flatnonzero(plan.pilot_of == t)]
         )
-        signal = scale * channels[:, :, on_pilot, :].sum(axis=2)
+        signal = scale * channels[:, on_pilot].sum(axis=1)
         noise = noise_std * (
             rng.standard_normal((n_real, n_aps, n_antennas))
             + 1j * rng.standard_normal((n_real, n_aps, n_antennas))

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import StatsError
 
+# groups per dense precoder block in SinrAccumulator.update, bounding its memory
+GROUP_BLOCK = 64
+
 
 @dataclass
 class SeReport:
@@ -50,13 +53,22 @@ class SinrAccumulator:
         self.count = 0
 
     def update(self, channels: np.ndarray, precoders: np.ndarray, plan) -> None:
-        """Add one chunk of matched channel and (T, P, N) precoder realizations."""
-        for g, aps in enumerate(plan.serving):
-            w = precoders[:, plan.pair_of[aps, g]]
-            a = np.einsum("tjkn,tjn->tk", np.conj(channels[:, aps]), w)
-            self.sum_a[:, g] += a.sum(axis=0)
-            self.sum_a2[:, g] += np.sum(np.abs(a) ** 2, axis=0)
-        self.count += channels.shape[0]
+        """Add one chunk of matched (T, K, L, N) channel and (T, P, N) precoder realizations.
+
+        Per block of GROUP_BLOCK groups, the conjugated precoders fill a dense
+        (T, L, N, B) block, zero where an AP does not serve a group (through
+        plan.pair_of and a trailing zero row), so one batched matmul with the
+        channels viewed without a copy as (T, K, L·N) gives conj(h_kᴴ w_g).
+        """
+        n_real, n_ms, n_aps, n_ant = channels.shape
+        padded = np.concatenate([np.conj(precoders), np.zeros_like(precoders[:, :1])], axis=1)
+        for g0 in range(0, plan.n_groups, GROUP_BLOCK):
+            blk = slice(g0, g0 + GROUP_BLOCK)
+            block = padded[:, plan.pair_of[:, None, blk], np.arange(n_ant)[:, None]]  # (T, L, N, B)
+            a_conj = channels.reshape(n_real, n_ms, -1) @ block.reshape(n_real, n_aps * n_ant, -1)
+            self.sum_a[:, blk] += np.conj(a_conj.sum(axis=0))
+            self.sum_a2[:, blk] += np.sum(np.abs(a_conj) ** 2, axis=0)
+        self.count += n_real
 
     def finalize(self, power_scale: np.ndarray, group_of: np.ndarray, noise_w: float):
         """Return (desired power, total received power, sinr, clamp count)."""

@@ -19,8 +19,6 @@ from .errors import SynthesisError
 PATHLOSS_OFFSET_DB = -30.5
 PATHLOSS_SLOPE_DB = 36.7
 
-_CHOL_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
-
 
 @dataclass
 class Deployment:
@@ -118,25 +116,23 @@ def sample_shadowing(
 
     Within one AP row the MS values are jointly Gaussian with covariance
     ``std_db**2 * 2**(-d/decorrelation_m)`` over wrapped MS-MS distances; rows
-    are independent across APs.  Raises SynthesisError if the correlation
-    matrix is not positive semidefinite even after diagonal jitter.
+    are independent across APs.  MSs at one point of the torus share one draw,
+    since the field is a function of position.  Raises SynthesisError if the
+    correlation matrix of the distinct points is not positive definite.
     """
     n_ms = ms_positions.shape[0]
     if std_db == 0.0:
         return np.zeros((n_aps, n_ms))
     dist = wrapped_distance(ms_positions[:, None, :], ms_positions[None, :, :], side_m)
-    corr = 2.0 ** (-dist / decorrelation_m)
-    factor = None
-    for jitter in _CHOL_JITTERS:
-        try:
-            factor = cholesky(corr + jitter * np.eye(n_ms), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if factor is None:
-        raise SynthesisError("shadowing correlation matrix is not positive semidefinite")
-    z = rng.standard_normal((n_aps, n_ms))
-    return std_db * (z @ factor.T)
+    first = np.argmax(dist == 0.0, axis=1)  # lowest index at each MS's point
+    sites = np.unique(first)
+    corr = 2.0 ** (-dist[np.ix_(sites, sites)] / decorrelation_m)
+    try:
+        factor = cholesky(corr, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise SynthesisError(f"shadowing correlation matrix is not positive definite: {exc}") from exc
+    z = rng.standard_normal((n_aps, sites.size))
+    return std_db * (z @ factor.T)[:, np.searchsorted(sites, first)]
 
 
 def large_scale_matrix(

@@ -9,6 +9,8 @@ sum-SE sample per snapshot and reports the empirical CDF.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import multiprocessing
 import os
@@ -79,6 +81,7 @@ class CampaignResult:
     summaries: list
     wall_time_s: float
     workers: int
+    worker_blas_threads: int | None  # numpy's OpenBLAS threads where snapshots ran
 
     @property
     def config_hash(self) -> str:
@@ -180,6 +183,34 @@ def _worker(args):
     return _snapshot_summary_and_samples(cfg, index)
 
 
+def _openblas(name: str, restype, *argtypes):
+    """Function ``name`` of numpy's bundled OpenBLAS, or None where numpy ships none."""
+    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas*.so")
+    for path in glob.glob(libs):
+        fn = getattr(ctypes.CDLL(path), f"scipy_openblas_{name}64_", None)
+        if fn is not None:
+            fn.restype, fn.argtypes = restype, list(argtypes)
+            return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    getter = _openblas("get_num_threads", ctypes.c_int)
+    return None if getter is None else getter()
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one BLAS thread per worker.
+
+    Forked workers inherit the parent's thread count, which OpenBLAS read from
+    the environment when numpy loaded it, so several workers each running a
+    multithreaded zgemm would oversubscribe the cores.
+    """
+    setter = _openblas("set_num_threads", None, ctypes.c_int)
+    if setter is not None:
+        setter(1)
+
+
 def default_workers() -> int:
     """Worker count from $CFMCAST_WORKERS, or 1 when it is unset."""
     env = os.environ.get(WORKERS_ENV)
@@ -199,7 +230,8 @@ def run_campaign(cfg: SystemConfig, workers: int | None = None) -> CampaignResul
 
     Results are independent of the worker count; a worker count below 1
     raises ConfigError, and a snapshot failure aborts the campaign and raises
-    CampaignError carrying the completed prefix.
+    CampaignError carrying the completed prefix.  Pool workers run numpy's
+    BLAS on one thread each; a single in-process worker keeps the default.
     """
     if workers is None:
         workers = default_workers()
@@ -212,6 +244,7 @@ def run_campaign(cfg: SystemConfig, workers: int | None = None) -> CampaignResul
     per_group = []
     failed = None
     if workers == 1:
+        blas_threads = _blas_threads()
         for i in indices:
             try:
                 summary, su, sg = _snapshot_summary_and_samples(cfg, i)
@@ -222,7 +255,8 @@ def run_campaign(cfg: SystemConfig, workers: int | None = None) -> CampaignResul
             per_user.append(su)
             per_group.append(sg)
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=workers, initializer=_one_blas_thread) as pool:
+            blas_threads = pool.apply(_blas_threads)
             results = pool.imap(_worker, [(cfg, i) for i in indices])
             for i in indices:
                 try:
@@ -250,6 +284,7 @@ def run_campaign(cfg: SystemConfig, workers: int | None = None) -> CampaignResul
         summaries=summaries,
         wall_time_s=time.monotonic() - t0,
         workers=workers,
+        worker_blas_threads=blas_threads,
     )
 
 
@@ -266,6 +301,7 @@ def write_outputs(result: CampaignResult, out_dir: str) -> None:
         "config": result.config.semantic_dict(),
         "config_hash": result.config_hash,
         "workers": result.workers,
+        "worker_blas_threads": result.worker_blas_threads,
         "wall_time_s": result.wall_time_s,
         "snapshots": result.summaries,
         "diagnostics": {

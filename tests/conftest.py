@@ -130,19 +130,35 @@ def mmse_composite_estimate(
 
 
 def composite_channels(channels: np.ndarray, grouping, tau_p: int, pilot_power_w: float) -> np.ndarray:
-    """Realized composite channels per group, (T, L, G, N)."""
+    """Realized composite channels per group, (T, L, G, N), from (T, K, L, N) channels."""
     scale = np.sqrt(tau_p * pilot_power_w)
     out = np.stack(
-        [channels[:, :, m, :].sum(axis=2) / m.size for m in grouping.members], axis=2
+        [channels[:, m].sum(axis=1) / m.size for m in grouping.members], axis=2
     )
     return scale * out
 
 
 def sinr_terms(channels, w, power_scale, plan, group_of, noise_w):
     """One-shot hardening-bound SINR from matched channel and (T, P, N) precoder realizations."""
-    acc = evaluation.SinrAccumulator(channels.shape[2], plan.n_groups)
+    acc = evaluation.SinrAccumulator(channels.shape[1], plan.n_groups)
     acc.update(channels, w, plan)
     return acc.finalize(power_scale, group_of, noise_w)
+
+
+def sinr_moment_sums(channels, w, plan):
+    """Per-group reference for SinrAccumulator.update: (sum_a, sum_a2), each (K, G).
+
+    One einsum per group over its serving APs' slice of the (T, K, L, N)
+    channels, a_kg = sum over serving APs of h_klᴴ w_lg.
+    """
+    n_ms = channels.shape[1]
+    sum_a = np.zeros((n_ms, plan.n_groups), dtype=complex)
+    sum_a2 = np.zeros((n_ms, plan.n_groups))
+    for g, aps in enumerate(plan.serving):
+        a = np.einsum("tkjn,tjn->tk", np.conj(channels[:, :, aps]), w[:, plan.pair_of[aps, g]])
+        sum_a[:, g] = a.sum(axis=0)
+        sum_a2[:, g] = np.sum(np.abs(a) ** 2, axis=0)
+    return sum_a, sum_a2
 
 
 def oracle_direction(pipe, g):

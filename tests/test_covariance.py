@@ -155,5 +155,23 @@ class TestSampling:
         factors = covariance.covariance_factors(r)
         h1 = covariance.sample_channels(factors, 5, np.random.default_rng(4))
         h2 = covariance.sample_channels(factors, 5, np.random.default_rng(4))
-        assert h1.shape == (5, 2, 3, 2)
+        assert h1.shape == (5, 3, 2, 2)
         assert np.array_equal(h1, h2)
+
+    def test_ms_major_layout_keeps_the_link_draws(self, rng):
+        # the normals are drawn link-major, as (T, L, K, N), and each link's
+        # channel is its factor times its own normal vector, bit for bit
+        beta = 10.0 ** rng.uniform(-9, -5, size=(3, 4))
+        phi = rng.uniform(-np.pi, np.pi, size=(3, 4))
+        factors = covariance.covariance_factors(
+            covariance.covariance_field(beta, phi, np.deg2rad(10.0), 4)
+        )
+        h = covariance.sample_channels(factors, 7, np.random.default_rng(8))
+        gen = np.random.default_rng(8)
+        shape = (7, 3, 4, 4)
+        z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        z *= np.sqrt(0.5)
+        want = np.swapaxes((factors @ z[..., None])[..., 0], 1, 2)
+        assert h.shape == (7, 4, 3, 4)
+        assert h.flags["C_CONTIGUOUS"]
+        assert np.array_equal(h, want)

@@ -117,7 +117,7 @@ class TestPilotProjection:
             on_pilot = np.concatenate(
                 [pipe.parts.members[g] for g in np.flatnonzero(pipe.plan.pilot_of == t)]
             )
-            want = scale * pipe.channels[:, :, on_pilot, :].sum(axis=2)
+            want = scale * pipe.channels[:, on_pilot].sum(axis=1)
             assert np.allclose(y[:, :, t, :], want, rtol=1e-12)
 
     def test_noise_variance_per_antenna(self):
@@ -139,7 +139,7 @@ class TestPilotProjection:
         comp = composite_channels(pipe.channels, pipe.parts, cfg.tau_p, cfg.pilot_power_w)
         g = 1
         m = pipe.parts.members[g]
-        want = np.sqrt(cfg.tau_p * cfg.pilot_power_w) * pipe.channels[:, :, m, :].sum(axis=2) / m.size
+        want = np.sqrt(cfg.tau_p * cfg.pilot_power_w) * pipe.channels[:, m].sum(axis=1) / m.size
         assert np.allclose(comp[:, :, g, :], want)
 
 

@@ -6,7 +6,7 @@ import pytest
 from cfmcast import evaluation, grouping, pilots, precoding
 from cfmcast.errors import StatsError
 
-from conftest import build_pipeline, sinr_terms, small_config
+from conftest import build_pipeline, ipmmse_with_power, sinr_moment_sums, sinr_terms, small_config
 
 
 def scalar_cb_setup(t_total, beta, rho, seed):
@@ -57,6 +57,31 @@ class TestAccumulator:
         r2 = chunked.finalize(unit, pipe.parts.group_of, cfg.noise_w)
         assert np.allclose(r1[2], r2[2], rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "mode, n_groups, group_block",
+        [("subgroup", 4, evaluation.GROUP_BLOCK), ("unicast", None, 5)],
+        ids=["one_block", "unicast_split_blocks"],
+    )
+    def test_matches_per_group_oracle(self, monkeypatch, mode, n_groups, group_block):
+        cfg = small_config(mode=mode, n_groups=n_groups, realizations=30)
+        pipe = build_pipeline(cfg)
+        plan = pipe.plan
+        # the unicast plan's 12 groups split into blocks of 5, 5 and 2
+        assert (plan.n_groups > group_block) == (mode == "unicast")
+        monkeypatch.setattr(evaluation, "GROUP_BLOCK", group_block)
+        cb = precoding.cb_precoders(pipe.estimates, pipe.stats, plan, cfg.dl_power_w, cfg.resolved_nu())
+        ip, _, _ = ipmmse_with_power(
+            pipe.estimates, pipe.stats, plan, pipe.parts, cfg.group_power_w, cfg.tau_p,
+            cfg.pilot_power_w, cfg.noise_w, cfg.dl_power_w, cfg.resolved_nu(), cfg.kappa,
+        )
+        for w in (cb, ip):
+            acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
+            acc.update(pipe.channels, w, plan)
+            want_a, want_a2 = sinr_moment_sums(pipe.channels, w, plan)
+            np.testing.assert_allclose(acc.sum_a, want_a, rtol=1e-12)
+            np.testing.assert_allclose(acc.sum_a2, want_a2, rtol=1e-12)
+            assert acc.count == cfg.realizations
+
     def test_per_ap_unitary_rotation_invariance(self, rng):
         cfg = small_config(realizations=20)
         pipe = build_pipeline(cfg)
@@ -73,8 +98,8 @@ class TestAccumulator:
             q, _ = np.linalg.qr(a)
             qs.append(q)
         channels_rot = np.stack(
-            [np.einsum("ab,tkb->tka", qs[l], pipe.channels[:, l]) for l in range(cfg.n_aps)],
-            axis=1,
+            [np.einsum("ab,tkb->tka", qs[l], pipe.channels[:, :, l]) for l in range(cfg.n_aps)],
+            axis=2,
         )
         pre_rot = np.stack(
             [np.einsum("ab,tb->ta", qs[l], pre[:, p]) for p, l in enumerate(plan.pair_ap)],

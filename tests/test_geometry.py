@@ -131,6 +131,34 @@ class TestShadowing:
         sh = geometry.sample_shadowing(pos, 5, 500.0, 4.0, 9.0, rng)
         assert np.allclose(sh[:, 0], sh[:, 1], atol=1e-6)
 
+    def test_coincident_positions_draw_once(self):
+        # a point's later MSs reuse its first MS's column; the others keep
+        # the draws they get with no coincident MS present
+        pos = np.array([[10.0, 20.0], [300.0, 40.0], [150.0, 400.0]])
+        both = np.vstack([pos, pos[[0]], [[10.0, 520.0]]])  # (10, 520) wraps onto (10, 20)
+        sh = geometry.sample_shadowing(pos, 5, 500.0, 4.0, 9.0, np.random.default_rng(3))
+        sh_both = geometry.sample_shadowing(both, 5, 500.0, 4.0, 9.0, np.random.default_rng(3))
+        assert np.array_equal(sh_both[:, :3], sh)
+        assert np.array_equal(sh_both[:, 3], sh[:, 0])
+        assert np.array_equal(sh_both[:, 4], sh[:, 0])
+
+    @pytest.mark.parametrize(
+        "side, min_eig",
+        [(10.0, -0.106), (25.4199594, -1.4e-9)],
+        ids=["indefinite", "barely_indefinite"],
+    )
+    def test_unfactorable_correlation_raises(self, side, min_eig):
+        # a 4x4 grid on a torus not much larger than the decorrelation
+        # distance: the wrapped-distance correlation is indefinite there; at
+        # the second side it misses PSD by little enough that a diagonal
+        # jitter of 1e-8 would let it through
+        axis = np.arange(4) * side / 4
+        pos = np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)
+        dist = geometry.wrapped_distance(pos[:, None], pos[None], side)
+        assert np.linalg.eigvalsh(2.0 ** (-dist / 9.0))[0] == pytest.approx(min_eig, rel=0.01)
+        with pytest.raises(SynthesisError):
+            geometry.sample_shadowing(pos, 3, side, 4.0, 9.0, np.random.default_rng(0))
+
     def test_marginal_std(self):
         rng = np.random.default_rng(5)
         pos = rng.uniform(0, 1000.0, size=(40, 2))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cfmcast import cli, harness
-from cfmcast.config import SystemConfig
+from cfmcast.config import SystemConfig, preset
 from cfmcast.errors import CampaignError, ConfigError
 
 from conftest import build_pipeline, small_config
@@ -152,6 +152,19 @@ class TestCampaign:
             harness.run_campaign(cfg, workers=1)
         assert err.value.failed_snapshot == 2
         assert len(err.value.partial) == 2
+
+    def test_pool_workers_run_one_blas_thread(self, tmp_path):
+        cfg = preset("desk_uniform").with_overrides(realizations=8, snapshots=4)
+        in_process = harness._blas_threads()
+        result = harness.run_campaign(cfg, workers=2)
+        harness.write_outputs(result, str(tmp_path))
+        report = json.loads((tmp_path / "report.json").read_text())
+        # null only where numpy ships no OpenBLAS to set the count through
+        assert report["worker_blas_threads"] == (None if in_process is None else 1)
+        assert harness._blas_threads() == in_process
+        serial = harness.run_campaign(cfg, workers=1)
+        assert serial.worker_blas_threads == in_process
+        assert serial.summaries == result.summaries
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.setenv(harness.WORKERS_ENV, "6")
