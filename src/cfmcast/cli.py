@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import MODES, PRECODERS, SUM_CONVENTIONS, SystemConfig, preset
 from .errors import CampaignError, ConfigError
-from .harness import default_workers, run_campaign, write_outputs, write_partial
+from .harness import run_campaign, write_outputs, write_partial
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,15 +65,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        workers = args.workers if args.workers is not None else default_workers()
-        if workers < 1:
-            raise ConfigError(f"--workers must be at least 1, got {workers}")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or f"simout_{cfg.config_hash()}"
     try:
-        result = run_campaign(cfg, workers=workers)
+        result = run_campaign(cfg, workers=args.workers)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CampaignError as exc:
         write_partial(exc.partial, exc.failed_snapshot, str(exc), out_dir)
         print(f"error: {exc} (partial results in {out_dir})", file=sys.stderr)

@@ -44,24 +44,6 @@ def _clip_psd(r: np.ndarray) -> np.ndarray:
     return (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
 
 
-def local_scattering_covariance(
-    beta: float, phi_rad: float, asd_rad: float, n_antennas: int
-) -> np.ndarray:
-    """Covariance matrix of one link.
-
-    Parameters
-    ----------
-    beta : linear average channel gain; the result has trace N * beta.
-    phi_rad : nominal azimuth angle in radians.
-    asd_rad : angular standard deviation in radians.
-    n_antennas : array size N.
-    """
-    if beta <= 0:
-        raise SynthesisError(f"beta must be positive, got {beta}")
-    r = _closed_form(np.asarray(beta), np.asarray(phi_rad), asd_rad, n_antennas)
-    return _clip_psd(r)
-
-
 def covariance_field(
     beta: np.ndarray, phi_rad: np.ndarray, asd_rad: float, n_antennas: int
 ) -> np.ndarray:

@@ -25,17 +25,10 @@ class SeReport:
     sinr: np.ndarray  # (K,)
     se_user: np.ndarray  # (K,)
     se_group: np.ndarray  # (G,)
-    sum_se_per_user: float
-    sum_se_per_group: float
+    sum_se_per_user: float  # per served user: group SEs weighted by group size
+    sum_se_per_group: float  # per stream: group SEs summed
     prelog: float
     clamped: int  # non-positive SINR denominators replaced by the noise floor
-
-    def sum_se(self, convention: str) -> float:
-        if convention == "per_user":
-            return self.sum_se_per_user
-        if convention == "per_group":
-            return self.sum_se_per_group
-        raise ValueError(f"unknown sum convention {convention!r}")
 
 
 class SinrAccumulator:
@@ -99,15 +92,6 @@ def se_group(se_users: np.ndarray, members: list) -> np.ndarray:
     return np.array([se_users[m].min() for m in members])
 
 
-def sum_se(se_groups: np.ndarray, sizes: np.ndarray, convention: str) -> float:
-    """Network sum SE: per served user (weighted by group size) or per stream."""
-    if convention == "per_user":
-        return float(np.sum(sizes * se_groups))
-    if convention == "per_group":
-        return float(np.sum(se_groups))
-    raise ValueError(f"unknown sum convention {convention!r}")
-
-
 def build_report(
     sinr: np.ndarray,
     clamped: int,
@@ -117,13 +101,12 @@ def build_report(
 ) -> SeReport:
     users = se_user(sinr, tau_p, tau_c)
     groups = se_group(users, grouping.members)
-    sizes = grouping.sizes
     return SeReport(
         sinr=sinr,
         se_user=users,
         se_group=groups,
-        sum_se_per_user=sum_se(groups, sizes, "per_user"),
-        sum_se_per_group=sum_se(groups, sizes, "per_group"),
+        sum_se_per_user=float(np.sum(grouping.sizes * groups)),
+        sum_se_per_group=float(np.sum(groups)),
         prelog=1.0 - tau_p / tau_c,
         clamped=clamped,
     )

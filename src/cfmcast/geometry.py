@@ -45,14 +45,9 @@ class Deployment:
         return self.ms_positions.shape[0]
 
 
-def place_aps(n_aps: int, side_m: float, rng: np.random.Generator) -> np.ndarray:
-    """Drop APs uniformly at random over the square."""
-    return rng.uniform(0.0, side_m, size=(n_aps, 2))
-
-
-def place_ms_uniform(n_ms: int, side_m: float, rng: np.random.Generator) -> np.ndarray:
-    """Drop MSs uniformly at random over the square."""
-    return rng.uniform(0.0, side_m, size=(n_ms, 2))
+def place_uniform(n: int, side_m: float, rng: np.random.Generator) -> np.ndarray:
+    """Drop n nodes (APs, or MSs of a uniform layout) uniformly over the square."""
+    return rng.uniform(0.0, side_m, size=(n, 2))
 
 
 def place_ms_clustered(
@@ -169,14 +164,14 @@ def build_deployment(
     rng_shadow: np.random.Generator,
 ) -> Deployment:
     """Draw one geometry snapshot for a SystemConfig."""
-    ap_positions = place_aps(cfg.n_aps, cfg.side_m, rng_aps)
+    ap_positions = place_uniform(cfg.n_aps, cfg.side_m, rng_aps)
     dep = cfg.deployment
     if dep.kind == "clustered":
         ms_positions, labels = place_ms_clustered(
             dep.clusters, dep.per_cluster, dep.cluster_side_m, cfg.side_m, rng_ms
         )
     else:
-        ms_positions = place_ms_uniform(cfg.n_ms, cfg.side_m, rng_ms)
+        ms_positions = place_uniform(cfg.n_ms, cfg.side_m, rng_ms)
         labels = None
     shadowing_db = sample_shadowing(
         ms_positions,

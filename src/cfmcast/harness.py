@@ -9,12 +9,15 @@ sum-SE sample per snapshot and reports the empirical CDF.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import json
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,14 +176,9 @@ def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
     return SnapshotResult(index, report, parts.sizes, per_ap_power, radiated_frac)
 
 
-def _snapshot_summary_and_samples(cfg: SystemConfig, index: int) -> tuple[dict, float, float]:
-    res = run_snapshot(cfg, index)
-    return res.summary(), res.report.sum_se_per_user, res.report.sum_se_per_group
-
-
-def _worker(args):
-    cfg, index = args
-    return _snapshot_summary_and_samples(cfg, index)
+def _summary(job: tuple[SystemConfig, int]) -> dict:
+    cfg, index = job
+    return run_snapshot(cfg, index).summary()
 
 
 def _openblas(name: str, restype, *argtypes):
@@ -228,53 +226,47 @@ def default_workers() -> int:
 def run_campaign(cfg: SystemConfig, workers: int | None = None) -> CampaignResult:
     """Run all snapshots and pool their sum-SE samples into the CDF.
 
-    Results are independent of the worker count; a worker count below 1
-    raises ConfigError, and a snapshot failure aborts the campaign and raises
-    CampaignError carrying the completed prefix.  Pool workers run numpy's
-    BLAS on one thread each; a single in-process worker keeps the default.
+    ``workers`` defaults to :func:`default_workers`; a count below 1 raises
+    ConfigError.  Results are independent of the worker count.  A failed
+    snapshot, or a pool worker that dies, aborts the campaign: snapshots not
+    yet handed to a worker are cancelled, and CampaignError carries the
+    completed prefix.  Pool workers run numpy's BLAS on one thread each; a
+    single in-process worker keeps the default.
     """
     if workers is None:
         workers = default_workers()
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     t0 = time.monotonic()
-    indices = list(range(cfg.snapshots))
+    jobs = [(cfg, i) for i in range(cfg.snapshots)]
     summaries = []
-    per_user = []
-    per_group = []
-    failed = None
-    if workers == 1:
-        blas_threads = _blas_threads()
-        for i in indices:
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            blas_threads = _blas_threads()
+            results = map(_summary, jobs)
+        else:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(
+                    workers,
+                    # forked workers start without re-importing numpy or the package
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_one_blas_thread,
+                )
+            )
+            blas_threads = pool.submit(_blas_threads).result()
+            results = pool.map(_summary, jobs)
+        for i in range(cfg.snapshots):
             try:
-                summary, su, sg = _snapshot_summary_and_samples(cfg, i)
+                summaries.append(next(results))
             except Exception as exc:
-                failed = (i, exc)
-                break
-            summaries.append(summary)
-            per_user.append(su)
-            per_group.append(sg)
-    else:
-        with multiprocessing.Pool(processes=workers, initializer=_one_blas_thread) as pool:
-            blas_threads = pool.apply(_blas_threads)
-            results = pool.imap(_worker, [(cfg, i) for i in indices])
-            for i in indices:
-                try:
-                    summary, su, sg = next(results)
-                except StopIteration:
-                    break
-                except Exception as exc:
-                    failed = (i, exc)
-                    break
-                summaries.append(summary)
-                per_user.append(su)
-                per_group.append(sg)
-    if failed is not None:
-        index, exc = failed
-        raise CampaignError(
-            f"snapshot {index} failed: {exc}", partial=summaries, failed_snapshot=index
-        ) from exc
-    samples = np.array(per_user if cfg.sum_convention == "per_user" else per_group)
+                # a raising map cancels the futures it has not yet yielded
+                broke = "the worker pool broke: " if isinstance(exc, BrokenProcessPool) else ""
+                raise CampaignError(
+                    f"snapshot {i} failed: {broke}{exc}",
+                    partial=summaries,
+                    failed_snapshot=i,
+                ) from exc
+    samples = np.array([s[f"sum_se_{cfg.sum_convention}"] for s in summaries])
     values, probs = empirical_cdf(samples)
     return CampaignResult(
         config=cfg,

@@ -42,6 +42,8 @@ class TestValidation:
             small_config(mode="anycast")
         with pytest.raises(ConfigError):
             small_config(precoder="zf")
+        with pytest.raises(ConfigError):
+            small_config(sum_convention="per_stream")
 
     def test_subgroup_needs_count(self):
         with pytest.raises(ConfigError):

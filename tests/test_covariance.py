@@ -41,10 +41,13 @@ ORACLE_B = {
 }
 
 
+def _link(beta, phi_rad, asd_rad, n):
+    """Covariance of one link through the field's entry point."""
+    return covariance.covariance_field(np.asarray(beta), np.asarray(phi_rad), asd_rad, n)
+
+
 def _build(case):
-    return covariance.local_scattering_covariance(
-        case["beta"], np.deg2rad(case["phi_deg"]), np.deg2rad(case["asd_deg"]), case["n"]
-    )
+    return _link(case["beta"], np.deg2rad(case["phi_deg"]), np.deg2rad(case["asd_deg"]), case["n"])
 
 
 class TestClosedForm:
@@ -72,7 +75,7 @@ class TestClosedForm:
             phi = float(rng.uniform(-np.pi, np.pi))
             asd = float(rng.uniform(0.0, np.deg2rad(30)))
             n = int(rng.integers(1, 6))
-            r = covariance.local_scattering_covariance(beta, phi, asd, n)
+            r = _link(beta, phi, asd, n)
             assert np.allclose(r, r.conj().T, atol=1e-12 * beta)
             w = np.linalg.eigvalsh(r)
             assert w.min() >= -1e-10 * n * beta
@@ -80,7 +83,7 @@ class TestClosedForm:
 
     def test_zero_spread_is_rank_one(self):
         beta, phi, n = 3.0, 0.7, 4
-        r = covariance.local_scattering_covariance(beta, phi, 0.0, n)
+        r = _link(beta, phi, 0.0, n)
         a = np.exp(1j * np.pi * np.arange(n) * np.sin(phi))
         want = beta * np.outer(a, a.conj())
         assert np.allclose(r, want, atol=1e-9 * beta)
@@ -89,15 +92,9 @@ class TestClosedForm:
         assert np.all(np.abs(w[:-1]) < 1e-9 * n * beta)
 
     def test_wider_spread_decorrelates(self):
-        r_narrow = covariance.local_scattering_covariance(1.0, 0.4, np.deg2rad(5), 4)
-        r_wide = covariance.local_scattering_covariance(1.0, 0.4, np.deg2rad(25), 4)
+        r_narrow = _link(1.0, 0.4, np.deg2rad(5), 4)
+        r_wide = _link(1.0, 0.4, np.deg2rad(25), 4)
         assert abs(r_wide[1, 0]) < abs(r_narrow[1, 0])
-
-    def test_rejects_nonpositive_beta(self):
-        with pytest.raises(SynthesisError):
-            covariance.local_scattering_covariance(0.0, 0.1, 0.1, 2)
-        with pytest.raises(SynthesisError):
-            covariance.local_scattering_covariance(-1.0, 0.1, 0.1, 2)
 
 
 class TestField:
@@ -109,9 +106,7 @@ class TestField:
         assert field.shape == (3, 4, 3, 3)
         for l in range(3):
             for k in range(4):
-                single = covariance.local_scattering_covariance(
-                    float(beta[l, k]), float(phi[l, k]), asd, 3
-                )
+                single = _link(beta[l, k], phi[l, k], asd, 3)
                 assert np.allclose(field[l, k], single, atol=1e-14 * beta[l, k])
 
     def test_rejects_nonpositive_beta(self, rng):
@@ -119,6 +114,9 @@ class TestField:
         beta[1, 1] = 0.0
         with pytest.raises(SynthesisError):
             covariance.covariance_field(beta, np.zeros((2, 2)), 0.1, 2)
+        for bad in (0.0, -1.0):
+            with pytest.raises(SynthesisError):
+                _link(bad, 0.1, 0.1, 2)
 
 
 class TestSampling:
@@ -132,7 +130,7 @@ class TestSampling:
 
     def test_sample_covariance_converges(self):
         rng = np.random.default_rng(17)
-        r = covariance.local_scattering_covariance(1.0, 0.9, np.deg2rad(15.0), 3)
+        r = _link(1.0, 0.9, np.deg2rad(15.0), 3)
         factors = covariance.covariance_factors(r[None, None])
         h = covariance.sample_channels(factors, 200_000, rng)[:, 0, 0, :]
         sample_cov = h.T @ h.conj() / h.shape[0]
@@ -142,7 +140,7 @@ class TestSampling:
 
     def test_rank_deficient_factors_work(self):
         rng = np.random.default_rng(23)
-        r = covariance.local_scattering_covariance(2.0, 0.3, 0.0, 4)
+        r = _link(2.0, 0.3, 0.0, 4)
         factors = covariance.covariance_factors(r[None, None])
         h = covariance.sample_channels(factors, 50_000, rng)[:, 0, 0, :]
         sample_cov = h.T @ h.conj() / h.shape[0]

@@ -72,7 +72,7 @@ class TestEstimatorOracle:
         tau_p, pp, noise_w = 3, 0.1, 2e-13
         r = np.empty((1, 3, n, n), dtype=complex)
         for k, (b, phi) in enumerate([(2e-8, 0.3), (5e-8, -1.1), (1e-8, 2.0)]):
-            r[0, k] = covariance.local_scattering_covariance(b, phi, 0.2, n)
+            r[0, k] = covariance.covariance_field(np.asarray(b), np.asarray(phi), 0.2, n)
         parts = grouping.GroupAssignment(group_of=np.array([0, 0, 1]), n_groups=2)
         plan = pilots.assign_pilots_and_cluster(np.array([[2e-8, 5e-8, 1e-8]]), parts, tau_p=1)
         assert np.array_equal(plan.cohort[0], [0, 1])

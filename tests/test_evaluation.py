@@ -152,19 +152,18 @@ class TestSpectralEfficiency:
         assert np.allclose(evaluation.se_group(se_users, members), [0.5, 1.0])
 
     def test_sum_conventions(self):
-        se_groups = np.array([0.5])
-        sizes = np.array([10])
-        assert evaluation.sum_se(se_groups, sizes, "per_user") == pytest.approx(5.0)
-        assert evaluation.sum_se(se_groups, sizes, "per_group") == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            evaluation.sum_se(se_groups, sizes, "per_stream")
+        # one 10-member group at SE 0.5: 5.0 per served user, 0.5 per stream
+        parts = grouping.GroupAssignment(group_of=np.zeros(10, dtype=int), n_groups=1)
+        sinr = np.full(10, 2.0 ** (0.5 / 0.9) - 1.0)
+        rep = evaluation.build_report(sinr, 0, parts, tau_p=20, tau_c=200)
+        assert rep.se_group == pytest.approx([0.5])
+        assert rep.sum_se_per_user == pytest.approx(5.0)
+        assert rep.sum_se_per_group == pytest.approx(0.5)
 
     def test_unicast_conventions_coincide(self):
-        se_groups = np.array([0.3, 0.7, 1.1])
-        sizes = np.ones(3, dtype=int)
-        assert evaluation.sum_se(se_groups, sizes, "per_user") == pytest.approx(
-            evaluation.sum_se(se_groups, sizes, "per_group")
-        )
+        parts = grouping.GroupAssignment(group_of=np.arange(3), n_groups=3)
+        rep = evaluation.build_report(np.array([0.3, 0.7, 1.1]), 0, parts, tau_p=20, tau_c=200)
+        assert rep.sum_se_per_user == pytest.approx(rep.sum_se_per_group)
 
     def test_report_aggregates(self):
         parts = grouping.GroupAssignment(group_of=np.array([0, 0, 1]), n_groups=2)
@@ -175,6 +174,3 @@ class TestSpectralEfficiency:
         assert rep.se_group[0] == pytest.approx(0.9 * np.log2(2.0))
         assert rep.sum_se_per_user == pytest.approx(2 * rep.se_group[0] + rep.se_group[1])
         assert rep.sum_se_per_group == pytest.approx(rep.se_group.sum())
-        assert rep.sum_se("per_user") == rep.sum_se_per_user
-        with pytest.raises(ValueError):
-            rep.sum_se("bogus")

@@ -59,7 +59,7 @@ class TestPlacement:
     def test_uniform_mean_near_center(self):
         rng = np.random.default_rng(7)
         side = 1000.0
-        pos = geometry.place_ms_uniform(100_000, side, rng)
+        pos = geometry.place_uniform(100_000, side, rng)
         tol = 3 * side / np.sqrt(12 * pos.shape[0])
         assert np.all(np.abs(pos.mean(axis=0) - side / 2) < tol)
         assert pos.min() >= 0 and pos.max() <= side

@@ -123,7 +123,7 @@ class TestKMeans:
         for seed in range(n_trials):
             rng = np.random.default_rng(seed)
             pos, truth = geometry.place_ms_clustered(10, 5, 10.0, 1000.0, rng)
-            aps = geometry.place_aps(20, 1000.0, rng)
+            aps = geometry.place_uniform(20, 1000.0, rng)
             shadow = geometry.sample_shadowing(pos, 20, 1000.0, 4.0, 9.0, rng)
             beta = geometry.large_scale_matrix(aps, pos, 1000.0, 10.0, 1.5, shadow)
             parts = grouping.kmeans_subgroups(beta, 10, np.random.default_rng(1000 + seed))

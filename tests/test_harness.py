@@ -1,8 +1,14 @@
 """Campaign orchestration: seeding, determinism, outputs and the CLI."""
 
+import contextlib
 import csv
 import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -138,20 +144,78 @@ class TestCampaign:
         assert np.allclose(np.sort(per_user), ru.cdf_values)
         assert np.allclose(np.sort(per_group), rg.cdf_values)
 
-    def test_abort_carries_prefix(self, monkeypatch):
-        cfg = tiny_campaign_config(snapshots=5)
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in_process", "pool"])
+    def test_abort_carries_prefix(self, monkeypatch, tmp_path, workers):
+        # forked pool workers inherit the patched run_snapshot
+        cfg = tiny_campaign_config(snapshots=40)
         real = harness.run_snapshot
 
         def failing(c, index):
+            (tmp_path / f"started_{index}").touch()
             if index == 2:
                 raise RuntimeError("synthetic failure")
+            if index > 2:
+                time.sleep(0.2)  # outlasts the pool's round trip, as a real snapshot does
             return real(c, index)
 
         monkeypatch.setattr(harness, "run_snapshot", failing)
         with pytest.raises(CampaignError) as err:
-            harness.run_campaign(cfg, workers=1)
+            harness.run_campaign(cfg, workers=workers)
         assert err.value.failed_snapshot == 2
         assert len(err.value.partial) == 2
+        assert [s["snapshot"] for s in err.value.partial] == [0, 1]
+        assert "synthetic failure" in str(err.value)
+        # the queued snapshots are cancelled: past the failure, only those that
+        # a worker holds (one each) or the pool has queued (workers + 1) start
+        started = len(list(tmp_path.glob("started_*")))
+        assert 3 <= started <= 3 + 2 * workers + 1
+
+    def test_killed_worker_aborts_instead_of_hanging(self):
+        # in a subprocess, so that a hanging pool fails the test at its timeout
+        script = textwrap.dedent(
+            """
+            import json, os, signal
+            from cfmcast import harness
+            from cfmcast.config import preset
+            from cfmcast.errors import CampaignError
+
+            real = harness.run_snapshot
+
+            def killing(cfg, index):
+                if index == 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(cfg, index)
+
+            harness.run_snapshot = killing
+            cfg = preset("desk_uniform").with_overrides(realizations=8, snapshots=4)
+            try:
+                harness.run_campaign(cfg, workers=2)
+            except CampaignError as exc:
+                print(json.dumps({"failed": exc.failed_snapshot, "done": len(exc.partial), "message": str(exc)}))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=30)
+        finally:
+            # also reaps pool workers that a hung campaign leaves behind
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 0, err
+        result = json.loads(out)
+        # snapshot 0 may finish or be lost with the pool; 1 never finishes
+        assert result["failed"] == result["done"] <= 1
+        assert "pool broke" in result["message"]
 
     def test_pool_workers_run_one_blas_thread(self, tmp_path):
         cfg = preset("desk_uniform").with_overrides(realizations=8, snapshots=4)
