@@ -96,6 +96,12 @@ class TestClosedForm:
         r_wide = _link(1.0, 0.4, np.deg2rad(25), 4)
         assert abs(r_wide[1, 0]) < abs(r_narrow[1, 0])
 
+    def test_rejects_nonpositive_beta(self):
+        with pytest.raises(SynthesisError):
+            _link(0.0, 0.1, 0.1, 2)
+        with pytest.raises(SynthesisError):
+            _link(-1.0, 0.1, 0.1, 2)
+
 
 class TestField:
     def test_matches_single_link(self, rng):
@@ -114,9 +120,6 @@ class TestField:
         beta[1, 1] = 0.0
         with pytest.raises(SynthesisError):
             covariance.covariance_field(beta, np.zeros((2, 2)), 0.1, 2)
-        for bad in (0.0, -1.0):
-            with pytest.raises(SynthesisError):
-                _link(bad, 0.1, 0.1, 2)
 
 
 class TestSampling:
