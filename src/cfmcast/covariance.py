@@ -16,6 +16,10 @@ from .errors import SynthesisError
 # eigenvalues may only dip below zero by this fraction of the trace
 EIG_CLIP_REL_TOL = 1e-10
 
+# channels are correlated in slabs of realizations holding at most this many
+# complex entries, so the complex normals of one slab are the only temporary
+SLAB_ELEMENTS = 1 << 20
+
 
 def _closed_form(beta: np.ndarray, phi_rad: np.ndarray, asd_rad: float, n_antennas: int) -> np.ndarray:
     """Closed-form local scattering covariance entries, broadcast over links."""
@@ -63,15 +67,44 @@ def covariance_factors(r: np.ndarray) -> np.ndarray:
     return u * np.sqrt(w)[..., None, :]
 
 
-def sample_channels(factors: np.ndarray, n_realizations: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw correlated Rayleigh channel realizations, shape (T, K, L, N).
+def _slabs(normals: np.ndarray):
+    """Slabs of at most SLAB_ELEMENTS entries, at least one realization each.
+
+    Yields each slab and its own bytes viewed as (2, t, L, K, N) floats: the
+    real parts, then the imaginary parts.
+    """
+    n_real, n_ms, n_aps, n_ant = normals.shape
+    step = max(1, SLAB_ELEMENTS // (n_ms * n_aps * n_ant))
+    for start in range(0, n_real, step):
+        slab = normals[start : start + step]
+        yield slab, slab.view(np.float64).reshape(2, len(slab), n_aps, n_ms, n_ant)
+
+
+def draw_normals(out: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill a C-contiguous complex (T, K, L, N) buffer with the normals of :func:`sample_channels`.
+
+    The stream is read in the order of one (T, L, K, N) draw of real parts
+    followed by one of imaginary parts; each slab of realizations keeps its
+    share of both in its own bytes, so the correlation can overwrite it in
+    place.  Only the generator is touched, so this may run on another thread.
+    """
+    slabs = [parts for _, parts in _slabs(out)]
+    for part in range(2):
+        for parts in slabs:
+            rng.standard_normal(out=parts[part])
+
+
+def sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Correlate the normals of :func:`draw_normals` in place into channels, shape (T, K, L, N).
 
     ``factors`` is the (L, K, N, N) output of :func:`covariance_factors`; each
-    realization is independent across links and time.  The normals are drawn
-    in (T, L, K, N) order, so each link gets the draw a link-major layout gets.
+    realization is independent across links and time.  Link (l, k) of
+    realization t is its factor times the circularly symmetric normal vector
+    (a + 1j b) / sqrt(2), where a and b are the link's entries of the
+    (T, L, K, N) real and imaginary draws.  Returns ``normals``.
     """
-    shape = (n_realizations,) + factors.shape[:-2] + (factors.shape[-1],)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    z *= np.sqrt(0.5)
     ms_major = np.ascontiguousarray(np.swapaxes(factors, 0, 1))
-    return np.matmul(ms_major, np.swapaxes(z, 1, 2)[..., None], order="C")[..., 0]
+    for slab, (re, im) in _slabs(normals):
+        z = (re + 1j * im) * np.sqrt(0.5)
+        np.matmul(ms_major, np.swapaxes(z, 1, 2)[..., None], out=slab[..., None])
+    return normals

@@ -16,7 +16,7 @@ import json
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -99,13 +99,34 @@ def empirical_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
-    """Execute the full pipeline for one geometry draw."""
+    """Execute the full pipeline for one geometry draw.
+
+    Each chunk's channel normals are drawn on a second thread into the chunk's
+    channel buffer: chunk 0's while the deployment's statistics are built,
+    chunk ci + 1's while chunk ci is processed.  The thread only draws, so
+    the results do not depend on it, and it ends with the snapshot.
+    """
+    with ThreadPoolExecutor(1) as drawer:
+        return _run_snapshot(cfg, index, drawer)
+
+
+def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> SnapshotResult:
+    bounds = list(_chunk_bounds(cfg.realizations))
+
+    def draw(ci):
+        start, stop = bounds[ci]
+        normals = np.empty((stop - start, cfg.n_ms, cfg.n_aps, cfg.n_antennas), dtype=complex)
+        rng = stage_rng(cfg.master_seed, index, "channels", ci)
+        return normals, drawer.submit(covariance.draw_normals, normals, rng)
+
     dep = geometry.build_deployment(
         cfg,
         stage_rng(cfg.master_seed, index, "aps"),
         stage_rng(cfg.master_seed, index, "ms"),
         stage_rng(cfg.master_seed, index, "shadowing"),
     )
+    # not before the shadowing Cholesky: a draw beside its BLAS threads stalls it
+    pending = draw(0)
     angles = geometry.nominal_angles(dep.ap_positions, dep.ms_positions, cfg.side_m)
     r_cov = covariance.covariance_field(
         dep.beta, angles, np.deg2rad(cfg.asd_deg), cfg.n_antennas
@@ -127,11 +148,13 @@ def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
     sq_norm_sums = np.zeros((plan.n_aps, n_groups))
     norm_count = 0
 
-    for ci, (start, stop) in enumerate(_chunk_bounds(total_real)):
+    for ci, (start, stop) in enumerate(bounds):
         n_chunk = stop - start
-        channels = covariance.sample_channels(
-            factors, n_chunk, stage_rng(cfg.master_seed, index, "channels", ci)
-        )
+        normals, drawn = pending
+        drawn.result()
+        if ci + 1 < len(bounds):
+            pending = draw(ci + 1)
+        channels = covariance.sample_channels(factors, normals)
         y = estimation.project_pilots(
             channels,
             parts,

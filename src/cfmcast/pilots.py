@@ -72,30 +72,24 @@ def group_gains(beta: np.ndarray, grouping) -> np.ndarray:
     return np.stack([beta[:, m].mean(axis=1) for m in grouping.members], axis=1)
 
 
-def pilot_interference(
-    beta: np.ndarray, members: list, pilot_of: np.ndarray, ap: int, pilot: int
-) -> float:
-    """Summed member gains at ``ap`` of the groups already holding ``pilot``.
+def pilot_interference(sums: np.ndarray, pilot_of: np.ndarray, tau_p: int) -> np.ndarray:
+    """Summed member gains at one AP of the groups holding each pilot, shape (tau_p,).
 
-    ``pilot_of`` uses -1 for groups without a pilot yet.
+    ``sums`` and ``pilot_of`` give each group that holds a pilot its summed
+    member gain at the AP and its pilot label.
     """
-    total = 0.0
-    for c in np.flatnonzero(np.asarray(pilot_of) == pilot):
-        total += float(beta[ap, members[c]].sum())
-    return total
+    return np.bincount(pilot_of, weights=sums, minlength=tau_p)
 
 
 def _assign_pilots(beta, grouping, tau_p, masters):
     n_groups = grouping.n_groups
+    sums = np.stack([beta[:, m].sum(axis=1) for m in grouping.members], axis=1)
     pilot_of = np.full(n_groups, -1, dtype=int)
     for g in range(n_groups):
         if g < tau_p:
             pilot_of[g] = g
             continue
-        ap = masters[g]
-        interference = np.array(
-            [pilot_interference(beta, grouping.members, pilot_of, ap, t) for t in range(tau_p)]
-        )
+        interference = pilot_interference(sums[masters[g], :g], pilot_of[:g], tau_p)
         pilot_of[g] = int(np.argmin(interference))
     return pilot_of
 

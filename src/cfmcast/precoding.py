@@ -35,7 +35,8 @@ def ipmmse_regularizer(stats, plan, group, group_sizes, group_power_w, tau_p, pi
     blocks off the diagonal are zero.
     """
     coef = group_power_w * group_sizes.astype(float) ** 2 / (tau_p * pilot_power_w)
-    in_s = np.isin(np.arange(plan.n_groups), plan.s_set[group])[:, None, None]
+    in_s = np.zeros((plan.n_groups, 1, 1), dtype=bool)
+    in_s[plan.s_set[group]] = True
     aps = plan.serving[group]
     return np.einsum("g,lgab->lab", coef, np.where(in_s, stats.err_cov[aps], stats.r_comp[aps]))
 

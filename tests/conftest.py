@@ -31,6 +31,14 @@ def small_config(**overrides) -> SystemConfig:
     return SystemConfig(**base)
 
 
+def draw_channels(factors: np.ndarray, n_real: int, rng: np.random.Generator) -> np.ndarray:
+    """(T, K, L, N) channels for (L, K, N, N) factors: the harness's draw, then its correlation."""
+    n_aps, n_ms, n_ant = factors.shape[:3]
+    normals = np.empty((n_real, n_ms, n_aps, n_ant), dtype=complex)
+    covariance.draw_normals(normals, rng)
+    return covariance.sample_channels(factors, normals)
+
+
 def build_pipeline(cfg: SystemConfig, index: int = 0, n_real: int | None = None) -> SimpleNamespace:
     """Run the snapshot pipeline up to channel estimates and keep every stage."""
     dep = geometry.build_deployment(
@@ -48,9 +56,7 @@ def build_pipeline(cfg: SystemConfig, index: int = 0, n_real: int | None = None)
     plan = pilots.assign_pilots_and_cluster(dep.beta, parts, cfg.tau_p)
     stats = estimation.composite_stats(r_cov, parts, plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w)
     t = cfg.realizations if n_real is None else n_real
-    channels = covariance.sample_channels(
-        factors, t, harness.stage_rng(cfg.master_seed, index, "channels")
-    )
+    channels = draw_channels(factors, t, harness.stage_rng(cfg.master_seed, index, "channels"))
     y = estimation.project_pilots(
         channels,
         parts,

@@ -17,6 +17,7 @@ from cfmcast.config import SystemConfig, preset
 from conftest import (
     assert_pair_layout,
     build_pipeline,
+    draw_channels,
     ipmmse_with_power,
     oracle_direction,
     random_service_instance,
@@ -56,9 +57,7 @@ def test_criterion_1_estimation_oracle():
     plan = pilots.assign_pilots_and_cluster(beta, parts, tau_p)
     r_cov = covariance.covariance_field(beta, phi, np.deg2rad(15.0), n_ant)
     stats = estimation.composite_stats(r_cov, parts, plan, tau_p, pilot_power, NOISE_W)
-    channels = covariance.sample_channels(
-        covariance.covariance_factors(r_cov), 200, np.random.default_rng(0)
-    )
+    channels = draw_channels(covariance.covariance_factors(r_cov), 200, np.random.default_rng(0))
     y = estimation.project_pilots(
         channels, parts, plan, tau_p, pilot_power, NOISE_W, np.random.default_rng(1)
     )
@@ -150,7 +149,7 @@ def test_criterion_3_invariant_suite():
             if plan.served[l].size:
                 assert rho[l].sum() == pytest.approx(0.2, rel=1e-12)
         # centralized realized per-AP power within one percent of the budget
-        channels = covariance.sample_channels(
+        channels = draw_channels(
             covariance.covariance_factors(r_cov), 20, np.random.default_rng(checked)
         )
         y = estimation.project_pilots(

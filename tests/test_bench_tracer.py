@@ -43,3 +43,19 @@ def test_traced_snapshot_covers_every_stage(tracer_module, precoder, idle):
     assert expected <= traced
     assert tracer_module.SNAPSHOT_SPAN in traced
     assert metrics["precoding.calls"] > 0
+
+
+def test_spans_partition_a_two_chunk_snapshot(tracer_module):
+    # the channel draw runs on a second thread; a wrapped stage called from it
+    # would break the span stack and with it this sum
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    cfg = small_config(realizations=harness.CHUNK + 6)
+    harness.run_snapshot(cfg, 0)
+    metrics = tracer.metrics()
+    chunk_mb = harness.CHUNK * cfg.n_ms * cfg.n_aps * cfg.n_antennas * 16 / 1e6
+    assert metrics["covariance.channel_mb"] == pytest.approx(chunk_mb, rel=1e-12)
+    layers = {metric for _, _, metric in tracer_module.STAGES}
+    covered = sum(metrics[m] for m in layers) + metrics["harness.self_s"]
+    assert metrics["harness.snapshot_count"] == 1
+    assert covered == pytest.approx(metrics["harness.snapshot_s_sum"], rel=1e-9)

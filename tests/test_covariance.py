@@ -6,6 +6,8 @@ import pytest
 from cfmcast import covariance
 from cfmcast.errors import SynthesisError
 
+from conftest import draw_channels
+
 # Reference entries from direct numerical integration of the angular model
 # (Gaussian angle spread entering through its first-order deviation term),
 # frozen so the closed form is checked against an independent route.
@@ -135,7 +137,7 @@ class TestSampling:
         rng = np.random.default_rng(17)
         r = _link(1.0, 0.9, np.deg2rad(15.0), 3)
         factors = covariance.covariance_factors(r[None, None])
-        h = covariance.sample_channels(factors, 200_000, rng)[:, 0, 0, :]
+        h = draw_channels(factors, 200_000, rng)[:, 0, 0, :]
         sample_cov = h.T @ h.conj() / h.shape[0]
         rel = np.linalg.norm(sample_cov - r) / np.linalg.norm(r)
         assert rel < 0.02
@@ -145,7 +147,7 @@ class TestSampling:
         rng = np.random.default_rng(23)
         r = _link(2.0, 0.3, 0.0, 4)
         factors = covariance.covariance_factors(r[None, None])
-        h = covariance.sample_channels(factors, 50_000, rng)[:, 0, 0, :]
+        h = draw_channels(factors, 50_000, rng)[:, 0, 0, :]
         sample_cov = h.T @ h.conj() / h.shape[0]
         assert np.linalg.norm(sample_cov - r) / np.linalg.norm(r) < 0.03
 
@@ -154,25 +156,49 @@ class TestSampling:
             np.full((2, 3), 1e-7), np.zeros((2, 3)), 0.2, 2
         )
         factors = covariance.covariance_factors(r)
-        h1 = covariance.sample_channels(factors, 5, np.random.default_rng(4))
-        h2 = covariance.sample_channels(factors, 5, np.random.default_rng(4))
+        h1 = draw_channels(factors, 5, np.random.default_rng(4))
+        h2 = draw_channels(factors, 5, np.random.default_rng(4))
         assert h1.shape == (5, 3, 2, 2)
         assert np.array_equal(h1, h2)
 
     def test_ms_major_layout_keeps_the_link_draws(self, rng):
         # the normals are drawn link-major, as (T, L, K, N), and each link's
         # channel is its factor times its own normal vector, bit for bit
-        beta = 10.0 ** rng.uniform(-9, -5, size=(3, 4))
-        phi = rng.uniform(-np.pi, np.pi, size=(3, 4))
-        factors = covariance.covariance_factors(
-            covariance.covariance_field(beta, phi, np.deg2rad(10.0), 4)
-        )
-        h = covariance.sample_channels(factors, 7, np.random.default_rng(8))
-        gen = np.random.default_rng(8)
-        shape = (7, 3, 4, 4)
-        z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-        z *= np.sqrt(0.5)
-        want = np.swapaxes((factors @ z[..., None])[..., 0], 1, 2)
+        factors = _random_factors(rng)
+        h = draw_channels(factors, 7, np.random.default_rng(8))
+        want = _link_major_channels(factors, 7, np.random.default_rng(8))
         assert h.shape == (7, 4, 3, 4)
         assert h.flags["C_CONTIGUOUS"]
         assert np.array_equal(h, want)
+
+    @pytest.mark.parametrize("per_slab", [1, 2, 3], ids=["one", "two", "ragged"])
+    def test_slabs_keep_the_link_draws(self, rng, monkeypatch, per_slab):
+        # 7 realizations in slabs of 1, 2 (2+2+2+1) and 3 (3+3+1)
+        factors = _random_factors(rng)
+        monkeypatch.setattr(covariance, "SLAB_ELEMENTS", per_slab * 4 * 3 * 4)
+        h = draw_channels(factors, 7, np.random.default_rng(8))
+        assert np.array_equal(h, _link_major_channels(factors, 7, np.random.default_rng(8)))
+
+    def test_correlates_in_place(self, rng):
+        factors = _random_factors(rng)
+        normals = np.empty((5, 4, 3, 4), dtype=complex)
+        covariance.draw_normals(normals, np.random.default_rng(2))
+        h = covariance.sample_channels(factors, normals)
+        assert h is normals
+        assert np.shares_memory(h, normals)
+        assert h.flags["C_CONTIGUOUS"]
+
+
+def _random_factors(rng):
+    """(L, K, N, N) = (3, 4, 4, 4) factors of random links."""
+    beta = 10.0 ** rng.uniform(-9, -5, size=(3, 4))
+    phi = rng.uniform(-np.pi, np.pi, size=(3, 4))
+    return covariance.covariance_factors(covariance.covariance_field(beta, phi, np.deg2rad(10.0), 4))
+
+
+def _link_major_channels(factors, n_real, gen):
+    """Channels from one (T, L, K, N) real and one imaginary draw, swapped to (T, K, L, N)."""
+    shape = (n_real,) + factors.shape[:2] + (factors.shape[-1],)
+    z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    z *= np.sqrt(0.5)
+    return np.swapaxes((factors @ z[..., None])[..., 0], 1, 2)

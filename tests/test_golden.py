@@ -10,6 +10,7 @@ them only for a change that is meant to move results:
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ def test_snapshot_outputs_match_golden(name, golden):
         if "per_ap_power" in w:
             np.testing.assert_allclose(g["per_ap_power"], w["per_ap_power"], rtol=RTOL, atol=0)
 
+
+def test_draw_handoff_under_fast_thread_switching(golden):
+    # each chunk's normals are drawn on the draw thread while the main thread
+    # works; switching threads every microsecond would expose a buffer read
+    # before its draw finished
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = {name: measure(name) for name in sorted(CASES)}
+    finally:
+        sys.setswitchinterval(interval)
+    for name, outputs in got.items():
+        for g, w in zip(outputs, golden[name]):
+            assert g["sum_se_per_user"] == pytest.approx(w["sum_se_per_user"], rel=RTOL), name
 
 if __name__ == "__main__":
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -18,6 +19,8 @@ from cfmcast.config import SystemConfig, preset
 from cfmcast.errors import CampaignError, ConfigError
 
 from conftest import build_pipeline, small_config
+
+SRC = os.path.dirname(os.path.dirname(harness.__file__))
 
 
 def tiny_campaign_config(**overrides):
@@ -70,6 +73,11 @@ class TestSnapshot:
         a = harness.run_snapshot(cfg, 1)
         b = harness.run_snapshot(cfg, 1)
         assert np.array_equal(a.report.sinr, b.report.sinr)
+
+    def test_draw_thread_ends_with_the_snapshot(self):
+        before = threading.active_count()
+        harness.run_snapshot(tiny_campaign_config(realizations=harness.CHUNK + 5), 0)
+        assert threading.active_count() == before
 
     def test_chunk_boundary_sizes(self):
         # realization counts below, at and above the chunk size must all work
@@ -172,12 +180,10 @@ class TestCampaign:
 
     def test_killed_worker_aborts_instead_of_hanging(self):
         # in a subprocess, so that a hanging pool fails the test at its timeout
-        script = textwrap.dedent(
+        result = _run_isolated(
             """
-            import json, os, signal
+            import os, signal
             from cfmcast import harness
-            from cfmcast.config import preset
-            from cfmcast.errors import CampaignError
 
             real = harness.run_snapshot
 
@@ -187,35 +193,39 @@ class TestCampaign:
                 return real(cfg, index)
 
             harness.run_snapshot = killing
-            cfg = preset("desk_uniform").with_overrides(realizations=8, snapshots=4)
-            try:
-                harness.run_campaign(cfg, workers=2)
-            except CampaignError as exc:
-                print(json.dumps({"failed": exc.failed_snapshot, "done": len(exc.partial), "message": str(exc)}))
-            """
+            """,
+            workers=2,
         )
-        src = os.path.dirname(os.path.dirname(harness.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
-            start_new_session=True,
-        )
-        try:
-            out, err = proc.communicate(timeout=30)
-        finally:
-            # also reaps pool workers that a hung campaign leaves behind
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-        assert proc.returncode == 0, err
-        result = json.loads(out)
         # snapshot 0 may finish or be lost with the pool; 1 never finishes
         assert result["failed"] == result["done"] <= 1
         assert "pool broke" in result["message"]
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in_process", "pool"])
+    def test_failed_draw_aborts_instead_of_hanging(self, workers):
+        # the draw runs on the snapshot's second thread; its failure must reach
+        # the campaign as the snapshot's
+        result = _run_isolated(
+            """
+            from cfmcast import covariance, harness
+
+            real_snapshot, real_draw = harness.run_snapshot, covariance.draw_normals
+            current = []
+
+            def tracking(cfg, index):
+                current.append(index)
+                return real_snapshot(cfg, index)
+
+            def failing(out, rng):
+                if current[-1] == 1:
+                    raise RuntimeError("synthetic draw failure")
+                return real_draw(out, rng)
+
+            harness.run_snapshot, covariance.draw_normals = tracking, failing
+            """,
+            workers=workers,
+        )
+        assert result["failed"] == result["done"] == 1
+        assert "synthetic draw failure" in result["message"]
 
     def test_pool_workers_run_one_blas_thread(self, tmp_path):
         cfg = preset("desk_uniform").with_overrides(realizations=8, snapshots=4)
@@ -230,6 +240,13 @@ class TestCampaign:
         assert serial.worker_blas_threads == in_process
         assert serial.summaries == result.summaries
 
+    def test_pool_forks_after_in_process_campaign(self):
+        # the forked workers inherit an interpreter whose draw threads have run
+        cfg = preset("desk_uniform").with_overrides(realizations=harness.CHUNK + 6, snapshots=4)
+        serial = harness.run_campaign(cfg, workers=1)
+        pooled = harness.run_campaign(cfg, workers=2)
+        assert pooled.summaries == serial.summaries
+
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.setenv(harness.WORKERS_ENV, "6")
         assert harness.default_workers() == 6
@@ -241,6 +258,45 @@ class TestCampaign:
         assert harness.default_workers() == 1
         with pytest.raises(ConfigError):
             harness.run_campaign(tiny_campaign_config(), workers=0)
+
+
+def _run_isolated(patch: str, workers: int) -> dict:
+    """Run a 4-snapshot desk_uniform campaign after ``patch`` in a fresh process.
+
+    Returns the CampaignError it must raise as a dict; the process and any pool
+    workers it leaves behind are killed after 30 s, so a hang fails the test.
+    """
+    script = textwrap.dedent(patch) + textwrap.dedent(
+        f"""
+        import json
+        from cfmcast import harness
+        from cfmcast.config import preset
+        from cfmcast.errors import CampaignError
+
+        cfg = preset("desk_uniform").with_overrides(realizations=8, snapshots=4)
+        try:
+            harness.run_campaign(cfg, workers={workers})
+        except CampaignError as exc:
+            print(json.dumps({{"failed": exc.failed_snapshot, "done": len(exc.partial), "message": str(exc)}}))
+        """
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    finally:
+        # also reaps pool workers that a hung campaign leaves behind
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 0, err
+    return json.loads(out)
 
 
 class TestCdf:

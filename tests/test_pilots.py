@@ -24,11 +24,14 @@ class TestPilotInterference:
     def test_sums_holder_member_gains(self):
         beta = np.array([[1.0, 0.5, 0.25, 4.0]])
         parts = make_parts([0, 1, 1, 2], 3)
-        pilot_of = np.array([0, 1, -1])
-        assert pilots.pilot_interference(beta, parts.members, pilot_of, 0, 0) == pytest.approx(1.0)
-        assert pilots.pilot_interference(beta, parts.members, pilot_of, 0, 1) == pytest.approx(0.75)
+        # groups 0 and 1 hold pilots 0 and 1; group 2 has none yet
+        sums = np.array([beta[0, m].sum() for m in parts.members[:2]])
+        interference = pilots.pilot_interference(sums, np.array([0, 1]), 3)
+        assert interference.shape == (3,)
+        assert interference[0] == pytest.approx(1.0)
+        assert interference[1] == pytest.approx(0.75)
         # a pilot nobody holds yet has zero accumulated interference
-        assert pilots.pilot_interference(beta, parts.members, pilot_of, 0, 2) == pytest.approx(0.0)
+        assert interference[2] == pytest.approx(0.0)
 
 
 class TestHandWorkedPlan:
