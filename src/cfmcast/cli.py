@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .config import MODES, PRECODERS, SUM_CONVENTIONS, SystemConfig, preset
+from .config import PRECODERS, SUM_CONVENTIONS, SystemConfig, preset
 from .errors import CampaignError, ConfigError
 from .harness import run_campaign, write_outputs, write_partial
 
@@ -20,17 +20,14 @@ def build_parser() -> argparse.ArgumentParser:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", help="named configuration (e.g. desk_uniform, fig3)")
     source.add_argument("--config", help="path to a JSON config mirroring SystemConfig")
-    parser.add_argument("--mode", choices=MODES, help="override the service mode")
     parser.add_argument("--precoder", choices=PRECODERS, help="override the precoder")
-    parser.add_argument("--groups", type=int, help="override the number of subgroups")
+    parser.add_argument(
+        "--groups", type=int, help="override the multicast group count (1: single, n_ms: unicast)"
+    )
     parser.add_argument("--snapshots", type=int, help="override the snapshot count")
     parser.add_argument("--realizations", type=int, help="override realizations per snapshot")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        help="parallel snapshot workers (default: $CFMCAST_WORKERS or 1)",
-    )
+    parser.add_argument("--workers", type=int, default=1, help="parallel snapshot workers (default 1)")
     parser.add_argument("--sum-convention", choices=SUM_CONVENTIONS, help="override sum-SE pooling")
     parser.add_argument("--out", help="output directory (default: simout_<config hash>)")
     return parser
@@ -39,11 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args) -> SystemConfig:
     cfg = preset(args.preset) if args.preset else SystemConfig.from_json(args.config)
     overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-        # a mode change invalidates a preset's subgroup count unless re-given
-        if args.mode != "subgroup" and args.groups is None:
-            overrides["n_groups"] = None
     if args.groups is not None:
         overrides["n_groups"] = args.groups
     if args.precoder is not None:

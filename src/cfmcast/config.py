@@ -2,8 +2,8 @@
 
 A :class:`SystemConfig` captures every semantic knob of a campaign: network
 dimensions, frame structure, power budgets, propagation constants, deployment
-layout, service mode, precoder and Monte Carlo sizes.  JSON configs mirror the
-dataclass field-for-field and unknown keys are rejected.
+layout, multicast group count, precoder and Monte Carlo sizes.  JSON configs
+mirror the dataclass field-for-field and unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, asdict, replace
 
 from .errors import ConfigError
 
-MODES = ("unicast", "single", "subgroup")
 PRECODERS = ("ipmmse", "cb")
 SUM_CONVENTIONS = ("per_user", "per_group")
 
@@ -42,8 +41,10 @@ class DeploymentSpec:
             raise ConfigError(
                 f"clusters*per_cluster = {self.clusters * self.per_cluster} must equal n_ms = {n_ms}"
             )
-        if self.cluster_side_m <= 0 or self.cluster_side_m > side_m:
-            raise ConfigError("cluster_side_m must lie in (0, side_m]")
+        # centers are redrawn until the square fits; at most half the side keeps
+        # at least a quarter of the draws acceptable, so the redraw ends
+        if self.cluster_side_m <= 0 or self.cluster_side_m > side_m / 2:
+            raise ConfigError("cluster_side_m must lie in (0, side_m / 2]")
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,7 @@ class SystemConfig:
     # campaign sizes
     snapshots: int = 250
     realizations: int = 500
-    # service shape
-    mode: str = "subgroup"
+    # service shape: n_groups (required) is 1 for single multicast, n_ms for unicast
     precoder: str = "ipmmse"
     n_groups: int | None = None
     deployment: DeploymentSpec = field(default_factory=DeploymentSpec)
@@ -111,23 +111,12 @@ class SystemConfig:
             raise ConfigError(f"tau_p = {self.tau_p} cannot exceed tau_c = {self.tau_c}")
         if self.shadowing_std_db < 0 or self.asd_deg < 0:
             raise ConfigError("shadowing_std_db and asd_deg must be non-negative")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.precoder not in PRECODERS:
             raise ConfigError(f"precoder must be one of {PRECODERS}, got {self.precoder!r}")
         if self.sum_convention not in SUM_CONVENTIONS:
             raise ConfigError(f"sum_convention must be one of {SUM_CONVENTIONS}")
-        if self.mode == "subgroup":
-            if self.n_groups is None:
-                raise ConfigError("mode 'subgroup' requires n_groups")
-            if not 1 <= self.n_groups <= self.n_ms:
-                raise ConfigError(f"n_groups must lie in [1, n_ms], got {self.n_groups}")
-        elif self.n_groups is not None:
-            expected = self.n_ms if self.mode == "unicast" else 1
-            if self.n_groups != expected:
-                raise ConfigError(
-                    f"n_groups = {self.n_groups} conflicts with mode {self.mode!r}"
-                )
+        if self.n_groups is None or not 1 <= self.n_groups <= self.n_ms:
+            raise ConfigError(f"n_groups must lie in [1, n_ms], got {self.n_groups}")
         if self.split_sample_eval and self.realizations < 2:
             raise ConfigError("split_sample_eval needs at least 2 realizations")
         self.deployment.validate(self.n_ms, self.side_m)
@@ -146,13 +135,6 @@ class SystemConfig:
     @property
     def prelog(self) -> float:
         return 1.0 - self.tau_p / self.tau_c
-
-    def resolved_groups(self) -> int:
-        if self.mode == "unicast":
-            return self.n_ms
-        if self.mode == "single":
-            return 1
-        return int(self.n_groups)
 
     def resolved_nu(self) -> float:
         if self.nu is not None:
@@ -199,7 +181,6 @@ class SystemConfig:
         """Canonical field dict with per-precoder defaults resolved."""
         d = self.to_dict()
         d["nu"] = self.resolved_nu()
-        d["n_groups"] = self.resolved_groups()
         d["noise_dbm"] = self.noise_dbm
         return d
 
@@ -219,11 +200,10 @@ def preset(name: str) -> SystemConfig:
     budget) that preserve the deployment ratios and finish on a workstation.
     """
     presets = {
-        "fig2_100": SystemConfig(n_ms=100, mode="unicast", precoder="ipmmse"),
-        "fig2_500": SystemConfig(n_ms=500, mode="unicast", precoder="ipmmse"),
+        "fig2_100": SystemConfig(n_ms=100, n_groups=100, precoder="ipmmse"),
+        "fig2_500": SystemConfig(n_ms=500, n_groups=500, precoder="ipmmse"),
         "fig3": SystemConfig(
             n_ms=500,
-            mode="subgroup",
             n_groups=30,
             precoder="cb",
             deployment=DeploymentSpec(kind="clustered", clusters=10, per_cluster=50, cluster_side_m=10.0),
@@ -236,7 +216,7 @@ def preset(name: str) -> SystemConfig:
             side_m=500.0,
             snapshots=50,
             realizations=100,
-            mode="unicast",
+            n_groups=40,
             precoder="ipmmse",
         ),
         "desk_clustered": SystemConfig(
@@ -247,7 +227,6 @@ def preset(name: str) -> SystemConfig:
             side_m=500.0,
             snapshots=50,
             realizations=100,
-            mode="subgroup",
             n_groups=4,
             precoder="cb",
             deployment=DeploymentSpec(kind="clustered", clusters=4, per_cluster=10, cluster_side_m=10.0),

@@ -2,8 +2,8 @@
 
 Subgrouping clusters the users' large-scale fading fingerprints (the per-AP
 channel gains in dB) with Lloyd's k-means, so users that look alike from the
-infrastructure's point of view share one precoded stream.  Unicast and
-single-group service are the two degenerate partitions.
+infrastructure's point of view share one precoded stream.  The group count
+alone sets the service: one group is single multicast, one per MS unicast.
 """
 
 from __future__ import annotations
@@ -80,11 +80,12 @@ def _repair_empty(labels, features, centroids, n_groups):
     return labels, centroids
 
 
-def _lloyd(features, n_groups, rng, max_iters):
+def _lloyd(features, n_groups, rng):
+    """One k-means++-seeded Lloyd run: labels and the WCSS after each iteration."""
     centroids = _seed_centroids(features, n_groups, rng)
     labels = None
     history = []
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dist2 = (
             np.sum(features**2, axis=1)[:, None]
             - 2.0 * features @ centroids.T
@@ -101,49 +102,34 @@ def _lloyd(features, n_groups, rng, max_iters):
     return labels, history
 
 
-def kmeans_subgroups(
-    beta: np.ndarray,
-    n_groups: int,
-    rng: np.random.Generator,
-    restarts: int = KMEANS_RESTARTS,
-    max_iters: int = KMEANS_MAX_ITERS,
-    return_history: bool = False,
-):
+def kmeans_subgroups(beta: np.ndarray, n_groups: int, rng: np.random.Generator) -> GroupAssignment:
     """Cluster MSs into subgroups by their dB gain fingerprints.
 
-    Runs Lloyd's algorithm with k-means++ seeding for ``restarts`` independent
-    starts and keeps the partition with the lowest within-cluster sum of
-    squares.  Deterministic given the generator state; distance ties resolve
-    to the lowest cluster index.
+    Runs Lloyd's algorithm with k-means++ seeding for ``KMEANS_RESTARTS``
+    independent starts and keeps the partition with the lowest within-cluster
+    sum of squares.  Deterministic given the generator state; distance ties
+    resolve to the lowest cluster index.
     """
     features = db_fingerprints(beta)
     n_ms = features.shape[0]
     if not 1 <= n_groups <= n_ms:
         raise ValueError(f"n_groups must lie in [1, {n_ms}], got {n_groups}")
     best = None
-    best_history = None
-    for _ in range(restarts):
-        labels, history = _lloyd(features, n_groups, rng, max_iters)
+    for _ in range(KMEANS_RESTARTS):
+        labels, history = _lloyd(features, n_groups, rng)
         if best is None or history[-1] < best[0]:
             best = (history[-1], labels)
-            best_history = history
-    assignment = GroupAssignment(group_of=best[1], n_groups=n_groups)
-    if return_history:
-        return assignment, best_history
-    return assignment
+    return GroupAssignment(group_of=best[1], n_groups=n_groups)
 
 
-def make_plan(
-    mode: str, beta: np.ndarray, rng: np.random.Generator, n_groups: int | None = None
-) -> GroupAssignment:
-    """Build the service partition for a mode: unicast, single or subgroup."""
+def make_plan(beta: np.ndarray, rng: np.random.Generator, n_groups: int) -> GroupAssignment:
+    """Service partition into ``n_groups`` groups.
+
+    One group per MS is unicast, each MS its own group in MS order; every
+    other count is clustered by :func:`kmeans_subgroups`, which puts all MSs
+    in group 0 when the count is 1.
+    """
     n_ms = beta.shape[1]
-    if mode == "unicast":
+    if n_groups == n_ms:
         return GroupAssignment(group_of=np.arange(n_ms), n_groups=n_ms)
-    if mode == "single":
-        return GroupAssignment(group_of=np.zeros(n_ms, dtype=int), n_groups=1)
-    if mode == "subgroup":
-        if n_groups is None:
-            raise ValueError("mode 'subgroup' requires n_groups")
-        return kmeans_subgroups(beta, n_groups, rng)
-    raise ValueError(f"unknown mode {mode!r}")
+    return kmeans_subgroups(beta, n_groups, rng)

@@ -38,8 +38,6 @@ STAGES = {
     "pilot_noise": 5,
 }
 
-WORKERS_ENV = "CFMCAST_WORKERS"
-
 
 def stage_rng(master_seed: int, snapshot: int, stage: str, chunk: int = 0) -> np.random.Generator:
     """Independent generator for one stage of one snapshot (and chunk)."""
@@ -132,9 +130,7 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
         dep.beta, angles, np.deg2rad(cfg.asd_deg), cfg.n_antennas
     )
     factors = covariance.covariance_factors(r_cov)
-    parts = grouping.make_plan(
-        cfg.mode, dep.beta, stage_rng(cfg.master_seed, index, "grouping"), cfg.resolved_groups()
-    )
+    parts = grouping.make_plan(dep.beta, stage_rng(cfg.master_seed, index, "grouping"), cfg.n_groups)
     plan = pilots.assign_pilots_and_cluster(dep.beta, parts, cfg.tau_p)
     stats = estimation.composite_stats(
         r_cov, parts, plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w
@@ -232,32 +228,15 @@ def _one_blas_thread() -> None:
         setter(1)
 
 
-def default_workers() -> int:
-    """Worker count from $CFMCAST_WORKERS, or 1 when it is unset."""
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
-    return workers
-
-
-def run_campaign(cfg: SystemConfig, workers: int | None = None) -> CampaignResult:
+def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
     """Run all snapshots and pool their sum-SE samples into the CDF.
 
-    ``workers`` defaults to :func:`default_workers`; a count below 1 raises
-    ConfigError.  Results are independent of the worker count.  A failed
-    snapshot, or a pool worker that dies, aborts the campaign: snapshots not
-    yet handed to a worker are cancelled, and CampaignError carries the
-    completed prefix.  Pool workers run numpy's BLAS on one thread each; a
-    single in-process worker keeps the default.
+    A worker count below 1 raises ConfigError.  Results are independent of
+    the worker count.  A failed snapshot, or a pool worker that dies, aborts
+    the campaign: snapshots not yet handed to a worker are cancelled, and
+    CampaignError carries the completed prefix.  Pool workers run numpy's
+    BLAS on one thread each; a single in-process worker keeps the default.
     """
-    if workers is None:
-        workers = default_workers()
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     t0 = time.monotonic()

@@ -20,7 +20,6 @@ def small_config(**overrides) -> SystemConfig:
         n_ms=12,
         tau_c=200,
         tau_p=3,
-        mode="subgroup",
         n_groups=4,
         side_m=500.0,
         snapshots=2,
@@ -50,9 +49,7 @@ def build_pipeline(cfg: SystemConfig, index: int = 0, n_real: int | None = None)
     angles = geometry.nominal_angles(dep.ap_positions, dep.ms_positions, cfg.side_m)
     r_cov = covariance.covariance_field(dep.beta, angles, np.deg2rad(cfg.asd_deg), cfg.n_antennas)
     factors = covariance.covariance_factors(r_cov)
-    parts = grouping.make_plan(
-        cfg.mode, dep.beta, harness.stage_rng(cfg.master_seed, index, "grouping"), cfg.resolved_groups()
-    )
+    parts = grouping.make_plan(dep.beta, harness.stage_rng(cfg.master_seed, index, "grouping"), cfg.n_groups)
     plan = pilots.assign_pilots_and_cluster(dep.beta, parts, cfg.tau_p)
     stats = estimation.composite_stats(r_cov, parts, plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w)
     t = cfg.realizations if n_real is None else n_real
@@ -151,20 +148,50 @@ def sinr_terms(channels, w, power_scale, plan, group_of, noise_w):
     return acc.finalize(power_scale, group_of, noise_w)
 
 
-def sinr_moment_sums(channels, w, plan):
-    """Per-group reference for SinrAccumulator.update: (sum_a, sum_a2), each (K, G).
+def received_products(channels, w, plan):
+    """Received inner products a_kg = sum over serving APs of h_klᴴ w_lg, (T, K, G).
 
     One einsum per group over its serving APs' slice of the (T, K, L, N)
-    channels, a_kg = sum over serving APs of h_klᴴ w_lg.
+    channels and the (T, P, N) precoders.
     """
-    n_ms = channels.shape[1]
-    sum_a = np.zeros((n_ms, plan.n_groups), dtype=complex)
-    sum_a2 = np.zeros((n_ms, plan.n_groups))
-    for g, aps in enumerate(plan.serving):
-        a = np.einsum("tkjn,tjn->tk", np.conj(channels[:, :, aps]), w[:, plan.pair_of[aps, g]])
-        sum_a[:, g] = a.sum(axis=0)
-        sum_a2[:, g] = np.sum(np.abs(a) ** 2, axis=0)
-    return sum_a, sum_a2
+    return np.stack(
+        [
+            np.einsum("tkjn,tjn->tk", np.conj(channels[:, :, aps]), w[:, plan.pair_of[aps, g]])
+            for g, aps in enumerate(plan.serving)
+        ],
+        axis=2,
+    )
+
+
+def sinr_moment_sums(channels, w, plan):
+    """Per-group reference for SinrAccumulator.update: (sum_a, sum_a2), each (K, G)."""
+    a = received_products(channels, w, plan)
+    return a.sum(axis=0), np.sum(np.abs(a) ** 2, axis=0)
+
+
+def exact_cb_moments(pipe, cfg):
+    """Closed-form moments of distributed CB's received inner products, each (K, G).
+
+    CB transmits w_lg = c_lg·E_lg y_lg, linear in the Gaussian pilot
+    observation, with c²_lg = apa_power / tr(est_cov) on served pairs and 0
+    elsewhere.  With s = √(τ_p p_p), R the link covariances, E the estimators,
+    Q = est_cov = E Γ Eᴴ and t the pilot of each MS's and each group's group:
+
+        μ_kg     = s·[t_k = t_g]·Σ_l c_lg·tr(E_lg R_lk)
+        E|a_kg|² = |μ_kg|² + Σ_l c²_lg·tr(R_lk Q_lg)
+
+    Returns (μ, E|a|²).
+    """
+    plan, stats, parts = pipe.plan, pipe.stats, pipe.parts
+    rho = precoding.apa_power(stats.trace_r_comp, plan, cfg.dl_power_w, cfg.resolved_nu())
+    est_trace = np.einsum("lgii->lg", stats.est_cov).real
+    c2 = np.where(plan.serving_mask, rho / est_trace, 0.0)  # (L, G)
+    same_pilot = plan.pilot_of[parts.group_of][:, None] == plan.pilot_of[None, :]  # (K, G)
+    tr_er = np.einsum("lgab,lkba->lkg", stats.estimator, pipe.r_cov)
+    tr_rq = np.einsum("lkab,lgba->lkg", pipe.r_cov, stats.est_cov).real
+    s = np.sqrt(cfg.tau_p * cfg.pilot_power_w)
+    mu = s * same_pilot * np.einsum("lg,lkg->kg", np.sqrt(c2), tr_er)
+    return mu, np.abs(mu) ** 2 + np.einsum("lg,lkg->kg", c2, tr_rq)
 
 
 def oracle_direction(pipe, g):

@@ -175,11 +175,11 @@ def test_criterion_4_uniform_desk_trend():
     uniformly distributed across the service area, unicast transmissions
     using centralized IP-MMSE precoding are optimal".
 
-    Unicast IP-MMSE must beat each of the five other mode/precoder
+    Unicast IP-MMSE must beat each of the five other group-count/precoder
     configurations, and the intra-IP-MMSE ordering subgroup > single
     multicast must hold.
 
-    The IP-MMSE-vs-CB orderings inside the two multicast modes are printed
+    The IP-MMSE-vs-CB orderings inside the two multicast group counts are printed
     but not asserted: the paper does not claim them, and the method gives no
     reason to expect them. With G=1 the interference neighborhood is the
     group itself, so the centralized solve reduces to per-AP filtering of the
@@ -196,10 +196,10 @@ def test_criterion_4_uniform_desk_trend():
         for label, over in {
             "uni_ip": dict(),
             "uni_cb": dict(precoder="cb"),
-            "sub_ip": dict(mode="subgroup", n_groups=10),
-            "sub_cb": dict(mode="subgroup", n_groups=10, precoder="cb"),
-            "one_ip": dict(mode="single"),
-            "one_cb": dict(mode="single", precoder="cb"),
+            "sub_ip": dict(n_groups=10),
+            "sub_cb": dict(n_groups=10, precoder="cb"),
+            "one_ip": dict(n_groups=1),
+            "one_cb": dict(n_groups=1, precoder="cb"),
         }.items()
     }
     comparisons = [
@@ -233,12 +233,12 @@ def test_criterion_5_clustered_desk_trend():
     samples = {
         label: campaign_samples(base.with_overrides(**over))
         for label, over in {
-            "ip_uni": dict(mode="unicast", n_groups=None, precoder="ipmmse"),
-            "ip_g1": dict(mode="single", n_groups=None, precoder="ipmmse"),
+            "ip_uni": dict(n_groups=base.n_ms, precoder="ipmmse"),
+            "ip_g1": dict(n_groups=1, precoder="ipmmse"),
             "ip_g4": dict(n_groups=4, precoder="ipmmse"),
             "ip_g8": dict(n_groups=8, precoder="ipmmse"),
-            "cb_uni": dict(mode="unicast", n_groups=None),
-            "cb_g1": dict(mode="single", n_groups=None),
+            "cb_uni": dict(n_groups=base.n_ms),
+            "cb_g1": dict(n_groups=1),
             "cb_g4": dict(n_groups=4),
             "cb_g8": dict(n_groups=8),
         }.items()

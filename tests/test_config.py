@@ -21,11 +21,6 @@ class TestDerived:
         assert SystemConfig(n_groups=30).prelog == pytest.approx(0.9)
         assert small_config(tau_p=10, tau_c=100).prelog == pytest.approx(0.9)
 
-    def test_resolved_groups_per_mode(self):
-        assert small_config(mode="unicast", n_groups=None).resolved_groups() == 12
-        assert small_config(mode="single", n_groups=None).resolved_groups() == 1
-        assert small_config(mode="subgroup", n_groups=4).resolved_groups() == 4
-
     def test_resolved_nu_defaults(self):
         assert small_config(precoder="ipmmse").resolved_nu() == pytest.approx(-0.5)
         assert small_config(precoder="cb").resolved_nu() == pytest.approx(0.5)
@@ -38,35 +33,35 @@ class TestValidation:
             small_config(tau_p=300, tau_c=200)
 
     def test_rejects_unknown_mode_and_precoder(self):
+        # the service shape is n_groups alone; a config that still names a mode is rejected
         with pytest.raises(ConfigError):
-            small_config(mode="anycast")
+            SystemConfig.from_dict({**small_config().to_dict(), "mode": "single"})
         with pytest.raises(ConfigError):
             small_config(precoder="zf")
         with pytest.raises(ConfigError):
             small_config(sum_convention="per_stream")
 
     def test_subgroup_needs_count(self):
-        with pytest.raises(ConfigError):
-            small_config(mode="subgroup", n_groups=None)
-        with pytest.raises(ConfigError):
-            small_config(mode="subgroup", n_groups=0)
-        with pytest.raises(ConfigError):
-            small_config(mode="subgroup", n_groups=13)
-
-    def test_group_count_conflicts_with_degenerate_modes(self):
-        with pytest.raises(ConfigError):
-            small_config(mode="unicast", n_groups=5)
-        with pytest.raises(ConfigError):
-            small_config(mode="single", n_groups=5)
-        # matching counts are accepted
-        small_config(mode="unicast", n_groups=12)
-        small_config(mode="single", n_groups=1)
+        for bad in (None, 0, 13):
+            with pytest.raises(ConfigError):
+                small_config(n_groups=bad)
+        # the two ends are single multicast and unicast
+        small_config(n_groups=1)
+        small_config(n_groups=12)
 
     def test_clustered_consistency(self):
         with pytest.raises(ConfigError):
             small_config(
                 deployment=DeploymentSpec(kind="clustered", clusters=3, per_cluster=5, cluster_side_m=10.0)
             )
+        # a hotspot wider than half the area would leave no center to draw at side_m
+        with pytest.raises(ConfigError):
+            small_config(
+                deployment=DeploymentSpec(kind="clustered", clusters=3, per_cluster=4, cluster_side_m=500.0)
+            )
+        small_config(
+            deployment=DeploymentSpec(kind="clustered", clusters=3, per_cluster=4, cluster_side_m=250.0)
+        )
         with pytest.raises(ConfigError):
             small_config(deployment=DeploymentSpec(kind="uniform", clusters=2))
         with pytest.raises(ConfigError):
@@ -135,7 +130,7 @@ class TestPresets:
         cfg = preset("desk_uniform")
         assert cfg.n_aps <= 30
         assert cfg.n_ms <= 50
-        assert cfg.mode == "unicast"
+        assert cfg.n_groups == cfg.n_ms
 
     def test_clustered_preset_layout(self):
         cfg = preset("desk_clustered")

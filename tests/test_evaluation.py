@@ -6,7 +6,15 @@ import pytest
 from cfmcast import evaluation, grouping, pilots, precoding
 from cfmcast.errors import StatsError
 
-from conftest import build_pipeline, ipmmse_with_power, sinr_moment_sums, sinr_terms, small_config
+from conftest import (
+    build_pipeline,
+    exact_cb_moments,
+    ipmmse_with_power,
+    received_products,
+    sinr_moment_sums,
+    sinr_terms,
+    small_config,
+)
 
 
 def scalar_cb_setup(t_total, beta, rho, seed):
@@ -58,16 +66,16 @@ class TestAccumulator:
         assert np.allclose(r1[2], r2[2], rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "mode, n_groups, group_block",
-        [("subgroup", 4, evaluation.GROUP_BLOCK), ("unicast", None, 5)],
+        "n_groups, group_block",
+        [(4, evaluation.GROUP_BLOCK), (12, 5)],
         ids=["one_block", "unicast_split_blocks"],
     )
-    def test_matches_per_group_oracle(self, monkeypatch, mode, n_groups, group_block):
-        cfg = small_config(mode=mode, n_groups=n_groups, realizations=30)
+    def test_matches_per_group_oracle(self, monkeypatch, n_groups, group_block):
+        cfg = small_config(n_groups=n_groups, realizations=30)
         pipe = build_pipeline(cfg)
         plan = pipe.plan
         # the unicast plan's 12 groups split into blocks of 5, 5 and 2
-        assert (plan.n_groups > group_block) == (mode == "unicast")
+        assert (plan.n_groups > group_block) == (n_groups == cfg.n_ms)
         monkeypatch.setattr(evaluation, "GROUP_BLOCK", group_block)
         cb = precoding.cb_precoders(pipe.estimates, pipe.stats, plan, cfg.dl_power_w, cfg.resolved_nu())
         ip, _, _ = ipmmse_with_power(
@@ -138,6 +146,27 @@ class TestAccumulator:
         acc = evaluation.SinrAccumulator(2, 1)
         with pytest.raises(StatsError):
             acc.finalize(np.array([1.0]), np.array([0, 0]), 1e-3)
+
+
+class TestExactCbMoments:
+    def test_monte_carlo_converges_to_exact_moments(self):
+        # CB is linear in the Gaussian pilot observation, so the moments the
+        # accumulator estimates have a closed form; every (k, g) sample mean
+        # must lie within 6 standard errors of it
+        cfg = small_config(precoder="cb")
+        pipe = build_pipeline(cfg, n_real=20000)
+        w = precoding.cb_precoders(pipe.estimates, pipe.stats, pipe.plan, cfg.dl_power_w, cfg.resolved_nu())
+        a = received_products(pipe.channels, w, pipe.plan)
+        a2 = np.abs(a) ** 2
+        n_real = a.shape[0]
+        mu, second = exact_cb_moments(pipe, cfg)
+        mean_a = a.mean(axis=0)
+        z_a = np.abs(mean_a - mu) / np.sqrt(np.mean(np.abs(a - mean_a) ** 2, axis=0) / n_real)
+        z_a2 = np.abs(a2.mean(axis=0) - second) / (a2.std(axis=0) / np.sqrt(n_real))
+        # the check is not empty: pilot sharers see a nonzero mean
+        assert np.count_nonzero(mu) >= cfg.n_ms
+        assert z_a.max() <= 6.0, z_a.max()
+        assert z_a2.max() <= 6.0, z_a2.max()
 
 
 class TestSpectralEfficiency:

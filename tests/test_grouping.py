@@ -63,9 +63,7 @@ class TestFingerprints:
 class TestKMeans:
     def test_wcss_history_non_increasing(self, rng):
         beta = 10.0 ** rng.normal(-8, 1.0, size=(6, 30))
-        _, history = grouping.kmeans_subgroups(
-            beta, 5, np.random.default_rng(2), return_history=True
-        )
+        _, history = grouping._lloyd(grouping.db_fingerprints(beta), 5, np.random.default_rng(2))
         h = np.asarray(history)
         assert np.all(np.diff(h) <= 1e-9)
 
@@ -134,22 +132,22 @@ class TestKMeans:
 
 class TestMakePlan:
     def test_unicast(self, rng):
+        # one group per MS is the identity partition in MS order, without k-means
         beta = np.ones((3, 7))
-        parts = grouping.make_plan("unicast", beta, np.random.default_rng(0))
+        gen = np.random.default_rng(0)
+        parts = grouping.make_plan(beta, gen, 7)
         assert parts.n_groups == 7
         assert np.array_equal(parts.group_of, np.arange(7))
+        assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_single(self):
         beta = np.ones((3, 7))
-        parts = grouping.make_plan("single", beta, np.random.default_rng(0))
+        parts = grouping.make_plan(beta, np.random.default_rng(0), 1)
         assert parts.n_groups == 1
         assert np.all(parts.group_of == 0)
 
     def test_subgroup_requires_count(self):
         beta = np.ones((3, 7))
-        with pytest.raises(ValueError):
-            grouping.make_plan("subgroup", beta, np.random.default_rng(0), None)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            grouping.make_plan("broadcast", np.ones((2, 2)), np.random.default_rng(0))
+        for bad in (0, 8):
+            with pytest.raises(ValueError):
+                grouping.make_plan(beta, np.random.default_rng(0), bad)

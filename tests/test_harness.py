@@ -46,7 +46,7 @@ class TestStageSeeding:
             assert not np.array_equal(base, other.standard_normal(5))
 
     def test_geometry_shared_across_service_configs(self):
-        # mode and precoder do not enter the seed path, so paired comparisons
+        # group count and precoder do not enter the seed path, so paired comparisons
         # see the same deployments
         pipe_args = lambda cfg: (
             cfg,
@@ -57,7 +57,7 @@ class TestStageSeeding:
         from cfmcast import geometry
 
         a = geometry.build_deployment(*pipe_args(tiny_campaign_config(precoder="ipmmse")))
-        b = geometry.build_deployment(*pipe_args(tiny_campaign_config(precoder="cb", mode="single", n_groups=None)))
+        b = geometry.build_deployment(*pipe_args(tiny_campaign_config(precoder="cb", n_groups=1)))
         assert np.array_equal(a.beta, b.beta)
 
     def test_service_choice_keeps_grouping(self):
@@ -95,7 +95,7 @@ class TestSnapshot:
     def test_single_group_busiest_ap_binds_exactly(self):
         # with one group the fractional rule leaves no slack: the busiest
         # serving AP radiates the whole downlink budget
-        cfg = tiny_campaign_config(mode="single", n_groups=None, precoder="ipmmse")
+        cfg = tiny_campaign_config(n_groups=1, precoder="ipmmse")
         res = harness.run_snapshot(cfg, 0)
         assert res.per_ap_power.max() == pytest.approx(cfg.dl_power_w, rel=1e-9)
 
@@ -247,15 +247,7 @@ class TestCampaign:
         pooled = harness.run_campaign(cfg, workers=2)
         assert pooled.summaries == serial.summaries
 
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV, "6")
-        assert harness.default_workers() == 6
-        for bad in ("junk", "0", "-2"):
-            monkeypatch.setenv(harness.WORKERS_ENV, bad)
-            with pytest.raises(ConfigError):
-                harness.default_workers()
-        monkeypatch.delenv(harness.WORKERS_ENV)
-        assert harness.default_workers() == 1
+    def test_default_workers_env(self):
         with pytest.raises(ConfigError):
             harness.run_campaign(tiny_campaign_config(), workers=0)
 
@@ -364,13 +356,13 @@ class TestCli:
     def test_overrides_apply(self, tmp_path):
         out = tmp_path / "run"
         code = self.run_cli(
-            "--preset", "desk_uniform", "--mode", "single", "--precoder", "cb",
+            "--preset", "desk_uniform", "--groups", "1", "--precoder", "cb",
             "--snapshots", "1", "--realizations", "15", "--seed", "5",
             "--sum-convention", "per_group", "--workers", "1", "--out", str(out),
         )
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["config"]["mode"] == "single"
+        assert report["config"]["n_groups"] == 1
         assert report["config"]["precoder"] == "cb"
         assert report["config"]["master_seed"] == 5
         assert report["config"]["sum_convention"] == "per_group"
@@ -384,13 +376,11 @@ class TestCli:
     def test_missing_config_file_exits_two(self, tmp_path):
         assert self.run_cli("--config", str(tmp_path / "nope.json")) == 2
 
-    def test_bad_worker_count_exits_two(self, tmp_path, monkeypatch, capsys):
+    def test_bad_worker_count_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         args = ("--preset", "desk_uniform", "--snapshots", "1", "--out", str(out))
         assert self.run_cli(*args, "--workers", "0") == 2
-        monkeypatch.setenv(harness.WORKERS_ENV, "two")
-        assert self.run_cli(*args) == 2
-        assert "CFMCAST_WORKERS" in capsys.readouterr().err
+        assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_campaign_failure_exits_one(self, tmp_path, monkeypatch, capsys):

@@ -36,7 +36,7 @@ class TestIpmmseDirection:
             # one group per pilot, so every AP serves every group: n = 16 * 2 >> |S_g| = 3
             (dict(n_aps=16, n_groups=3, tau_p=3), lambda n, c: n >= 32 and c <= 3),
             # twelve single-user groups on three pilots: some group has more neighbors than dimensions
-            (dict(mode="unicast", n_groups=None), lambda n, c: n < c),
+            (dict(n_groups=12), lambda n, c: n < c),
         ],
         ids=["n_much_larger_than_c", "n_smaller_than_c"],
     )
