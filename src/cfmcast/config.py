@@ -11,12 +11,31 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict, replace
+import numbers
+from dataclasses import dataclass, field, fields, asdict, replace
 
 from .errors import ConfigError
 
 PRECODERS = ("ipmmse", "cb")
 SUM_CONVENTIONS = ("per_user", "per_group")
+
+# value checks by the annotation's leading type; bool is excluded from both numbers
+_IS_TYPE = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
+def _check_types(spec) -> None:
+    """Reject a field value whose type is not the one its annotation names."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if (value is None and optional == "None") or kind not in _IS_TYPE:
+            continue
+        if not _IS_TYPE[kind](value):
+            raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -24,23 +43,21 @@ class DeploymentSpec:
     """Layout of mobile stations: uniform over the area or clustered squares."""
 
     kind: str = "uniform"
-    clusters: int | None = None
-    per_cluster: int | None = None
+    clusters: int | None = None  # each holds n_ms // clusters MSs
     cluster_side_m: float | None = None
 
     def validate(self, n_ms: int, side_m: float) -> None:
+        _check_types(self)
         if self.kind == "uniform":
-            if any(v is not None for v in (self.clusters, self.per_cluster, self.cluster_side_m)):
+            if self.clusters is not None or self.cluster_side_m is not None:
                 raise ConfigError("uniform deployment takes no cluster parameters")
             return
         if self.kind != "clustered":
             raise ConfigError(f"unknown deployment kind {self.kind!r}")
-        if not self.clusters or not self.per_cluster or not self.cluster_side_m:
-            raise ConfigError("clustered deployment needs clusters, per_cluster and cluster_side_m")
-        if self.clusters * self.per_cluster != n_ms:
-            raise ConfigError(
-                f"clusters*per_cluster = {self.clusters * self.per_cluster} must equal n_ms = {n_ms}"
-            )
+        if self.clusters is None or self.cluster_side_m is None:
+            raise ConfigError("clustered deployment needs clusters and cluster_side_m")
+        if self.clusters < 1 or n_ms % self.clusters:
+            raise ConfigError(f"clusters = {self.clusters} must divide n_ms = {n_ms}")
         # centers are redrawn until the square fits; at most half the side keeps
         # at least a quarter of the draws acceptable, so the redraw ends
         if self.cluster_side_m <= 0 or self.cluster_side_m > side_m / 2:
@@ -83,12 +100,12 @@ class SystemConfig:
     # reproducibility and reporting
     master_seed: int = 0
     sum_convention: str = "per_user"
-    split_sample_eval: bool = False
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
+        _check_types(self)
         positive = {
             "n_aps": self.n_aps,
             "n_antennas": self.n_antennas,
@@ -117,8 +134,6 @@ class SystemConfig:
             raise ConfigError(f"sum_convention must be one of {SUM_CONVENTIONS}")
         if self.n_groups is None or not 1 <= self.n_groups <= self.n_ms:
             raise ConfigError(f"n_groups must lie in [1, n_ms], got {self.n_groups}")
-        if self.split_sample_eval and self.realizations < 2:
-            raise ConfigError("split_sample_eval needs at least 2 realizations")
         self.deployment.validate(self.n_ms, self.side_m)
 
     # --- derived quantities -------------------------------------------------
@@ -206,7 +221,7 @@ def preset(name: str) -> SystemConfig:
             n_ms=500,
             n_groups=30,
             precoder="cb",
-            deployment=DeploymentSpec(kind="clustered", clusters=10, per_cluster=50, cluster_side_m=10.0),
+            deployment=DeploymentSpec(kind="clustered", clusters=10, cluster_side_m=10.0),
         ),
         "desk_uniform": SystemConfig(
             n_aps=25,
@@ -229,7 +244,7 @@ def preset(name: str) -> SystemConfig:
             realizations=100,
             n_groups=4,
             precoder="cb",
-            deployment=DeploymentSpec(kind="clustered", clusters=4, per_cluster=10, cluster_side_m=10.0),
+            deployment=DeploymentSpec(kind="clustered", clusters=4, cluster_side_m=10.0),
         ),
     }
     if name not in presets:

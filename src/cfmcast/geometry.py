@@ -168,7 +168,7 @@ def build_deployment(
     dep = cfg.deployment
     if dep.kind == "clustered":
         ms_positions, labels = place_ms_clustered(
-            dep.clusters, dep.per_cluster, dep.cluster_side_m, cfg.side_m, rng_ms
+            dep.clusters, cfg.n_ms // dep.clusters, dep.cluster_side_m, cfg.side_m, rng_ms
         )
     else:
         ms_positions = place_uniform(cfg.n_ms, cfg.side_m, rng_ms)

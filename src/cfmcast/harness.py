@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +97,27 @@ def empirical_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
+class SnapshotSetup(NamedTuple):
+    """Everything one deployment fixes before the first channel realization."""
+
+    r_cov: np.ndarray  # (L, K, N, N) link covariances
+    factors: np.ndarray  # (L, K, N, N) their square-root factors
+    parts: grouping.GroupAssignment
+    plan: pilots.PilotPlan
+    stats: estimation.CompositeStats
+
+
+def snapshot_setup(cfg: SystemConfig, index: int, dep: geometry.Deployment) -> SnapshotSetup:
+    """Covariances, groups, pilot plan and estimation statistics of a built deployment."""
+    angles = geometry.nominal_angles(dep.ap_positions, dep.ms_positions, cfg.side_m)
+    r_cov = covariance.covariance_field(dep.beta, angles, np.deg2rad(cfg.asd_deg), cfg.n_antennas)
+    factors = covariance.covariance_factors(r_cov)
+    parts = grouping.make_plan(dep.beta, stage_rng(cfg.master_seed, index, "grouping"), cfg.n_groups)
+    plan = pilots.assign_pilots_and_cluster(dep.beta, parts, cfg.tau_p)
+    stats = estimation.composite_stats(r_cov, parts, plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w)
+    return SnapshotSetup(r_cov, factors, parts, plan, stats)
+
+
 def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
     """Execute the full pipeline for one geometry draw.
 
@@ -125,27 +147,12 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
     )
     # not before the shadowing Cholesky: a draw beside its BLAS threads stalls it
     pending = draw(0)
-    angles = geometry.nominal_angles(dep.ap_positions, dep.ms_positions, cfg.side_m)
-    r_cov = covariance.covariance_field(
-        dep.beta, angles, np.deg2rad(cfg.asd_deg), cfg.n_antennas
-    )
-    factors = covariance.covariance_factors(r_cov)
-    parts = grouping.make_plan(dep.beta, stage_rng(cfg.master_seed, index, "grouping"), cfg.n_groups)
-    plan = pilots.assign_pilots_and_cluster(dep.beta, parts, cfg.tau_p)
-    stats = estimation.composite_stats(
-        r_cov, parts, plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w
-    )
-
-    n_groups = plan.n_groups
-    total_real = cfg.realizations
-    norm_cut = (total_real + 1) // 2 if cfg.split_sample_eval else total_real
-    acc = evaluation.SinrAccumulator(cfg.n_ms, n_groups)
+    _, factors, parts, plan, stats = snapshot_setup(cfg, index, dep)
+    acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
     centralized = cfg.precoder == "ipmmse"
-    sq_norm_sums = np.zeros((plan.n_aps, n_groups))
-    norm_count = 0
+    sq_norm_sums = np.zeros(plan.serving_mask.shape)
 
-    for ci, (start, stop) in enumerate(bounds):
-        n_chunk = stop - start
+    for ci in range(len(bounds)):
         normals, drawn = pending
         drawn.result()
         if ci + 1 < len(bounds):
@@ -161,29 +168,21 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
             stage_rng(cfg.master_seed, index, "pilot_noise", ci),
         )
         estimates = estimation.estimate_composites(y, stats, plan)
-        n_norm = max(0, min(norm_cut, stop) - start)
         if centralized:
-            w = np.empty((n_chunk, plan.pair_ap.size, cfg.n_antennas), dtype=complex)
-            for g, aps in enumerate(plan.serving):
-                w[:, plan.pair_of[aps, g]] = precoding.ipmmse_direction(
-                    estimates, stats, plan, parts, g,
-                    cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
-                ).reshape(n_chunk, aps.size, cfg.n_antennas)
-            sq_norm_sums[plan.pair_ap, plan.pair_group] += np.sum(np.abs(w[:n_norm]) ** 2, axis=(0, 2))
-            norm_count += n_norm
+            w = precoding.ipmmse_directions(
+                estimates, stats, plan, parts, cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w
+            )
+            sq_norm_sums[plan.pair_ap, plan.pair_group] += np.sum(np.abs(w) ** 2, axis=(0, 2))
         else:
             w = precoding.cb_precoders(estimates, stats, plan, cfg.dl_power_w, cfg.resolved_nu())
-        # split-sample evaluation scores only the realizations past norm_cut
-        lo = max(0, norm_cut - start) if cfg.split_sample_eval else 0
-        if lo < n_chunk:
-            acc.update(channels[lo:], w[lo:], plan)
+        acc.update(channels, w, plan)
 
     if centralized:
         power_scale, per_ap_power = precoding.centralized_power(
-            sq_norm_sums, norm_count, stats, plan, cfg.dl_power_w, cfg.resolved_nu(), cfg.kappa
+            sq_norm_sums, acc.count, stats, plan, cfg.dl_power_w, cfg.resolved_nu(), cfg.kappa
         )
     else:
-        power_scale = np.ones(n_groups)
+        power_scale = np.ones(plan.n_groups)
         # every serving AP splits its whole budget over the groups it serves
         per_ap_power = precoding.apa_power(
             stats.trace_r_comp, plan, cfg.dl_power_w, cfg.resolved_nu()

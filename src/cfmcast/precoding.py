@@ -8,7 +8,8 @@ composite estimate against the estimates of its interference neighborhood S_g
 (the groups sharing a serving AP) and a deterministic regularizer held as one
 (N, N) block per serving AP, so each realization's system matrix is block
 diagonal plus rank |S_g| and is solved by the Woodbury identity.
-``ipmmse_direction`` returns one group's unnormalized directions; the caller
+``ipmmse_direction`` returns one group's unnormalized directions and
+``ipmmse_directions`` lays every group's out over the served pairs; the caller
 sums their squared norms per served pair into an (L, G) table, which
 ``centralized_power`` turns into the per-group scale and per-AP radiated power
 under the centralized fractional rule.  The distributed precoder scales each
@@ -91,6 +92,19 @@ def ipmmse_direction(
     reg = ipmmse_regularizer(stats, plan, group, sizes, group_power_w, tau_p, pilot_power_w)
     lead = np.sqrt(group_power_w / (tau_p * pilot_power_w)) * sizes[group]
     return _ipmmse_solve(v, coef, own_index, reg, noise_w, lead)
+
+
+def ipmmse_directions(
+    estimates: np.ndarray, stats, plan, grouping, group_power_w, tau_p, pilot_power_w, noise_w
+) -> np.ndarray:
+    """Unnormalized centralized directions of every group over the served pairs, (T, P, N)."""
+    n_real, _, n_ant = estimates.shape
+    w = np.empty((n_real, plan.pair_ap.size, n_ant), dtype=complex)
+    for g, aps in enumerate(plan.serving):
+        w[:, plan.pair_of[aps, g]] = ipmmse_direction(
+            estimates, stats, plan, grouping, g, group_power_w, tau_p, pilot_power_w, noise_w
+        ).reshape(n_real, aps.size, n_ant)
+    return w
 
 
 def omega_factor(ap_norms: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from cfmcast import covariance, estimation, evaluation, geometry, grouping, harness, pilots, precoding
+from cfmcast import covariance, estimation, evaluation, geometry, grouping, harness, precoding
 from cfmcast.config import DeploymentSpec, SystemConfig
 from cfmcast.errors import NumericalError
 
@@ -46,37 +46,20 @@ def build_pipeline(cfg: SystemConfig, index: int = 0, n_real: int | None = None)
         harness.stage_rng(cfg.master_seed, index, "ms"),
         harness.stage_rng(cfg.master_seed, index, "shadowing"),
     )
-    angles = geometry.nominal_angles(dep.ap_positions, dep.ms_positions, cfg.side_m)
-    r_cov = covariance.covariance_field(dep.beta, angles, np.deg2rad(cfg.asd_deg), cfg.n_antennas)
-    factors = covariance.covariance_factors(r_cov)
-    parts = grouping.make_plan(dep.beta, harness.stage_rng(cfg.master_seed, index, "grouping"), cfg.n_groups)
-    plan = pilots.assign_pilots_and_cluster(dep.beta, parts, cfg.tau_p)
-    stats = estimation.composite_stats(r_cov, parts, plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w)
+    setup = harness.snapshot_setup(cfg, index, dep)
     t = cfg.realizations if n_real is None else n_real
-    channels = draw_channels(factors, t, harness.stage_rng(cfg.master_seed, index, "channels"))
+    channels = draw_channels(setup.factors, t, harness.stage_rng(cfg.master_seed, index, "channels"))
     y = estimation.project_pilots(
         channels,
-        parts,
-        plan,
+        setup.parts,
+        setup.plan,
         cfg.tau_p,
         cfg.pilot_power_w,
         cfg.noise_w,
         harness.stage_rng(cfg.master_seed, index, "pilot_noise"),
     )
-    estimates = estimation.estimate_composites(y, stats, plan)
-    return SimpleNamespace(
-        cfg=cfg,
-        dep=dep,
-        angles=angles,
-        r_cov=r_cov,
-        factors=factors,
-        parts=parts,
-        plan=plan,
-        stats=stats,
-        channels=channels,
-        y=y,
-        estimates=estimates,
-    )
+    estimates = estimation.estimate_composites(y, setup.stats, setup.plan)
+    return SimpleNamespace(cfg=cfg, dep=dep, **setup._asdict(), channels=channels, y=y, estimates=estimates)
 
 
 def random_partition(rng: np.random.Generator, n_ms: int, n_groups: int) -> grouping.GroupAssignment:
@@ -240,19 +223,14 @@ def ipmmse_with_power(
     """IP-MMSE directions of every group, normalized over all realizations.
 
     Returns (directions, power_scale, per_ap_power), with ``directions`` a
-    (T, P, N) array over the plan's served pairs; the power step is the one
-    the harness runs.
+    (T, P, N) array over the plan's served pairs; the assembly and the power
+    step are the ones the harness runs.
     """
-    n_real, _, n_ant = estimates.shape
-    w = np.empty((n_real, plan.pair_ap.size, n_ant), dtype=complex)
-    for g, aps in enumerate(plan.serving):
-        w[:, plan.pair_of[aps, g]] = precoding.ipmmse_direction(
-            estimates, stats, plan, parts, g, group_power_w, tau_p, pilot_power_w, noise_w
-        ).reshape(n_real, aps.size, n_ant)
+    w = precoding.ipmmse_directions(estimates, stats, plan, parts, group_power_w, tau_p, pilot_power_w, noise_w)
     sums = np.zeros(plan.serving_mask.shape)
     sums[plan.pair_ap, plan.pair_group] = np.sum(np.abs(w) ** 2, axis=(0, 2))
     power_scale, per_ap_power = precoding.centralized_power(
-        sums, n_real, stats, plan, dl_power_w, nu, kappa
+        sums, w.shape[0], stats, plan, dl_power_w, nu, kappa
     )
     return w, power_scale, per_ap_power
 

@@ -52,25 +52,61 @@ class TestValidation:
     def test_clustered_consistency(self):
         with pytest.raises(ConfigError):
             small_config(
-                deployment=DeploymentSpec(kind="clustered", clusters=3, per_cluster=5, cluster_side_m=10.0)
+                deployment=DeploymentSpec(kind="clustered", clusters=5, cluster_side_m=10.0)
             )
         # a hotspot wider than half the area would leave no center to draw at side_m
         with pytest.raises(ConfigError):
             small_config(
-                deployment=DeploymentSpec(kind="clustered", clusters=3, per_cluster=4, cluster_side_m=500.0)
+                deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=500.0)
             )
         small_config(
-            deployment=DeploymentSpec(kind="clustered", clusters=3, per_cluster=4, cluster_side_m=250.0)
+            deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=250.0)
         )
         with pytest.raises(ConfigError):
             small_config(deployment=DeploymentSpec(kind="uniform", clusters=2))
         with pytest.raises(ConfigError):
             small_config(deployment=DeploymentSpec(kind="ring"))
-
-    def test_split_sample_needs_two_realizations(self):
+        # the cluster size is n_ms // clusters; a config that still sets it is rejected
+        data = small_config().to_dict()
+        data["deployment"] = {"kind": "clustered", "clusters": 3, "per_cluster": 4, "cluster_side_m": 10.0}
         with pytest.raises(ConfigError):
-            small_config(split_sample_eval=True, realizations=1)
-        small_config(split_sample_eval=True, realizations=2)
+            SystemConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_groups", "4"),
+            ("realizations", 8.5),
+            ("n_aps", True),
+            ("master_seed", 1.0),
+            ("dl_power_w", "0.2"),
+            ("kappa", None),
+            ("asd_deg", False),
+            ("precoder", 1),
+            ("sum_convention", None),
+        ],
+    )
+    def test_rejects_wrong_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "deployment",
+        [
+            {"kind": "clustered", "clusters": 3.0, "cluster_side_m": 10.0},
+            {"kind": "clustered", "clusters": True, "cluster_side_m": 10.0},
+            {"kind": "clustered", "clusters": 3, "cluster_side_m": "10"},
+            {"kind": 1},
+        ],
+    )
+    def test_rejects_wrong_deployment_types(self, deployment):
+        data = {**small_config().to_dict(), "deployment": deployment}
+        with pytest.raises(ConfigError):
+            SystemConfig.from_dict(data)
+
+    def test_accepts_numpy_numbers(self):
+        cfg = small_config(n_aps=np.int64(6), realizations=np.int32(40), dl_power_w=np.float64(0.2))
+        assert cfg.n_aps == 6
 
     def test_rejects_nonpositive_sizes(self):
         for field in ("n_aps", "n_ms", "snapshots", "realizations"):
@@ -81,7 +117,7 @@ class TestValidation:
 class TestSerialization:
     def test_round_trip(self):
         cfg = small_config(
-            deployment=DeploymentSpec(kind="clustered", clusters=3, per_cluster=4, cluster_side_m=10.0)
+            deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=10.0)
         )
         again = SystemConfig.from_dict(cfg.to_dict())
         assert again == cfg
@@ -135,7 +171,7 @@ class TestPresets:
     def test_clustered_preset_layout(self):
         cfg = preset("desk_clustered")
         assert cfg.deployment.kind == "clustered"
-        assert cfg.deployment.clusters * cfg.deployment.per_cluster == cfg.n_ms
+        assert cfg.n_ms % cfg.deployment.clusters == 0
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):

@@ -208,8 +208,9 @@ class TestDeployment:
 
         cfg = small_config(
             n_ms=12,
-            deployment=DeploymentSpec(kind="clustered", clusters=3, per_cluster=4, cluster_side_m=10.0),
+            deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=10.0),
         )
         pipe = build_pipeline(cfg, n_real=1)
         assert pipe.dep.cluster_of is not None
         assert np.array_equal(np.unique(pipe.dep.cluster_of), np.arange(3))
+        assert np.array_equal(np.bincount(pipe.dep.cluster_of), [4, 4, 4])

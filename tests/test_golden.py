@@ -27,16 +27,11 @@ CASES = {
     "desk_uniform-ipmmse": ("desk_uniform", {}),
     "desk_uniform-cb": ("desk_uniform", {"precoder": "cb"}),
     "desk_uniform-ipmmse-single": ("desk_uniform", {"n_groups": 1}),
-    "desk_uniform-ipmmse-split": ("desk_uniform", {"split_sample_eval": True}),
     "desk_clustered-cb": ("desk_clustered", {}),
     "desk_clustered-ipmmse": ("desk_clustered", {"precoder": "ipmmse"}),
     "desk_clustered-ipmmse-single": (
         "desk_clustered",
         {"precoder": "ipmmse", "n_groups": 1},
-    ),
-    "desk_clustered-ipmmse-split": (
-        "desk_clustered",
-        {"precoder": "ipmmse", "split_sample_eval": True},
     ),
 }
 

@@ -14,11 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from cfmcast import cli, harness
+from cfmcast import cli, harness, precoding
 from cfmcast.config import SystemConfig, preset
 from cfmcast.errors import CampaignError, ConfigError
 
-from conftest import build_pipeline, small_config
+from conftest import build_pipeline, ipmmse_with_power, sinr_terms, small_config
 
 SRC = os.path.dirname(os.path.dirname(harness.__file__))
 
@@ -108,10 +108,26 @@ class TestSnapshot:
         want = [cfg.dl_power_w if served.size else 0.0 for served in plan.served]
         assert res.per_ap_power == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_split_sample_eval_changes_results(self):
-        full = harness.run_snapshot(tiny_campaign_config(), 0)
-        split = harness.run_snapshot(tiny_campaign_config(split_sample_eval=True), 0)
-        assert not np.allclose(full.report.sinr, split.report.sinr)
+    @pytest.mark.parametrize("precoder", ["ipmmse", "cb"])
+    def test_tests_pipeline_is_the_snapshot_pipeline(self, precoder):
+        # one chunk: the pipeline the oracle tests build reproduces run_snapshot bitwise
+        cfg = small_config(precoder=precoder)
+        assert cfg.realizations <= harness.CHUNK
+        pipe = build_pipeline(cfg)
+        plan, nu = pipe.plan, cfg.resolved_nu()
+        if precoder == "ipmmse":
+            w, power_scale, per_ap_power = ipmmse_with_power(
+                pipe.estimates, pipe.stats, plan, pipe.parts, cfg.group_power_w, cfg.tau_p,
+                cfg.pilot_power_w, cfg.noise_w, cfg.dl_power_w, nu, cfg.kappa,
+            )
+        else:
+            w = precoding.cb_precoders(pipe.estimates, pipe.stats, plan, cfg.dl_power_w, nu)
+            power_scale = np.ones(plan.n_groups)
+        _, _, sinr, _ = sinr_terms(pipe.channels, w, power_scale, plan, pipe.parts.group_of, cfg.noise_w)
+        res = harness.run_snapshot(cfg, 0)
+        assert np.array_equal(sinr, res.report.sinr)
+        if precoder == "ipmmse":
+            assert np.array_equal(per_ap_power, res.per_ap_power)
 
     def test_summary_fields(self):
         cfg = tiny_campaign_config()
@@ -372,6 +388,22 @@ class TestCli:
         path.write_text(json.dumps({"n_aps": 4, "bogus_key": 1}))
         assert self.run_cli("--config", str(path)) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override", [{"n_groups": "4"}, {"cluster_side_m": "10"}, {"realizations": 8.5}], ids=str
+    )
+    def test_wrong_typed_config_exits_two(self, tmp_path, capsys, override):
+        data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "snapshots": 1, "realizations": 8}
+        if "cluster_side_m" in override:
+            data["deployment"] = {"kind": "clustered", "clusters": 3, **override}
+        else:
+            data.update(override)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert self.run_cli("--config", str(path), "--out", str(out)) == 2
+        assert "must be of type" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert self.run_cli("--config", str(tmp_path / "nope.json")) == 2
