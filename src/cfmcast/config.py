@@ -28,7 +28,7 @@ _IS_TYPE = {
 
 
 def _check_types(spec) -> None:
-    """Reject a field value whose type is not the one its annotation names."""
+    """Reject a field value whose type is not the one its annotation names, or a non-finite real."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         kind, _, optional = f.type.partition(" | ")
@@ -36,6 +36,9 @@ def _check_types(spec) -> None:
             continue
         if not _IS_TYPE[kind](value):
             raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
+        # JSON's NaN and Infinity parse as floats and pass every range check
+        if kind == "float" and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ symmetric standard normal.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .errors import SynthesisError
@@ -17,8 +19,9 @@ from .errors import SynthesisError
 EIG_CLIP_REL_TOL = 1e-10
 
 # channels are correlated in slabs of realizations holding at most this many
-# complex entries, so the complex normals of one slab are the only temporary
-SLAB_ELEMENTS = 1 << 20
+# complex entries; each of the two threads builds its slabs' complex normals
+# in one buffer of that size, the only temporary
+SLAB_ELEMENTS = 1 << 19
 
 
 def _closed_form(beta: np.ndarray, phi_rad: np.ndarray, asd_rad: float, n_antennas: int) -> np.ndarray:
@@ -102,9 +105,31 @@ def sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarray:
     realization t is its factor times the circularly symmetric normal vector
     (a + 1j b) / sqrt(2), where a and b are the link's entries of the
     (T, L, K, N) real and imaginary draws.  Returns ``normals``.
+
+    With more than one slab, the calling thread correlates the even slabs and
+    a helper thread, alive only during the call, the odd ones.  Each slab is
+    written by one thread alone with the same products, so the channels do not
+    depend on the split.
     """
     ms_major = np.ascontiguousarray(np.swapaxes(factors, 0, 1))
-    for slab, (re, im) in _slabs(normals):
-        z = (re + 1j * im) * np.sqrt(0.5)
-        np.matmul(ms_major, np.swapaxes(z, 1, 2)[..., None], out=slab[..., None])
+    slabs = list(_slabs(normals))
+
+    def correlate(slabs, z_buf):
+        for slab, (re, im) in slabs:
+            # the floats of (re + 1j * im) * sqrt(0.5), without its temporaries
+            z = z_buf[: len(slab)]
+            np.multiply(re, np.sqrt(0.5), out=z.real)
+            np.multiply(im, np.sqrt(0.5), out=z.imag)
+            np.matmul(ms_major, np.swapaxes(z, 1, 2)[..., None], out=slab[..., None])
+
+    # both threads' buffers are allocated on this thread: memory that a helper
+    # thread frees stays in its own allocator arena after the thread ends
+    z_shape = slabs[0][1].shape[1:]
+    if len(slabs) == 1:
+        correlate(slabs, np.empty(z_shape, dtype=complex))
+        return normals
+    with ThreadPoolExecutor(1) as helper:
+        odd = helper.submit(correlate, slabs[1::2], np.empty(z_shape, dtype=complex))
+        correlate(slabs[::2], np.empty(z_shape, dtype=complex))
+        odd.result()
     return normals

@@ -103,7 +103,9 @@ def project_pilots(
 
     Entry [..., t, :] for a pilot in use is the scaled sum of the channels of
     every MS whose group holds that pilot, plus white noise; unused pilot
-    slots stay zero and draw no noise.
+    slots stay zero and draw no noise.  The channels are added one MS at a
+    time, in member order, into one (T, L, N) buffer, which gives the same
+    floats as summing a gathered (T, |members|, L, N) copy over its MS axis.
     """
     n_real, _, n_aps, n_antennas = channels.shape
     y = np.zeros((n_real, n_aps, tau_p, n_antennas), dtype=complex)
@@ -113,7 +115,10 @@ def project_pilots(
         on_pilot = np.concatenate(
             [grouping.members[c] for c in np.flatnonzero(plan.pilot_of == t)]
         )
-        signal = scale * channels[:, on_pilot].sum(axis=1)
+        signal = channels[:, on_pilot[0]].copy()
+        for k in on_pilot[1:]:
+            signal += channels[:, k]
+        signal *= scale
         noise = noise_std * (
             rng.standard_normal((n_real, n_aps, n_antennas))
             + 1j * rng.standard_normal((n_real, n_aps, n_antennas))

@@ -123,8 +123,11 @@ def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
 
     Each chunk's channel normals are drawn on a second thread into the chunk's
     channel buffer: chunk 0's while the deployment's statistics are built,
-    chunk ci + 1's while chunk ci is processed.  The thread only draws, so
-    the results do not depend on it, and it ends with the snapshot.
+    chunk ci + 1's while chunk ci is processed.  The draw thread only draws,
+    so the results do not depend on it, and it ends with the snapshot.
+    ``covariance.sample_channels`` correlates a chunk on the calling thread
+    and a helper thread of its own, which ends with the call and leaves the
+    channels bitwise as one thread would make them.
     """
     with ThreadPoolExecutor(1) as drawer:
         return _run_snapshot(cfg, index, drawer)

@@ -85,8 +85,8 @@ def ipmmse_direction(
     neighborhood = plan.s_set[group]
     sizes = grouping.sizes
     # (T, C, |L_g| * N); a neighbor that an AP does not serve reads the zero row
-    v = estimates[:, plan.pair_of[np.ix_(plan.serving[group], neighborhood)].T]
-    v = v.reshape(v.shape[0], neighborhood.size, -1)
+    idx = plan.pair_of[np.ix_(plan.serving[group], neighborhood)].T
+    v = np.take(estimates, idx.ravel(), axis=1).reshape(estimates.shape[0], neighborhood.size, -1)
     coef = group_power_w * sizes[neighborhood].astype(float) ** 2 / (tau_p * pilot_power_w)
     own_index = int(np.flatnonzero(neighborhood == group)[0])
     reg = ipmmse_regularizer(stats, plan, group, sizes, group_power_w, tau_p, pilot_power_w)

@@ -38,6 +38,32 @@ def draw_channels(factors: np.ndarray, n_real: int, rng: np.random.Generator) ->
     return covariance.sample_channels(factors, normals)
 
 
+def serial_sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Reference for covariance.sample_channels: its slab formula, every slab on the calling thread."""
+    ms_major = np.ascontiguousarray(np.swapaxes(factors, 0, 1))
+    for slab, (re, im) in covariance._slabs(normals):
+        z = (re + 1j * im) * np.sqrt(0.5)
+        np.matmul(ms_major, np.swapaxes(z, 1, 2)[..., None], out=slab[..., None])
+    return normals
+
+
+def gathered_project_pilots(channels, grouping, plan, tau_p, pilot_power_w, noise_w, rng) -> np.ndarray:
+    """Reference for estimation.project_pilots: each pilot's signal summed from a fancy-indexed copy."""
+    n_real, _, n_aps, n_antennas = channels.shape
+    y = np.zeros((n_real, n_aps, tau_p, n_antennas), dtype=complex)
+    scale = np.sqrt(tau_p * pilot_power_w)
+    noise_std = np.sqrt(noise_w / 2.0)
+    for t in sorted(set(int(p) for p in plan.pilot_of)):
+        on_pilot = np.concatenate([grouping.members[c] for c in np.flatnonzero(plan.pilot_of == t)])
+        signal = scale * channels[:, on_pilot].sum(axis=1)
+        noise = noise_std * (
+            rng.standard_normal((n_real, n_aps, n_antennas))
+            + 1j * rng.standard_normal((n_real, n_aps, n_antennas))
+        )
+        y[:, :, t, :] = signal + noise
+    return y
+
+
 def build_pipeline(cfg: SystemConfig, index: int = 0, n_real: int | None = None) -> SimpleNamespace:
     """Run the snapshot pipeline up to channel estimates and keep every stage."""
     dep = geometry.build_deployment(

@@ -104,6 +104,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig.from_dict(data)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+    @pytest.mark.parametrize("field", ["dl_power_w", "nu", "cluster_side_m"])
+    def test_rejects_non_finite_reals_in_json(self, tmp_path, field, value):
+        # json writes and reads NaN, Infinity and -Infinity as floats
+        data = small_config(deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=10.0)).to_dict()
+        if field == "cluster_side_m":
+            data["deployment"][field] = value
+        else:
+            data[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SystemConfig.from_json(path)
+
     def test_accepts_numpy_numbers(self):
         cfg = small_config(n_aps=np.int64(6), realizations=np.int32(40), dl_power_w=np.float64(0.2))
         assert cfg.n_aps == 6

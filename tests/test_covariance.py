@@ -1,12 +1,15 @@
 """Local scattering covariance synthesis and channel sampling."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from cfmcast import covariance
 from cfmcast.errors import SynthesisError
 
-from conftest import draw_channels
+from conftest import draw_channels, serial_sample_channels
 
 # Reference entries from direct numerical integration of the angular model
 # (Gaussian angle spread entering through its first-order deviation term),
@@ -178,6 +181,28 @@ class TestSampling:
         monkeypatch.setattr(covariance, "SLAB_ELEMENTS", per_slab * 4 * 3 * 4)
         h = draw_channels(factors, 7, np.random.default_rng(8))
         assert np.array_equal(h, _link_major_channels(factors, 7, np.random.default_rng(8)))
+
+    @pytest.mark.parametrize("switch_s", [None, 1e-6], ids=["default", "fast_switching"])
+    @pytest.mark.parametrize("n_slabs", [1, 2, 3])
+    def test_helper_thread_keeps_the_serial_slabs(self, rng, monkeypatch, n_slabs, switch_s):
+        # 60 realizations in one slab, 2 x 30 or 3 x 20: the odd slabs go to
+        # the helper thread, which is gone when the call returns
+        factors = _random_factors(rng)
+        monkeypatch.setattr(covariance, "SLAB_ELEMENTS", 60 // n_slabs * 4 * 3 * 4)
+        normals = np.empty((60, 4, 3, 4), dtype=complex)
+        covariance.draw_normals(normals, np.random.default_rng(8))
+        assert len(list(covariance._slabs(normals))) == n_slabs
+        want = serial_sample_channels(factors, normals.copy())
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        if switch_s is not None:
+            sys.setswitchinterval(switch_s)
+        try:
+            h = covariance.sample_channels(factors, normals)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert np.array_equal(h, want)
 
     def test_correlates_in_place(self, rng):
         factors = _random_factors(rng)

@@ -6,7 +6,13 @@ import pytest
 from cfmcast import covariance, estimation, grouping, pilots
 from cfmcast.errors import NumericalError
 
-from conftest import build_pipeline, composite_channels, mmse_composite_estimate, small_config
+from conftest import (
+    build_pipeline,
+    composite_channels,
+    gathered_project_pilots,
+    mmse_composite_estimate,
+    small_config,
+)
 
 
 def brute_force_lmmse(y, r_members, r_cohort, tau_p, pilot_power, noise_w, group_size):
@@ -119,6 +125,18 @@ class TestPilotProjection:
             )
             want = scale * pipe.channels[:, on_pilot].sum(axis=1)
             assert np.allclose(y[:, :, t, :], want, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"n_groups": 12, "tau_p": 12}], ids=["shared_pilots", "one_ms_per_pilot"]
+    )
+    def test_matches_gathered_sum(self, overrides):
+        # summing one MS at a time into one buffer gives the floats of the
+        # gathered copy's sum, noise included
+        cfg = small_config(**overrides)
+        pipe = build_pipeline(cfg, n_real=5)
+        args = (pipe.channels, pipe.parts, pipe.plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w)
+        y = estimation.project_pilots(*args, np.random.default_rng(3))
+        assert np.array_equal(y, gathered_project_pilots(*args, np.random.default_rng(3)))
 
     def test_noise_variance_per_antenna(self):
         cfg = small_config(n_aps=2, n_ms=2, n_groups=2, tau_p=2)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from cfmcast import cli, harness, precoding
+from cfmcast import cli, covariance, harness, precoding
 from cfmcast.config import SystemConfig, preset
 from cfmcast.errors import CampaignError, ConfigError
 
@@ -78,6 +78,17 @@ class TestSnapshot:
         before = threading.active_count()
         harness.run_snapshot(tiny_campaign_config(realizations=harness.CHUNK + 5), 0)
         assert threading.active_count() == before
+
+    def test_slab_helper_threads_end_with_the_snapshot(self, monkeypatch):
+        # with three realizations per slab every chunk is correlated on two
+        # threads; the SINRs match the one-slab run bit for bit
+        cfg = tiny_campaign_config(realizations=harness.CHUNK + 5)
+        want = harness.run_snapshot(cfg, 0)
+        monkeypatch.setattr(covariance, "SLAB_ELEMENTS", 3 * cfg.n_ms * cfg.n_aps * cfg.n_antennas)
+        before = threading.active_count()
+        got = harness.run_snapshot(cfg, 0)
+        assert threading.active_count() == before
+        assert np.array_equal(got.report.sinr, want.report.sinr)
 
     def test_chunk_boundary_sizes(self):
         # realization counts below, at and above the chunk size must all work
