@@ -150,10 +150,6 @@ class SystemConfig:
     def noise_w(self) -> float:
         return 10.0 ** ((self.noise_dbm - 30.0) / 10.0)
 
-    @property
-    def prelog(self) -> float:
-        return 1.0 - self.tau_p / self.tau_c
-
     def resolved_nu(self) -> float:
         if self.nu is not None:
             return self.nu

@@ -27,7 +27,6 @@ class SeReport:
     se_group: np.ndarray  # (G,)
     sum_se_per_user: float  # per served user: group SEs weighted by group size
     sum_se_per_group: float  # per stream: group SEs summed
-    prelog: float
     clamped: int  # non-positive SINR denominators replaced by the noise floor
 
 
@@ -107,6 +106,5 @@ def build_report(
         se_group=groups,
         sum_se_per_user=float(np.sum(grouping.sizes * groups)),
         sum_se_per_group=float(np.sum(groups)),
-        prelog=1.0 - tau_p / tau_c,
         clamped=clamped,
     )

@@ -234,9 +234,10 @@ def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
     """Run all snapshots and pool their sum-SE samples into the CDF.
 
     A worker count below 1 raises ConfigError.  Results are independent of
-    the worker count.  A failed snapshot, or a pool worker that dies, aborts
-    the campaign: snapshots not yet handed to a worker are cancelled, and
-    CampaignError carries the completed prefix.  Pool workers run numpy's
+    the worker count.  A pool starts at most one process per snapshot; the
+    result keeps the requested count.  A failed snapshot, or a pool worker
+    that dies, aborts the campaign: snapshots not yet handed to a worker are
+    cancelled, and CampaignError carries the completed prefix.  Pool workers run numpy's
     BLAS on one thread each; a single in-process worker keeps the default.
     """
     if workers < 1:
@@ -249,9 +250,10 @@ def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
             blas_threads = _blas_threads()
             results = map(_summary, jobs)
         else:
+            # a fork-context pool starts every process at its first submit
             pool = stack.enter_context(
                 ProcessPoolExecutor(
-                    workers,
+                    min(workers, cfg.snapshots),
                     # forked workers start without re-importing numpy or the package
                     mp_context=multiprocessing.get_context("fork"),
                     initializer=_one_blas_thread,

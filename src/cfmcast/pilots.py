@@ -30,8 +30,8 @@ class PilotPlan:
     are numbered in row-major order of the mask: pair p joins AP ``pair_ap[p]``
     to group ``pair_group[p]``, and ``pair_of[l, g]`` is that number, or P (one
     past the last pair) where l does not serve g.  Per-realization estimates and
-    precoders are arrays over this pair axis.  Everything but the pilot labels,
-    the mask and the anchor APs is derived from them on construction.
+    precoders are arrays over this pair axis.  Everything but the pilot count
+    and labels, the mask and the anchor APs is derived from them on construction.
     """
 
     n_pilots: int
@@ -43,7 +43,7 @@ class PilotPlan:
     pair_of: np.ndarray = field(init=False)  # (L, G), P where unserved
     serving: list = field(init=False)  # per group: sorted AP indices (L_g)
     served: list = field(init=False)  # per AP: sorted group indices (D_l)
-    cohort: list = field(init=False)  # per group: groups sharing its pilot, itself included
+    on_pilot: list = field(init=False)  # per pilot: sorted groups holding it, empty if unused
     s_set: list = field(init=False)  # per group: groups sharing at least one serving AP, itself included
 
     def __post_init__(self):
@@ -54,7 +54,7 @@ class PilotPlan:
         self.pair_of[self.pair_ap, self.pair_group] = np.arange(n_pairs)
         self.serving = [np.flatnonzero(col) for col in mask.T]
         self.served = [np.flatnonzero(row) for row in mask]
-        self.cohort = [np.flatnonzero(self.pilot_of == t) for t in self.pilot_of]
+        self.on_pilot = [np.flatnonzero(self.pilot_of == t) for t in range(self.n_pilots)]
         dense = mask.astype(float)
         self.s_set = [np.flatnonzero(row) for row in dense.T @ dense]
 
@@ -79,6 +79,13 @@ def pilot_interference(sums: np.ndarray, pilot_of: np.ndarray, tau_p: int) -> np
     member gain at the AP and its pilot label.
     """
     return np.bincount(pilot_of, weights=sums, minlength=tau_p)
+
+
+def pilot_members(grouping, plan):
+    """Yield (t, MSs of the groups in ``plan.on_pilot[t]``, group by group) per pilot in use."""
+    for t, groups in enumerate(plan.on_pilot):
+        if groups.size:
+            yield t, np.concatenate([grouping.members[g] for g in groups])
 
 
 def _assign_pilots(beta, grouping, tau_p, masters):
@@ -148,7 +155,7 @@ def assign_pilots_and_cluster(beta: np.ndarray, grouping, tau_p: int) -> PilotPl
 
     Returns the serving mask and the pilot label and strongest serving AP per
     group; the plan derives the served pairs, the serving sets L_g and served
-    sets D_l, and the cohort (same pilot) and interference neighborhood
+    sets D_l, and the per-pilot group lists and interference neighborhood
     (shared AP) sets from them.
     """
     if tau_p < 1:

@@ -64,6 +64,22 @@ def gathered_project_pilots(channels, grouping, plan, tau_p, pilot_power_w, nois
     return y
 
 
+def per_group_gamma(r_cov, grouping, plan, tau_p, pilot_power_w, noise_w) -> np.ndarray:
+    """Reference for estimation.composite_stats' Γ read per group: (L, G, N, N).
+
+    Group g's observation covariance sums the link covariances of the MSs of
+    every group on g's pilot (g's cohort), in group order, plus the noise.
+    """
+    n_aps, _, n_antennas, _ = r_cov.shape
+    gamma = np.empty((n_aps, plan.n_groups, n_antennas, n_antennas), dtype=complex)
+    for g in range(plan.n_groups):
+        cohort = np.flatnonzero(plan.pilot_of == plan.pilot_of[g])
+        members = np.concatenate([grouping.members[c] for c in cohort])
+        acc = tau_p * pilot_power_w * r_cov[:, members].sum(axis=1)
+        gamma[:, g] = acc + noise_w * np.eye(n_antennas)
+    return gamma
+
+
 def build_pipeline(cfg: SystemConfig, index: int = 0, n_real: int | None = None) -> SimpleNamespace:
     """Run the snapshot pipeline up to channel estimates and keep every stage."""
     dep = geometry.build_deployment(

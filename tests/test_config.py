@@ -7,6 +7,7 @@ import pytest
 
 from cfmcast.config import DeploymentSpec, SystemConfig, preset
 from cfmcast.errors import ConfigError
+from cfmcast.evaluation import se_user
 
 from conftest import small_config
 
@@ -18,8 +19,9 @@ class TestDerived:
         assert cfg.noise_w == pytest.approx(10 ** ((-93.99 - 30) / 10), rel=1e-3)
 
     def test_prelog(self):
-        assert SystemConfig(n_groups=30).prelog == pytest.approx(0.9)
-        assert small_config(tau_p=10, tau_c=100).prelog == pytest.approx(0.9)
+        # at SINR 1 the SE is the prelog itself
+        for cfg in (SystemConfig(n_groups=30), small_config(tau_p=10, tau_c=100)):
+            assert se_user(np.ones(1), cfg.tau_p, cfg.tau_c) == pytest.approx([0.9])
 
     def test_resolved_nu_defaults(self):
         assert small_config(precoder="ipmmse").resolved_nu() == pytest.approx(-0.5)

@@ -11,6 +11,7 @@ from conftest import (
     composite_channels,
     gathered_project_pilots,
     mmse_composite_estimate,
+    per_group_gamma,
     small_config,
 )
 
@@ -28,23 +29,46 @@ def brute_force_lmmse(y, r_members, r_cohort, tau_p, pilot_power, noise_w, group
     return c_xy @ np.linalg.inv(c_yy) @ y
 
 
+def hand_plan(pilot_of, n_pilots, n_aps):
+    """A plan in which every AP serves every group."""
+    pilot_of = np.asarray(pilot_of)
+    mask = np.ones((n_aps, pilot_of.size), dtype=bool)
+    return pilots.PilotPlan(n_pilots, pilot_of, mask, np.zeros(pilot_of.size, dtype=int))
+
+
 class TestStatsAlgebra:
     def test_composite_covariance_scale(self):
         r = np.zeros((2, 3, 2, 2), dtype=complex)
         r[:, 0] = np.eye(2)
         r[:, 1] = 2 * np.eye(2)
         r[:, 2] = 4 * np.eye(2)
-        members = np.array([0, 2])
-        out = estimation.composite_covariance(r, members, tau_p=5, pilot_power_w=0.1)
+        parts = grouping.GroupAssignment(group_of=np.array([0, 1, 0]), n_groups=2)
+        stats = estimation.composite_stats(r, parts, hand_plan([0, 1], 2, 2), 5, 0.1, 1e-3)
         want = (5 * 0.1 / 4) * 5 * np.eye(2)
-        assert np.allclose(out[0], want)
+        assert np.allclose(stats.r_comp[:, 0], want)
 
     def test_gamma_includes_noise_floor(self):
         r = np.zeros((1, 2, 2, 2), dtype=complex)
         r[:, 0] = np.eye(2)
         r[:, 1] = 3 * np.eye(2)
-        out = estimation.gamma_matrix(r, np.array([0, 1]), 4, 0.1, 1e-3)
-        assert np.allclose(out[0], (0.4 * 4 + 1e-3) * np.eye(2))
+        parts = grouping.GroupAssignment(group_of=np.array([0, 1]), n_groups=2)
+        stats = estimation.composite_stats(r, parts, hand_plan([0, 0], 2, 1), 4, 0.1, 1e-3)
+        assert stats.gamma.shape == (1, 2, 2, 2)
+        assert np.allclose(stats.gamma[0, 0], (0.4 * 4 + 1e-3) * np.eye(2))
+        # pilot 1 is unused: its observation is noise alone
+        assert np.array_equal(stats.gamma[0, 1], 1e-3 * np.eye(2))
+
+    @pytest.mark.parametrize(
+        "overrides", [{"n_groups": 5, "tau_p": 2}, {"n_groups": 12}], ids=["shared_pilots", "unicast"]
+    )
+    def test_gamma_per_pilot_matches_per_group_formula(self, overrides):
+        cfg = small_config(**overrides)
+        pipe = build_pipeline(cfg, n_real=1)
+        assert pipe.plan.n_groups > cfg.tau_p
+        want = per_group_gamma(
+            pipe.r_cov, pipe.parts, pipe.plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w
+        )
+        assert np.array_equal(pipe.stats.gamma[:, pipe.plan.pilot_of], want)
 
     def test_decomposition_identity(self, rng):
         pipe = build_pipeline(small_config(), n_real=1)
@@ -81,11 +105,11 @@ class TestEstimatorOracle:
             r[0, k] = covariance.covariance_field(np.asarray(b), np.asarray(phi), 0.2, n)
         parts = grouping.GroupAssignment(group_of=np.array([0, 0, 1]), n_groups=2)
         plan = pilots.assign_pilots_and_cluster(np.array([[2e-8, 5e-8, 1e-8]]), parts, tau_p=1)
-        assert np.array_equal(plan.cohort[0], [0, 1])
+        assert np.array_equal(plan.on_pilot[0], [0, 1])
         stats = estimation.composite_stats(r, parts, plan, tau_p, pp, noise_w)
         for _ in range(20):
             y = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            got = mmse_composite_estimate(y, stats.r_comp[0, 0], stats.gamma[0, 0], 2)
+            got = mmse_composite_estimate(y, stats.r_comp[0, 0], stats.gamma[0, plan.pilot_of[0]], 2)
             want = brute_force_lmmse(
                 y, [r[0, 0], r[0, 1]], [r[0, 0], r[0, 1], r[0, 2]], tau_p, pp, noise_w, 2
             )
@@ -94,11 +118,18 @@ class TestEstimatorOracle:
             assert np.allclose(stats.estimator[0, 0] @ y, got, rtol=1e-10)
 
     def test_cohort_mates_share_observation_statistics(self, rng):
+        # every group on a pilot solves against that pilot's one Γ:
+        # estimator @ Γ = |g| r_comp
         pipe = build_pipeline(small_config(n_groups=5, tau_p=2), n_real=1)
-        plan, stats = pipe.plan, pipe.stats
-        for g in range(plan.n_groups):
-            for c in plan.cohort[g]:
-                assert np.allclose(stats.gamma[:, g], stats.gamma[:, c])
+        plan, stats, sizes = pipe.plan, pipe.stats, pipe.parts.sizes
+        assert np.array_equal(np.sort(np.concatenate(plan.on_pilot)), np.arange(plan.n_groups))
+        for t, groups in enumerate(plan.on_pilot):
+            assert groups.size >= 2
+            for g in groups:
+                assert plan.pilot_of[g] == t
+                want = sizes[g] * stats.r_comp[:, g]
+                lhs = stats.estimator[:, g] @ stats.gamma[:, t]
+                assert np.allclose(lhs, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
     def test_singular_observation_covariance_raises(self):
         with pytest.raises(NumericalError):
@@ -181,7 +212,7 @@ class TestEstimateRealizations:
         size = int(pipe.parts.sizes[g])
         for ti in range(3):
             want = mmse_composite_estimate(
-                pipe.y[ti, l, t], stats.r_comp[l, g], stats.gamma[l, g], size
+                pipe.y[ti, l, t], stats.r_comp[l, g], stats.gamma[l, t], size
             )
             assert np.allclose(pipe.estimates[ti, plan.pair_of[l, g]], want, rtol=1e-9)
 

@@ -198,7 +198,7 @@ class TestSpectralEfficiency:
         parts = grouping.GroupAssignment(group_of=np.array([0, 0, 1]), n_groups=2)
         sinr = np.array([1.0, 2.0, 3.0])
         rep = evaluation.build_report(sinr, 0, parts, tau_p=20, tau_c=200)
-        assert rep.prelog == pytest.approx(0.9)
+        assert evaluation.se_user(np.ones(1), tau_p=20, tau_c=200) == pytest.approx([0.9])
         assert np.allclose(rep.se_user, 0.9 * np.log2(1 + sinr))
         assert rep.se_group[0] == pytest.approx(0.9 * np.log2(2.0))
         assert rep.sum_se_per_user == pytest.approx(2 * rep.se_group[0] + rep.se_group[1])

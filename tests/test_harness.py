@@ -10,6 +10,7 @@ import sys
 import textwrap
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -273,6 +274,31 @@ class TestCampaign:
         serial = harness.run_campaign(cfg, workers=1)
         pooled = harness.run_campaign(cfg, workers=2)
         assert pooled.summaries == serial.summaries
+
+    def test_pool_starts_no_more_processes_than_snapshots(self, monkeypatch):
+        # a recording stand-in that maps in process, so no process is started
+        sizes = []
+
+        class InProcessPool(contextlib.AbstractContextManager):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn):
+                return SimpleNamespace(result=fn)
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg = tiny_campaign_config(snapshots=2)
+        result = harness.run_campaign(cfg, workers=500)
+        assert sizes == [2]
+        assert result.workers == 500
+        harness.run_campaign(cfg.with_overrides(snapshots=3), workers=2)
+        assert sizes == [2, 2]
 
     def test_default_workers_env(self):
         with pytest.raises(ConfigError):

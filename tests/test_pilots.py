@@ -70,9 +70,9 @@ class TestHandWorkedPlan:
 
     def test_cohort_and_neighborhood(self):
         _, _, plan = self.build()
-        assert np.array_equal(plan.cohort[0], [0, 2])
-        assert np.array_equal(plan.cohort[1], [1])
-        assert np.array_equal(plan.cohort[2], [0, 2])
+        assert len(plan.on_pilot) == 2
+        assert np.array_equal(plan.on_pilot[0], [0, 2])
+        assert np.array_equal(plan.on_pilot[1], [1])
         assert np.array_equal(plan.s_set[0], [0, 1])
         assert np.array_equal(plan.s_set[1], [0, 1, 2])
         assert np.array_equal(plan.s_set[2], [1, 2])
@@ -140,11 +140,11 @@ class TestInvariants:
             for l in range(n_aps):
                 pilots_here = plan.pilot_of[plan.served[l]]
                 assert np.unique(pilots_here).size == pilots_here.size
-            # cohorts collect exactly the groups sharing a pilot
+            # the per-pilot lists hold each group once, on its own pilot
+            assert len(plan.on_pilot) == inst.tau_p
             for g in range(n_groups):
-                want = np.flatnonzero(plan.pilot_of == plan.pilot_of[g])
-                assert np.array_equal(plan.cohort[g], want)
-                assert g in plan.cohort[g]
+                assert g in plan.on_pilot[plan.pilot_of[g]]
+            assert np.array_equal(np.sort(np.concatenate(plan.on_pilot)), np.arange(n_groups))
             # the interference neighborhood is exactly the groups sharing an AP
             for g in range(n_groups):
                 share = set()
@@ -162,7 +162,8 @@ class TestInvariants:
         plan = pilots.assign_pilots_and_cluster(inst.beta, parts, tau_p)
         assert np.unique(plan.pilot_of).size == parts.n_groups
         for g in range(parts.n_groups):
-            assert np.array_equal(plan.cohort[g], [g])
+            assert np.array_equal(plan.on_pilot[plan.pilot_of[g]], [g])
+        assert sum(groups.size == 0 for groups in plan.on_pilot) == 2
 
     def test_rejects_bad_tau_p(self):
         parts = make_parts([0, 1], 2)
