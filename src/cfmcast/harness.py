@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
 import json
 import multiprocessing
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from . import covariance, estimation, evaluation, geometry, grouping, pilots, precoding
 from .config import SystemConfig
@@ -83,7 +85,7 @@ class CampaignResult:
     summaries: list
     wall_time_s: float
     workers: int
-    worker_blas_threads: int | None  # numpy's OpenBLAS threads where snapshots ran
+    worker_blas_threads: int | None  # OpenBLAS threads snapshots ran at; None without a bundled OpenBLAS
 
     @property
     def config_hash(self) -> str:
@@ -127,10 +129,20 @@ def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
     so the results do not depend on it, and it ends with the snapshot.
     ``covariance.sample_channels`` correlates a chunk on the calling thread
     and a helper thread of its own, which ends with the call and leaves the
-    channels bitwise as one thread would make them.
+    channels bitwise as one thread would make them.  numpy's and SciPy's
+    OpenBLAS run on one thread for the snapshot, so no BLAS thread spins beside
+    these and the results do not depend on the caller's counts, restored after.
     """
-    with ThreadPoolExecutor(1) as drawer:
-        return _run_snapshot(cfg, index, drawer)
+    caller_threads = [getter() for getter in _openblas("get_num_threads", ctypes.c_int)]
+    setters = _openblas("set_num_threads", None, ctypes.c_int)
+    for set_threads in setters:
+        set_threads(1)
+    try:
+        with ThreadPoolExecutor(1) as drawer:
+            return _run_snapshot(cfg, index, drawer)
+    finally:
+        for set_threads, count in zip(setters, caller_threads):
+            set_threads(count)
 
 
 def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> SnapshotResult:
@@ -148,7 +160,6 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
         stage_rng(cfg.master_seed, index, "ms"),
         stage_rng(cfg.master_seed, index, "shadowing"),
     )
-    # not before the shadowing Cholesky: a draw beside its BLAS threads stalls it
     pending = draw(0)
     _, factors, parts, plan, stats = snapshot_setup(cfg, index, dep)
     acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
@@ -202,32 +213,22 @@ def _summary(job: tuple[SystemConfig, int]) -> dict:
     return run_snapshot(cfg, index).summary()
 
 
-def _openblas(name: str, restype, *argtypes):
-    """Function ``name`` of numpy's bundled OpenBLAS, or None where numpy ships none."""
-    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas*.so")
-    for path in glob.glob(libs):
-        fn = getattr(ctypes.CDLL(path), f"scipy_openblas_{name}64_", None)
-        if fn is not None:
-            fn.restype, fn.argtypes = restype, list(argtypes)
-            return fn
-    return None
+@functools.lru_cache(maxsize=None)
+def _openblas(name: str, restype, *argtypes) -> tuple:
+    """Function ``name`` of each OpenBLAS build bundled with numpy or SciPy.
 
-
-def _blas_threads() -> int | None:
-    getter = _openblas("get_num_threads", ctypes.c_int)
-    return None if getter is None else getter()
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: one BLAS thread per worker.
-
-    Forked workers inherit the parent's thread count, which OpenBLAS read from
-    the environment when numpy loaded it, so several workers each running a
-    multithreaded zgemm would oversubscribe the cores.
+    numpy's build has the 64-bit integer API, whose symbols end in ``64_``.
+    Looked up once per process; a forked worker inherits a lookup made before the fork.
     """
-    setter = _openblas("set_num_threads", None, ctypes.c_int)
-    if setter is not None:
-        setter(1)
+    found = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = os.path.join(os.path.dirname(package.__file__) + ".libs", "libscipy_openblas*.so")
+        for path in glob.glob(libs):
+            fn = getattr(ctypes.CDLL(path), f"scipy_openblas_{name}{suffix}", None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, list(argtypes)
+                found.append(fn)
+    return tuple(found)
 
 
 def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
@@ -237,8 +238,8 @@ def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
     the worker count.  A pool starts at most one process per snapshot; the
     result keeps the requested count.  A failed snapshot, or a pool worker
     that dies, aborts the campaign: snapshots not yet handed to a worker are
-    cancelled, and CampaignError carries the completed prefix.  Pool workers run numpy's
-    BLAS on one thread each; a single in-process worker keeps the default.
+    cancelled, and CampaignError carries the completed prefix.  Every snapshot
+    runs BLAS on one thread (``run_snapshot``), in process or in a pool.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -247,7 +248,6 @@ def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
     summaries = []
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            blas_threads = _blas_threads()
             results = map(_summary, jobs)
         else:
             # a fork-context pool starts every process at its first submit
@@ -256,10 +256,8 @@ def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
                     min(workers, cfg.snapshots),
                     # forked workers start without re-importing numpy or the package
                     mp_context=multiprocessing.get_context("fork"),
-                    initializer=_one_blas_thread,
                 )
             )
-            blas_threads = pool.submit(_blas_threads).result()
             results = pool.map(_summary, jobs)
         for i in range(cfg.snapshots):
             try:
@@ -282,7 +280,7 @@ def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
         summaries=summaries,
         wall_time_s=time.monotonic() - t0,
         workers=workers,
-        worker_blas_threads=blas_threads,
+        worker_blas_threads=1 if _openblas("set_num_threads", None, ctypes.c_int) else None,
     )
 
 

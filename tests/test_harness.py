@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import ctypes
 import json
 import os
 import signal
@@ -10,7 +11,6 @@ import sys
 import textwrap
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +22,11 @@ from cfmcast.errors import CampaignError, ConfigError
 from conftest import build_pipeline, ipmmse_with_power, sinr_terms, small_config
 
 SRC = os.path.dirname(os.path.dirname(harness.__file__))
+
+
+def blas_threads():
+    """Thread counts of the OpenBLAS builds bundled with numpy and SciPy."""
+    return [getter() for getter in harness._openblas("get_num_threads", ctypes.c_int)]
 
 
 def tiny_campaign_config(**overrides):
@@ -90,6 +95,35 @@ class TestSnapshot:
         got = harness.run_snapshot(cfg, 0)
         assert threading.active_count() == before
         assert np.array_equal(got.report.sinr, want.report.sinr)
+
+    def test_outputs_do_not_depend_on_the_callers_blas_threads(self, monkeypatch):
+        # about the smallest fig3-like IP-MMSE snapshot whose products OpenBLAS
+        # splits over two threads when allowed to, which moves its SINRs by ~1e-12
+        setters = harness._openblas("set_num_threads", None, ctypes.c_int)
+        if not setters:
+            pytest.skip("neither numpy nor SciPy ships an OpenBLAS")
+        cfg = preset("fig3").with_overrides(precoder="ipmmse", n_aps=64, n_ms=50, realizations=1)
+        caller = blas_threads()
+        sinr = {}
+        try:
+            for count in (1, 2):
+                for set_threads in setters:
+                    set_threads(count)
+                want = blas_threads()
+                sinr[count] = harness.run_snapshot(cfg, 0).report.sinr
+                assert blas_threads() == want
+            # restored after a snapshot that raises, too
+            def failing(factors, normals):
+                raise RuntimeError("synthetic sampling failure")
+
+            monkeypatch.setattr(covariance, "sample_channels", failing)
+            with pytest.raises(RuntimeError, match="synthetic sampling failure"):
+                harness.run_snapshot(cfg, 0)
+            assert blas_threads() == want
+        finally:
+            for set_threads, count in zip(setters, caller):
+                set_threads(count)
+        assert np.array_equal(sinr[1], sinr[2])
 
     def test_chunk_boundary_sizes(self):
         # realization counts below, at and above the chunk size must all work
@@ -256,16 +290,19 @@ class TestCampaign:
         assert "synthetic draw failure" in result["message"]
 
     def test_pool_workers_run_one_blas_thread(self, tmp_path):
+        # snapshots run one BLAS thread in a pool and in process alike
         cfg = preset("desk_uniform").with_overrides(realizations=8, snapshots=4)
-        in_process = harness._blas_threads()
+        in_process = blas_threads()
+        # null only where no bundled OpenBLAS is there to set the count through
+        one = 1 if in_process else None
         result = harness.run_campaign(cfg, workers=2)
         harness.write_outputs(result, str(tmp_path))
         report = json.loads((tmp_path / "report.json").read_text())
-        # null only where numpy ships no OpenBLAS to set the count through
-        assert report["worker_blas_threads"] == (None if in_process is None else 1)
-        assert harness._blas_threads() == in_process
+        assert report["worker_blas_threads"] == one
+        assert blas_threads() == in_process
         serial = harness.run_campaign(cfg, workers=1)
-        assert serial.worker_blas_threads == in_process
+        assert serial.worker_blas_threads == one
+        assert blas_threads() == in_process
         assert serial.summaries == result.summaries
 
     def test_pool_forks_after_in_process_campaign(self):
@@ -285,9 +322,6 @@ class TestCampaign:
 
             def __exit__(self, *exc):
                 return None
-
-            def submit(self, fn):
-                return SimpleNamespace(result=fn)
 
             def map(self, fn, jobs):
                 return map(fn, jobs)
