@@ -7,7 +7,9 @@ by AP ``plan.pair_ap[p]``.  The centralized precoder regularizes each group's
 composite estimate against the estimates of its interference neighborhood S_g
 (the groups sharing a serving AP) and a deterministic regularizer held as one
 (N, N) block per serving AP, so each realization's system matrix is block
-diagonal plus rank |S_g| and is solved by the Woodbury identity.
+diagonal plus rank |S_g|.  It is solved in its smaller dimension: as a dense
+n x n system when the serving dimension n = |L_g| N is at most |S_g|, by the
+Woodbury identity in |S_g| dimensions otherwise.
 ``ipmmse_direction`` returns one group's unnormalized directions and
 ``ipmmse_directions`` lays every group's out over the served pairs; the caller
 sums their squared norms per served pair into an (L, G) table, which
@@ -43,24 +45,36 @@ def ipmmse_regularizer(stats, plan, group, group_sizes, group_power_w, tau_p, pi
 
 
 def _ipmmse_solve(v, coef, own_index, blocks, noise_w, lead_scale):
-    """Solve the regularized system for each realization by the Woodbury identity.
+    """Solve the regularized system for each realization in its smaller dimension.
 
     ``v`` is (T, C, n) and ``blocks`` the (|L_g|, N, N) regularizer.  The
     system matrix is D + X diag(coef) X^H with X = v^T (n, C) and the block
-    diagonal D = blocks + noise_w * I, inverted once per call.  With
-    Y = D^-1 X and K = X^H Y the solution against the own column is
-    Y_own - Y (diag(1/coef) + K)^-1 K_own: one (C, C) solve per realization.
+    diagonal D = blocks + noise_w * I.  When n <= C the dense (n, n) matrix
+    is formed and solved against the own column directly.  Otherwise D is
+    inverted once per call and, with Y = D^-1 X and K = X^H Y, the Woodbury
+    identity gives the solution Y_own - Y (diag(1/coef) + K)^-1 K_own: one
+    (C, C) solve per realization.
     """
+    n_aps, n_ant = blocks.shape[:2]
+    n_nbr, n = v.shape[1:]
+    d_blocks = blocks + noise_w * np.eye(n_ant)
     try:
-        d_inv = np.linalg.inv(blocks + noise_w * np.eye(blocks.shape[-1]))
-        # one (N, N) @ (N, T * C) product per serving AP, then back to (T, n, C)
-        y = d_inv @ v.reshape(-1, *blocks.shape[:2]).transpose(1, 2, 0)
-        y = y.reshape(-1, *v.shape[:2]).transpose(1, 0, 2)
-        k = np.conj(v) @ y
-        s = np.linalg.solve(k + np.diag(1.0 / coef), k[:, :, own_index, None])
+        if n <= n_nbr:
+            d = np.zeros((n_aps, n_ant, n_aps, n_ant), dtype=d_blocks.dtype)
+            d[np.arange(n_aps), :, np.arange(n_aps)] = d_blocks
+            a = (v.transpose(0, 2, 1) * coef) @ np.conj(v) + d.reshape(n, n)
+            out = np.linalg.solve(a, v[:, own_index, :, None])[..., 0]
+        else:
+            d_inv = np.linalg.inv(d_blocks)
+            # one (N, N) @ (N, T * C) product per serving AP, then back to (T, n, C)
+            y = d_inv @ v.reshape(-1, n_aps, n_ant).transpose(1, 2, 0)
+            y = y.reshape(-1, *v.shape[:2]).transpose(1, 0, 2)
+            k = np.conj(v) @ y
+            s = np.linalg.solve(k + np.diag(1.0 / coef), k[:, :, own_index, None])
+            out = y[:, :, own_index] - (y @ s)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"precoder system solve failed: {exc}") from exc
-    out = lead_scale * (y[:, :, own_index] - (y @ s)[..., 0])
+    out = lead_scale * out
     if not np.all(np.isfinite(out)):
         raise NumericalError("precoder direction is not finite")
     return out

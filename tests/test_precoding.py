@@ -10,6 +10,29 @@ from cfmcast.errors import NumericalError, StatsError
 
 from conftest import build_pipeline, ipmmse_with_power, oracle_direction, small_config
 
+# small configs on either side of the solve-dimension switch; each predicate
+# holds for the (n, |S_g|) of some group in its config
+REGIMES = [
+    # one group per pilot, so every AP serves every group: n = 16 * 2 >> |S_g| = 3
+    pytest.param(dict(n_aps=16, n_groups=3, tau_p=3), lambda n, c: n >= 32 and c <= 3, id="n_much_larger_than_c"),
+    # twelve single-user groups on three pilots: some group has more neighbors than dimensions
+    pytest.param(dict(n_groups=12), lambda n, c: n < c, id="n_smaller_than_c"),
+]
+
+
+@pytest.fixture
+def solve_widths(monkeypatch):
+    """Widths of the systems passed to ``np.linalg.solve``, in call order."""
+    widths = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        widths.append(a.shape[-1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return widths
+
 
 class TestIpmmseDirection:
     def test_matches_explicit_inverse_oracle(self):
@@ -30,27 +53,21 @@ class TestIpmmseDirection:
             want = oracle_direction(pipe, g)
             assert np.allclose(got, want, rtol=1e-8)
 
-    @pytest.mark.parametrize(
-        "overrides, regime",
-        [
-            # one group per pilot, so every AP serves every group: n = 16 * 2 >> |S_g| = 3
-            (dict(n_aps=16, n_groups=3, tau_p=3), lambda n, c: n >= 32 and c <= 3),
-            # twelve single-user groups on three pilots: some group has more neighbors than dimensions
-            (dict(n_groups=12), lambda n, c: n < c),
-        ],
-        ids=["n_much_larger_than_c", "n_smaller_than_c"],
-    )
-    def test_woodbury_regimes_match_oracle(self, overrides, regime):
+    @pytest.mark.parametrize("overrides, regime", REGIMES)
+    def test_woodbury_regimes_match_oracle(self, overrides, regime, solve_widths):
         cfg = small_config(realizations=5, **overrides)
         pipe = build_pipeline(cfg)
         plan = pipe.plan
         dims = [(plan.serving[g].size * cfg.n_antennas, plan.s_set[g].size) for g in range(plan.n_groups)]
         assert any(regime(n, c) for n, c in dims)
-        for g in range(plan.n_groups):
+        for g, (n, c) in enumerate(dims):
+            solve_widths.clear()
             got = precoding.ipmmse_direction(
                 pipe.estimates, pipe.stats, plan, pipe.parts, g,
                 cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
             )
+            # one solve per group, in its smaller dimension
+            assert solve_widths == [min(n, c)]
             want = oracle_direction(pipe, g)
             # relative to each realization's direction norm: on entries ~1 % of the
             # largest the explicit-inverse oracle and the old direct LU solve
@@ -58,14 +75,57 @@ class TestIpmmseDirection:
             err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
             assert np.all(err <= 1e-8)
 
-    def test_non_finite_estimate_raises(self):
-        cfg = small_config(realizations=6)
+    @pytest.mark.parametrize("excess", [-1, 0, 1], ids=["n_below_c", "n_equals_c", "n_above_c"])
+    def test_solve_dimension_boundary_matches_dense_solve(self, rng, monkeypatch, solve_widths, excess):
+        # synthetic (T, C, n) estimates and block-diagonal regularizer with
+        # n = |S_g| + excess, against one dense solve per realization
+        n_aps, n_ant, n_real, own, noise_w, lead = 3, 2, 4, 1, 0.1, 1.7
+        n = n_aps * n_ant
+        c = n - excess
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        v = cn(n_real, c, n)
+        coef = rng.uniform(0.5, 2.0, c)
+        g = cn(n_aps, n_ant, n_ant)
+        blocks = g @ np.conj(g.transpose(0, 2, 1))
+        d = np.zeros((n, n), dtype=complex)
+        for j in range(n_aps):
+            d[j * n_ant : (j + 1) * n_ant, j * n_ant : (j + 1) * n_ant] = blocks[j]
+        d += noise_w * np.eye(n)
+        want = np.stack(
+            [lead * np.linalg.solve(d + (v[t].T * coef) @ np.conj(v[t]), v[t, own]) for t in range(n_real)]
+        )
+        solve_widths.clear()
+        inverses = []
+        inv = np.linalg.inv
+
+        def inv_spy(a):
+            inverses.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", inv_spy)
+        got = precoding._ipmmse_solve(v, coef, own, blocks, noise_w, lead)
+        assert solve_widths == [min(n, c)]
+        # only the Woodbury side inverts the regularizer blocks; n == |S_g| solves directly
+        assert inverses == ([blocks.shape] if n > c else [])
+        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert np.all(err <= 1e-10)
+
+    @pytest.mark.parametrize("overrides, regime", REGIMES)
+    def test_non_finite_estimate_raises(self, overrides, regime):
+        cfg = small_config(realizations=6, **overrides)
         pipe = build_pipeline(cfg)
-        g = 0
-        pipe.estimates[2, pipe.plan.pair_of[pipe.plan.serving[g][0], g], 1] = np.nan
+        plan = pipe.plan
+        g = next(
+            g for g in range(plan.n_groups)
+            if regime(plan.serving[g].size * cfg.n_antennas, plan.s_set[g].size)
+        )
+        pipe.estimates[2, plan.pair_of[plan.serving[g][0], g], 1] = np.nan
         with pytest.raises(NumericalError):
             precoding.ipmmse_direction(
-                pipe.estimates, pipe.stats, pipe.plan, pipe.parts, g,
+                pipe.estimates, pipe.stats, plan, pipe.parts, g,
                 cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
             )
 
