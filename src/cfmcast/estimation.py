@@ -27,8 +27,8 @@ class CompositeStats:
     ``gamma``    (L, tau_p, N, N) covariance of the observation of each (AP, pilot):
                  the scaled sum over the pilot's MSs plus noise, noise alone on
                  a pilot no group holds; group g reads ``gamma[:, pilot_of[g]]``,
-    ``est_cov``  covariance of the MMSE estimate,
-    ``err_cov``  covariance of the estimation error; est_cov + err_cov = r_comp.
+    ``est_cov``  covariance of the MMSE estimate; r_comp - est_cov is the
+                 covariance of the estimation error.
     ``estimator`` is the (L, G, N, N) linear map taking the pilot observation
     to the estimate.
     """
@@ -36,7 +36,6 @@ class CompositeStats:
     r_comp: np.ndarray
     gamma: np.ndarray
     est_cov: np.ndarray
-    err_cov: np.ndarray
     estimator: np.ndarray
 
     @property
@@ -72,8 +71,7 @@ def composite_stats(r_cov: np.ndarray, grouping, plan, tau_p: int, pilot_power_w
     estimator = sizes[None, :, None, None] * np.swapaxes(solved, -1, -2)
     est_cov = sizes[None, :, None, None] * (estimator @ r_comp)
     est_cov = 0.5 * (est_cov + np.conj(np.swapaxes(est_cov, -1, -2)))
-    err_cov = r_comp - est_cov
-    return CompositeStats(r_comp=r_comp, gamma=gamma, est_cov=est_cov, err_cov=err_cov, estimator=estimator)
+    return CompositeStats(r_comp=r_comp, gamma=gamma, est_cov=est_cov, estimator=estimator)
 
 
 def project_pilots(

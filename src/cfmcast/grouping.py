@@ -23,6 +23,7 @@ class GroupAssignment:
     group_of: np.ndarray  # (K,) labels in [0, G)
     n_groups: int
     members: list = field(init=False)
+    sizes: np.ndarray = field(init=False)  # (G,) member counts
 
     def __post_init__(self):
         labels = np.asarray(self.group_of)
@@ -32,12 +33,9 @@ class GroupAssignment:
             raise ValueError("group labels out of range")
         self.group_of = labels.astype(int)
         self.members = [np.flatnonzero(self.group_of == g) for g in range(self.n_groups)]
-        if any(m.size == 0 for m in self.members):
+        self.sizes = np.bincount(self.group_of, minlength=self.n_groups)
+        if np.any(self.sizes == 0):
             raise ValueError("every group must have at least one member")
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.array([m.size for m in self.members])
 
 
 def db_fingerprints(beta: np.ndarray) -> np.ndarray:

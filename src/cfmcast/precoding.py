@@ -5,11 +5,15 @@ Precoder realizations use the plan's served-pair layout: a (T, P, N) array
 whose row p is the part of group ``plan.pair_group[p]``'s precoder transmitted
 by AP ``plan.pair_ap[p]``.  The centralized precoder regularizes each group's
 composite estimate against the estimates of its interference neighborhood S_g
-(the groups sharing a serving AP) and a deterministic regularizer held as one
-(N, N) block per serving AP, so each realization's system matrix is block
-diagonal plus rank |S_g|.  It is solved in its smaller dimension: as a dense
-n x n system when the serving dimension n = |L_g| N is at most |S_g|, by the
-Woodbury identity in |S_g| dimensions otherwise.
+(the groups sharing a serving AP) and a deterministic regularizer: per
+serving AP, the error covariances r_comp - est_cov of S_g and the full
+composite covariances of every other group, weighted by their virtual powers,
+plus noise.  That is one full-load table built once per call, noise plus every
+group's weighted r_comp per AP, minus the weighted est_cov of S_g.  Each
+realization's system matrix is block diagonal plus rank |S_g|, solved in its
+smaller dimension: as a dense n x n system when the serving dimension
+n = |L_g| N is at most |S_g|, by the Woodbury identity in |S_g| dimensions
+otherwise.
 ``ipmmse_direction`` returns one group's unnormalized directions and
 ``ipmmse_directions`` lays every group's out over the served pairs; the caller
 sums their squared norms per served pair into an (L, G) table, which
@@ -29,35 +33,19 @@ from .errors import NumericalError, StatsError
 # --- centralized IP-MMSE ----------------------------------------------------
 
 
-def ipmmse_regularizer(stats, plan, group, group_sizes, group_power_w, tau_p, pilot_power_w) -> np.ndarray:
-    """Deterministic part of one group's system matrix as its diagonal blocks, (|L_g|, N, N).
-
-    Block j belongs to serving AP ``plan.serving[group][j]``: the estimation
-    error covariances of the interference neighborhood plus the full composite
-    covariances of all remaining groups, weighted by the virtual powers.  The
-    blocks off the diagonal are zero.
-    """
-    coef = group_power_w * group_sizes.astype(float) ** 2 / (tau_p * pilot_power_w)
-    in_s = np.zeros((plan.n_groups, 1, 1), dtype=bool)
-    in_s[plan.s_set[group]] = True
-    aps = plan.serving[group]
-    return np.einsum("g,lgab->lab", coef, np.where(in_s, stats.err_cov[aps], stats.r_comp[aps]))
-
-
-def _ipmmse_solve(v, coef, own_index, blocks, noise_w, lead_scale):
+def _ipmmse_solve(v, coef, own_index, d_blocks, lead_scale):
     """Solve the regularized system for each realization in its smaller dimension.
 
-    ``v`` is (T, C, n) and ``blocks`` the (|L_g|, N, N) regularizer.  The
-    system matrix is D + X diag(coef) X^H with X = v^T (n, C) and the block
-    diagonal D = blocks + noise_w * I.  When n <= C the dense (n, n) matrix
-    is formed and solved against the own column directly.  Otherwise D is
-    inverted once per call and, with Y = D^-1 X and K = X^H Y, the Woodbury
-    identity gives the solution Y_own - Y (diag(1/coef) + K)^-1 K_own: one
-    (C, C) solve per realization.
+    ``v`` is (T, C, n) and ``d_blocks`` the (|L_g|, N, N) diagonal blocks of
+    D, regularizer plus noise.  The system matrix is D + X diag(coef) X^H
+    with X = v^T (n, C).  When n <= C the dense (n, n) matrix is formed and
+    solved against the own column directly.  Otherwise D is inverted once per
+    call and, with Y = D^-1 X and K = X^H Y, the Woodbury identity gives the
+    solution Y_own - Y (diag(1/coef) + K)^-1 K_own: one (C, C) solve per
+    realization.
     """
-    n_aps, n_ant = blocks.shape[:2]
+    n_aps, n_ant = d_blocks.shape[:2]
     n_nbr, n = v.shape[1:]
-    d_blocks = blocks + noise_w * np.eye(n_ant)
     try:
         if n <= n_nbr:
             d = np.zeros((n_aps, n_ant, n_aps, n_ant), dtype=d_blocks.dtype)
@@ -86,26 +74,30 @@ def ipmmse_direction(
     plan,
     grouping,
     group: int,
-    group_power_w: float,
-    tau_p: int,
-    pilot_power_w: float,
-    noise_w: float,
+    coef: np.ndarray,
+    loaded: np.ndarray,
+    lead: float,
 ) -> np.ndarray:
     """Unnormalized centralized precoding directions for one group, (T, n).
 
     ``estimates`` is the (T, P + 1, N) output of ``estimate_composites``;
-    ``n`` stacks the group's serving APs times the antennas per AP.
+    ``n`` stacks the group's serving APs times the antennas per AP.  ``coef``
+    is every group's (G,) virtual-power weight, ``loaded`` the (L, N, N)
+    full-load table of ``ipmmse_directions`` and ``lead`` the group's scale.
+    ``grouping`` is not read: the first five arguments keep the layout that
+    ``perfbench/tracer.py`` reads.
     """
     neighborhood = plan.s_set[group]
-    sizes = grouping.sizes
+    aps = plan.serving[group]
     # (T, C, |L_g| * N); a neighbor that an AP does not serve reads the zero row
-    idx = plan.pair_of[np.ix_(plan.serving[group], neighborhood)].T
+    idx = plan.pair_of[np.ix_(aps, neighborhood)].T
     v = np.take(estimates, idx.ravel(), axis=1).reshape(estimates.shape[0], neighborhood.size, -1)
-    coef = group_power_w * sizes[neighborhood].astype(float) ** 2 / (tau_p * pilot_power_w)
     own_index = int(np.flatnonzero(neighborhood == group)[0])
-    reg = ipmmse_regularizer(stats, plan, group, sizes, group_power_w, tau_p, pilot_power_w)
-    lead = np.sqrt(group_power_w / (tau_p * pilot_power_w)) * sizes[group]
-    return _ipmmse_solve(v, coef, own_index, reg, noise_w, lead)
+    # the neighborhood's terms of the full load drop to their error covariance
+    d_blocks = loaded[aps] - np.einsum(
+        "c,lcab->lab", coef[neighborhood], stats.est_cov[np.ix_(aps, neighborhood)]
+    )
+    return _ipmmse_solve(v, coef[neighborhood], own_index, d_blocks, lead)
 
 
 def ipmmse_directions(
@@ -113,10 +105,14 @@ def ipmmse_directions(
 ) -> np.ndarray:
     """Unnormalized centralized directions of every group over the served pairs, (T, P, N)."""
     n_real, _, n_ant = estimates.shape
+    sizes = grouping.sizes.astype(float)
+    coef = group_power_w * sizes**2 / (tau_p * pilot_power_w)
+    loaded = noise_w * np.eye(n_ant) + np.einsum("g,lgab->lab", coef, stats.r_comp)
+    leads = np.sqrt(group_power_w / (tau_p * pilot_power_w)) * sizes
     w = np.empty((n_real, plan.pair_ap.size, n_ant), dtype=complex)
     for g, aps in enumerate(plan.serving):
         w[:, plan.pair_of[aps, g]] = ipmmse_direction(
-            estimates, stats, plan, grouping, g, group_power_w, tau_p, pilot_power_w, noise_w
+            estimates, stats, plan, grouping, g, coef, loaded, leads[g]
         ).reshape(n_real, aps.size, n_ant)
     return w
 

@@ -244,7 +244,9 @@ def oracle_direction(pipe, g):
     for j, l in enumerate(aps):
         block = np.zeros((n_ant, n_ant), dtype=complex)
         for c in range(plan.n_groups):
-            block += coef[c] * (stats.err_cov[l, c] if c in s else stats.r_comp[l, c])
+            # estimation-error covariance for a neighbor, full covariance otherwise
+            err_cov = stats.r_comp[l, c] - stats.est_cov[l, c]
+            block += coef[c] * (err_cov if c in s else stats.r_comp[l, c])
         z[j * n_ant : (j + 1) * n_ant, j * n_ant : (j + 1) * n_ant] = block
 
     v_own = stack(g)
@@ -257,6 +259,23 @@ def oracle_direction(pipe, g):
             m = m + coef[c] * np.outer(vc[t], vc[t].conj())
         out[t] = lead * (np.linalg.inv(m) @ v_own[t])
     return out
+
+
+def full_load(pipe):
+    """The per-call inputs of ``ipmmse_direction``: (coef, loaded, leads).
+
+    ``coef`` and ``leads`` are per group, (G,); ``loaded`` is the (L, N, N)
+    noise plus every group's virtual-power-weighted composite covariance,
+    summed per AP in a plain loop.
+    """
+    cfg, stats = pipe.cfg, pipe.stats
+    sizes = pipe.parts.sizes.astype(float)
+    coef = cfg.group_power_w * sizes**2 / (cfg.tau_p * cfg.pilot_power_w)
+    loaded = np.stack([cfg.noise_w * np.eye(cfg.n_antennas, dtype=complex)] * cfg.n_aps)
+    for l in range(cfg.n_aps):
+        for c in range(pipe.plan.n_groups):
+            loaded[l] += coef[c] * stats.r_comp[l, c]
+    return coef, loaded, np.sqrt(cfg.group_power_w / (cfg.tau_p * cfg.pilot_power_w)) * sizes
 
 
 def ipmmse_with_power(

@@ -86,6 +86,16 @@ class TestClosedForm:
             assert w.min() >= -1e-10 * n * beta
             assert np.trace(r).real == pytest.approx(n * beta, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("asd_deg", [0.0, 1.0, 15.0, 60.0])
+    def test_closed_form_psd_before_clip(self, rng, asd_deg, n):
+        # the closed form itself, not its clipped projection, is PSD to rounding
+        beta = 10.0 ** rng.uniform(-10, 0, size=500)
+        phi = rng.uniform(-np.pi, np.pi, size=500)
+        r = covariance._closed_form(beta, phi, np.deg2rad(asd_deg), n)
+        w = np.linalg.eigvalsh(r)
+        assert np.all(w[:, 0] >= -1e-12 * n * beta)
+
     def test_zero_spread_is_rank_one(self):
         beta, phi, n = 3.0, 0.7, 4
         r = _link(beta, phi, 0.0, n)

@@ -8,7 +8,7 @@ import pytest
 from cfmcast import estimation, grouping, pilots, precoding
 from cfmcast.errors import NumericalError, StatsError
 
-from conftest import build_pipeline, ipmmse_with_power, oracle_direction, small_config
+from conftest import build_pipeline, full_load, ipmmse_with_power, oracle_direction, small_config
 
 # small configs on either side of the solve-dimension switch; each predicate
 # holds for the (n, |S_g|) of some group in its config
@@ -38,20 +38,34 @@ class TestIpmmseDirection:
     def test_matches_explicit_inverse_oracle(self):
         cfg = small_config(realizations=6)
         pipe = build_pipeline(cfg)
+        coef, loaded, leads = full_load(pipe)
         for g in range(pipe.plan.n_groups):
             got = precoding.ipmmse_direction(
-                pipe.estimates,
-                pipe.stats,
-                pipe.plan,
-                pipe.parts,
-                g,
-                cfg.group_power_w,
-                cfg.tau_p,
-                cfg.pilot_power_w,
-                cfg.noise_w,
+                pipe.estimates, pipe.stats, pipe.plan, pipe.parts, g, coef, loaded, leads[g]
             )
             want = oracle_direction(pipe, g)
             assert np.allclose(got, want, rtol=1e-8)
+
+    def test_unicast_directions_match_oracle(self):
+        # unicast: 26 of the 80 (serving AP, neighbor) entries pair an AP of g
+        # with a neighbor c in S_g it does not serve, where the oracle's
+        # per-entry error covariance meets the table's est_cov subtraction;
+        # the directions come from the table ipmmse_directions builds itself
+        cfg = small_config(realizations=5, n_groups=12)
+        pipe = build_pipeline(cfg)
+        plan = pipe.plan
+        assert any(
+            np.any(~plan.serving_mask[np.ix_(plan.serving[g], plan.s_set[g])]) for g in range(plan.n_groups)
+        )
+        w = precoding.ipmmse_directions(
+            pipe.estimates, pipe.stats, plan, pipe.parts,
+            cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
+        )
+        for g, aps in enumerate(plan.serving):
+            got = w[:, plan.pair_of[aps, g]].reshape(cfg.realizations, -1)
+            want = oracle_direction(pipe, g)
+            err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert np.all(err <= 1e-9)
 
     @pytest.mark.parametrize("overrides, regime", REGIMES)
     def test_woodbury_regimes_match_oracle(self, overrides, regime, solve_widths):
@@ -60,11 +74,11 @@ class TestIpmmseDirection:
         plan = pipe.plan
         dims = [(plan.serving[g].size * cfg.n_antennas, plan.s_set[g].size) for g in range(plan.n_groups)]
         assert any(regime(n, c) for n, c in dims)
+        coef, loaded, leads = full_load(pipe)
         for g, (n, c) in enumerate(dims):
             solve_widths.clear()
             got = precoding.ipmmse_direction(
-                pipe.estimates, pipe.stats, plan, pipe.parts, g,
-                cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
+                pipe.estimates, pipe.stats, plan, pipe.parts, g, coef, loaded, leads[g]
             )
             # one solve per group, in its smaller dimension
             assert solve_widths == [min(n, c)]
@@ -106,7 +120,7 @@ class TestIpmmseDirection:
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", inv_spy)
-        got = precoding._ipmmse_solve(v, coef, own, blocks, noise_w, lead)
+        got = precoding._ipmmse_solve(v, coef, own, blocks + noise_w * np.eye(n_ant), lead)
         assert solve_widths == [min(n, c)]
         # only the Woodbury side inverts the regularizer blocks; n == |S_g| solves directly
         assert inverses == ([blocks.shape] if n > c else [])
@@ -123,10 +137,10 @@ class TestIpmmseDirection:
             if regime(plan.serving[g].size * cfg.n_antennas, plan.s_set[g].size)
         )
         pipe.estimates[2, plan.pair_of[plan.serving[g][0], g], 1] = np.nan
+        coef, loaded, leads = full_load(pipe)
         with pytest.raises(NumericalError):
             precoding.ipmmse_direction(
-                pipe.estimates, pipe.stats, plan, pipe.parts, g,
-                cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
+                pipe.estimates, pipe.stats, plan, pipe.parts, g, coef, loaded, leads[g]
             )
 
     def test_matched_filter_limit_is_colinear(self, rng):
@@ -137,15 +151,17 @@ class TestIpmmseDirection:
         plan = pilots.PilotPlan(1, np.array([0]), serving_mask, master_ap=np.array([0]))
         parts = SimpleNamespace(sizes=np.array([3]))
         r = np.eye(n_ant, dtype=complex)[None, None].repeat(2, axis=0)
-        stats = SimpleNamespace(r_comp=r.copy(), err_cov=np.zeros_like(r), est_cov=r.copy())
+        stats = SimpleNamespace(r_comp=r.copy(), est_cov=r.copy())
+        # virtual power 0.1 * 3^2 / (2 * 0.1) and noise 1e-3: the table's only
+        # term, r_comp, cancels against est_cov, leaving the noise
+        coef = np.array([4.5])
+        loaded = 1e-3 * np.eye(n_ant) + coef[0] * r[:, 0]
         # both APs' estimates of the one group, then the zero padding row
         estimates = np.zeros((t_total, 3, n_ant), dtype=complex)
         estimates[:, :2] = rng.standard_normal((t_total, 2, n_ant)) + 1j * rng.standard_normal(
             (t_total, 2, n_ant)
         )
-        dirs = precoding.ipmmse_direction(
-            estimates, stats, plan, parts, 0, 0.1, 2, 0.1, 1e-3
-        )
+        dirs = precoding.ipmmse_direction(estimates, stats, plan, parts, 0, coef, loaded, np.sqrt(coef[0]))
         v = estimates[:, :2].reshape(t_total, -1)
         for t in range(t_total):
             cos = np.abs(np.vdot(v[t], dirs[t])) / (
@@ -159,16 +175,9 @@ class TestIpmmseDirection:
         cfg = small_config(realizations=4, n_groups=4, tau_p=2)
         pipe = build_pipeline(cfg)
         g = 0
+        coef, loaded, leads = full_load(pipe)
         dirs = precoding.ipmmse_direction(
-            pipe.estimates,
-            pipe.stats,
-            pipe.plan,
-            pipe.parts,
-            g,
-            cfg.group_power_w,
-            cfg.tau_p,
-            cfg.pilot_power_w,
-            cfg.noise_w,
+            pipe.estimates, pipe.stats, pipe.plan, pipe.parts, g, coef, loaded, leads[g]
         )
         aps = pipe.plan.serving[g]
         v = pipe.estimates[:, pipe.plan.pair_of[aps, g]].reshape(cfg.realizations, -1)
