@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -61,6 +62,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or f"simout_{cfg.config_hash()}"
+    # fail before the campaign if the outputs cannot be written, creating nothing
+    existing = os.path.abspath(out_dir)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        print(f"error: cannot write outputs to {out_dir}: {existing} is not a directory", file=sys.stderr)
+        return 2
     try:
         result = run_campaign(cfg, workers=args.workers)
     except ConfigError as exc:

@@ -25,24 +25,13 @@ class Deployment:
     """One snapshot of the network: positions plus large-scale fading.
 
     ``beta`` is the linear channel gain per (AP, MS) link, combining distance
-    path loss and correlated shadowing.  ``cluster_of`` carries the ground
-    truth cluster label per MS for clustered layouts, else None.
+    path loss and correlated shadowing.
     """
 
-    side_m: float
     ap_positions: np.ndarray  # (L, 2)
     ms_positions: np.ndarray  # (K, 2)
     shadowing_db: np.ndarray  # (L, K)
     beta: np.ndarray  # (L, K), linear
-    cluster_of: np.ndarray | None = None
-
-    @property
-    def n_aps(self) -> int:
-        return self.ap_positions.shape[0]
-
-    @property
-    def n_ms(self) -> int:
-        return self.ms_positions.shape[0]
 
 
 def place_uniform(n: int, side_m: float, rng: np.random.Generator) -> np.ndarray:
@@ -56,12 +45,12 @@ def place_ms_clustered(
     cluster_side_m: float,
     side_m: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop MSs in hotspot squares.
+) -> np.ndarray:
+    """Drop MSs in hotspot squares, positions (K, 2).
 
     Cluster centers are uniform over the area, redrawn until the hotspot
     square lies fully inside the bounds; members are uniform inside their
-    square.  Returns positions (K, 2) and the ground truth label per MS.
+    square.  MS k lies in hotspot ``k // per_cluster``.
     """
     half = cluster_side_m / 2.0
     centers = np.empty((clusters, 2))
@@ -72,9 +61,7 @@ def place_ms_clustered(
                 centers[c] = candidate
                 break
     offsets = rng.uniform(-half, half, size=(clusters, per_cluster, 2))
-    positions = (centers[:, None, :] + offsets).reshape(-1, 2)
-    labels = np.repeat(np.arange(clusters), per_cluster)
-    return positions, labels
+    return (centers[:, None, :] + offsets).reshape(-1, 2)
 
 
 def wrapped_displacement(a: np.ndarray, b: np.ndarray, side_m: float) -> np.ndarray:
@@ -167,12 +154,11 @@ def build_deployment(
     ap_positions = place_uniform(cfg.n_aps, cfg.side_m, rng_aps)
     dep = cfg.deployment
     if dep.kind == "clustered":
-        ms_positions, labels = place_ms_clustered(
+        ms_positions = place_ms_clustered(
             dep.clusters, cfg.n_ms // dep.clusters, dep.cluster_side_m, cfg.side_m, rng_ms
         )
     else:
         ms_positions = place_uniform(cfg.n_ms, cfg.side_m, rng_ms)
-        labels = None
     shadowing_db = sample_shadowing(
         ms_positions,
         cfg.n_aps,
@@ -185,10 +171,8 @@ def build_deployment(
         ap_positions, ms_positions, cfg.side_m, cfg.ap_height_m, cfg.ms_height_m, shadowing_db
     )
     return Deployment(
-        side_m=cfg.side_m,
         ap_positions=ap_positions,
         ms_positions=ms_positions,
         shadowing_db=shadowing_db,
         beta=beta,
-        cluster_of=labels,
     )

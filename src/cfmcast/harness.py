@@ -87,10 +87,6 @@ class CampaignResult:
     workers: int
     worker_blas_threads: int | None  # OpenBLAS threads snapshots ran at; None without a bundled OpenBLAS
 
-    @property
-    def config_hash(self) -> str:
-        return self.config.config_hash()
-
 
 def empirical_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted samples and their empirical probabilities i/n, i = 1..n."""
@@ -295,7 +291,7 @@ def write_outputs(result: CampaignResult, out_dir: str) -> None:
             fh.write(f"{float(v)!r},{float(p)!r}\n")
     report = {
         "config": result.config.semantic_dict(),
-        "config_hash": result.config_hash,
+        "config_hash": result.config.config_hash(),
         "workers": result.workers,
         "worker_blas_threads": result.worker_blas_threads,
         "wall_time_s": result.wall_time_s,

@@ -30,19 +30,17 @@ class PilotPlan:
     are numbered in row-major order of the mask: pair p joins AP ``pair_ap[p]``
     to group ``pair_group[p]``, and ``pair_of[l, g]`` is that number, or P (one
     past the last pair) where l does not serve g.  Per-realization estimates and
-    precoders are arrays over this pair axis.  Everything but the pilot count
-    and labels, the mask and the anchor APs is derived from them on construction.
+    precoders are arrays over this pair axis.  Everything but the pilot count,
+    the labels and the mask is derived from them on construction.
     """
 
     n_pilots: int
     pilot_of: np.ndarray  # (G,) pilot label per group
     serving_mask: np.ndarray  # (L, G) bool
-    master_ap: np.ndarray  # (G,) strongest serving AP per group
     pair_ap: np.ndarray = field(init=False)  # (P,)
     pair_group: np.ndarray = field(init=False)  # (P,)
     pair_of: np.ndarray = field(init=False)  # (L, G), P where unserved
     serving: list = field(init=False)  # per group: sorted AP indices (L_g)
-    served: list = field(init=False)  # per AP: sorted group indices (D_l)
     on_pilot: list = field(init=False)  # per pilot: sorted groups holding it, empty if unused
     s_set: list = field(init=False)  # per group: groups sharing at least one serving AP, itself included
 
@@ -53,7 +51,6 @@ class PilotPlan:
         self.pair_of = np.full(mask.shape, n_pairs)
         self.pair_of[self.pair_ap, self.pair_group] = np.arange(n_pairs)
         self.serving = [np.flatnonzero(col) for col in mask.T]
-        self.served = [np.flatnonzero(row) for row in mask]
         self.on_pilot = [np.flatnonzero(self.pilot_of == t) for t in range(self.n_pilots)]
         dense = mask.astype(float)
         self.s_set = [np.flatnonzero(row) for row in dense.T @ dense]
@@ -61,10 +58,6 @@ class PilotPlan:
     @property
     def n_groups(self) -> int:
         return self.pilot_of.shape[0]
-
-    @property
-    def n_aps(self) -> int:
-        return self.serving_mask.shape[0]
 
 
 def group_gains(beta: np.ndarray, grouping) -> np.ndarray:
@@ -119,7 +112,7 @@ def _serve_strongest(gains, pilot_of, masters, tau_p):
     return incumbent, counts
 
 
-def _serve_starved(gains, pilot_of, masters, incumbent, counts):
+def _serve_starved(gains, pilot_of, incumbent, counts):
     """Step 3: give every unserved group one AP by displacing a redundant incumbent."""
     locked: set[int] = set()
     queue = list(np.flatnonzero(counts == 0))
@@ -153,10 +146,9 @@ def _serve_starved(gains, pilot_of, masters, incumbent, counts):
 def assign_pilots_and_cluster(beta: np.ndarray, grouping, tau_p: int) -> PilotPlan:
     """Run the joint pilot assignment and AP clustering for a partition.
 
-    Returns the serving mask and the pilot label and strongest serving AP per
-    group; the plan derives the served pairs, the serving sets L_g and served
-    sets D_l, and the per-pilot group lists and interference neighborhood
-    (shared AP) sets from them.
+    Returns the pilot label per group and the serving mask; the plan derives
+    the served pairs, the serving sets L_g, the per-pilot group lists and the
+    interference neighborhood (shared AP) sets from them.
     """
     if tau_p < 1:
         raise ValueError(f"tau_p must be at least 1, got {tau_p}")
@@ -165,7 +157,7 @@ def assign_pilots_and_cluster(beta: np.ndarray, grouping, tau_p: int) -> PilotPl
     masters = np.argmax(gains, axis=0)
     pilot_of = _assign_pilots(beta, grouping, tau_p, masters)
     incumbent, counts = _serve_strongest(gains, pilot_of, masters, tau_p)
-    incumbent, counts = _serve_starved(gains, pilot_of, masters, incumbent, counts)
+    incumbent, counts = _serve_starved(gains, pilot_of, incumbent, counts)
 
     mask = np.zeros((n_aps, grouping.n_groups), dtype=bool)
     aps, slots = np.nonzero(incumbent >= 0)
@@ -173,5 +165,4 @@ def assign_pilots_and_cluster(beta: np.ndarray, grouping, tau_p: int) -> PilotPl
     # a fallback double-up is the only way a group is served off the incumbent table
     doubled = np.flatnonzero((counts > 0) & ~mask.any(axis=0))
     mask[masters[doubled], doubled] = True
-    master_ap = np.argmax(np.where(mask, gains, -np.inf), axis=0)
-    return PilotPlan(n_pilots=tau_p, pilot_of=pilot_of, serving_mask=mask, master_ap=master_ap)
+    return PilotPlan(n_pilots=tau_p, pilot_of=pilot_of, serving_mask=mask)

@@ -72,9 +72,8 @@ def ipmmse_direction(
     estimates: np.ndarray,
     stats,
     plan,
-    grouping,
-    group: int,
     coef: np.ndarray,
+    group: int,
     loaded: np.ndarray,
     lead: float,
 ) -> np.ndarray:
@@ -84,8 +83,6 @@ def ipmmse_direction(
     ``n`` stacks the group's serving APs times the antennas per AP.  ``coef``
     is every group's (G,) virtual-power weight, ``loaded`` the (L, N, N)
     full-load table of ``ipmmse_directions`` and ``lead`` the group's scale.
-    ``grouping`` is not read: the first five arguments keep the layout that
-    ``perfbench/tracer.py`` reads.
     """
     neighborhood = plan.s_set[group]
     aps = plan.serving[group]
@@ -112,7 +109,7 @@ def ipmmse_directions(
     w = np.empty((n_real, plan.pair_ap.size, n_ant), dtype=complex)
     for g, aps in enumerate(plan.serving):
         w[:, plan.pair_of[aps, g]] = ipmmse_direction(
-            estimates, stats, plan, grouping, g, coef, loaded, leads[g]
+            estimates, stats, plan, coef, g, loaded, leads[g]
         ).reshape(n_real, aps.size, n_ant)
     return w
 

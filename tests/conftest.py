@@ -138,8 +138,6 @@ def assert_pair_layout(plan):
     assert np.all(plan.pair_of[mask] < n_pairs)
     for g, aps in enumerate(plan.serving):
         assert np.array_equal(aps, np.flatnonzero(mask[:, g]))
-    for l, groups in enumerate(plan.served):
-        assert np.array_equal(groups, np.flatnonzero(mask[l]))
 
 
 def mmse_composite_estimate(

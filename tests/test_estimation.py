@@ -33,7 +33,7 @@ def hand_plan(pilot_of, n_pilots, n_aps):
     """A plan in which every AP serves every group."""
     pilot_of = np.asarray(pilot_of)
     mask = np.ones((n_aps, pilot_of.size), dtype=bool)
-    return pilots.PilotPlan(n_pilots, pilot_of, mask, np.zeros(pilot_of.size, dtype=int))
+    return pilots.PilotPlan(n_pilots, pilot_of, mask)
 
 
 class TestStatsAlgebra:

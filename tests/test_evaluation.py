@@ -22,7 +22,7 @@ def scalar_cb_setup(t_total, beta, rho, seed):
     rng = np.random.default_rng(seed)
     h = np.sqrt(beta / 2) * (rng.standard_normal(t_total) + 1j * rng.standard_normal(t_total))
     w = np.sqrt(rho) * h / np.sqrt(beta)
-    plan = pilots.PilotPlan(1, np.array([0]), np.array([[True]]), master_ap=np.array([0]))
+    plan = pilots.PilotPlan(1, np.array([0]), np.array([[True]]))
     return h.reshape(t_total, 1, 1, 1), w.reshape(t_total, 1, 1), plan
 
 

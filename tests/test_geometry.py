@@ -66,9 +66,9 @@ class TestPlacement:
 
     def test_clustered_layout(self, rng):
         side, csize = 500.0, 10.0
-        pos, labels = geometry.place_ms_clustered(4, 10, csize, side, rng)
+        pos = geometry.place_ms_clustered(4, 10, csize, side, rng)
+        labels = np.repeat(np.arange(4), 10)
         assert pos.shape == (40, 2)
-        assert np.array_equal(labels, np.repeat(np.arange(4), 10))
         assert np.all(pos >= 0) and np.all(pos <= side)
         for c in range(4):
             cluster = pos[labels == c]
@@ -76,7 +76,8 @@ class TestPlacement:
             assert np.all(spread <= csize + 1e-9)
 
     def test_cluster_members_within_diagonal(self, rng):
-        pos, labels = geometry.place_ms_clustered(3, 7, 20.0, 200.0, rng)
+        pos = geometry.place_ms_clustered(3, 7, 20.0, 200.0, rng)
+        labels = np.repeat(np.arange(3), 7)
         for c in range(3):
             cluster = pos[labels == c]
             d = np.linalg.norm(cluster - cluster.mean(axis=0), axis=1)
@@ -200,7 +201,6 @@ class TestDeployment:
         assert dep.ap_positions.shape == (cfg.n_aps, 2)
         assert dep.ms_positions.shape == (cfg.n_ms, 2)
         assert dep.beta.shape == (cfg.n_aps, cfg.n_ms)
-        assert dep.cluster_of is None
 
     def test_clustered_deployment_labels(self):
         from cfmcast.config import DeploymentSpec
@@ -211,6 +211,8 @@ class TestDeployment:
             deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=10.0),
         )
         pipe = build_pipeline(cfg, n_real=1)
-        assert pipe.dep.cluster_of is not None
-        assert np.array_equal(np.unique(pipe.dep.cluster_of), np.arange(3))
-        assert np.array_equal(np.bincount(pipe.dep.cluster_of), [4, 4, 4])
+        # MS k lies in hotspot k // (n_ms // clusters): each such block fits one square
+        spec = cfg.deployment
+        for block in pipe.dep.ms_positions.reshape(spec.clusters, -1, 2):
+            spread = block.max(axis=0) - block.min(axis=0)
+            assert np.all(spread <= spec.cluster_side_m + 1e-9)

@@ -120,7 +120,8 @@ class TestKMeans:
         n_trials = 20
         for seed in range(n_trials):
             rng = np.random.default_rng(seed)
-            pos, truth = geometry.place_ms_clustered(10, 5, 10.0, 1000.0, rng)
+            pos = geometry.place_ms_clustered(10, 5, 10.0, 1000.0, rng)
+            truth = np.repeat(np.arange(10), 5)
             aps = geometry.place_uniform(20, 1000.0, rng)
             shadow = geometry.sample_shadowing(pos, 20, 1000.0, 4.0, 9.0, rng)
             beta = geometry.large_scale_matrix(aps, pos, 1000.0, 10.0, 1.5, shadow)

@@ -151,7 +151,7 @@ class TestSnapshot:
         cfg = tiny_campaign_config(precoder="cb")
         res = harness.run_snapshot(cfg, 0)
         plan = build_pipeline(cfg, 0, n_real=1).plan
-        want = [cfg.dl_power_w if served.size else 0.0 for served in plan.served]
+        want = [cfg.dl_power_w if served.any() else 0.0 for served in plan.serving_mask]
         assert res.per_ap_power == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("precoder", ["ipmmse", "cb"])
@@ -403,7 +403,7 @@ class TestOutputs:
         values = np.array([float(r[0]) for r in rows[1:]])
         assert np.array_equal(values, result.cdf_values)
         report = json.loads((out / "report.json").read_text())
-        assert report["config_hash"] == result.config_hash
+        assert report["config_hash"] == result.config.config_hash()
         assert report["config"]["n_aps"] == cfg.n_aps
         assert len(report["snapshots"]) == cfg.snapshots
         assert "median_sum_se" in report["diagnostics"]
@@ -485,6 +485,19 @@ class TestCli:
         assert self.run_cli(*args, "--workers", "0") == 2
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+    def test_out_not_a_directory_exits_two_before_the_campaign(self, tmp_path, monkeypatch, capsys, under):
+        def never(cfg, workers=None):
+            raise AssertionError("the campaign ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_campaign", never)
+        taken = tmp_path / "cdf.csv"
+        taken.write_text("sum_se_bps_hz,cdf\n")
+        out = taken / under if under else taken
+        assert self.run_cli("--preset", "desk_uniform", "--snapshots", "1", "--out", str(out)) == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "sum_se_bps_hz,cdf\n"
 
     def test_campaign_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, workers=None):

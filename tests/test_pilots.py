@@ -12,6 +12,12 @@ def make_parts(labels, n_groups):
     return grouping.GroupAssignment(group_of=np.array(labels), n_groups=n_groups)
 
 
+def strongest_serving(beta, parts, plan):
+    """Each group's serving AP with the highest mean member gain."""
+    gains = pilots.group_gains(beta, parts)
+    return [int(aps[np.argmax(gains[aps, g])]) for g, aps in enumerate(plan.serving)]
+
+
 class TestGroupGains:
     def test_mean_member_gain(self):
         beta = np.array([[1.0, 3.0, 10.0], [2.0, 4.0, 20.0]])
@@ -63,10 +69,10 @@ class TestHandWorkedPlan:
         assert np.array_equal(plan.serving[2], [1])
 
     def test_served_duality_and_masters(self):
-        _, _, plan = self.build()
-        assert np.array_equal(plan.served[0], [0, 1])
-        assert np.array_equal(plan.served[1], [1, 2])
-        assert np.array_equal(plan.master_ap, [0, 1, 1])
+        beta, parts, plan = self.build()
+        assert np.array_equal(np.flatnonzero(plan.serving_mask[0]), [0, 1])
+        assert np.array_equal(np.flatnonzero(plan.serving_mask[1]), [1, 2])
+        assert strongest_serving(beta, parts, plan) == [0, 1, 1]
 
     def test_cohort_and_neighborhood(self):
         _, _, plan = self.build()
@@ -93,8 +99,7 @@ class TestEviction:
         assert np.array_equal(plan.pilot_of, [0, 0])
         assert np.array_equal(plan.serving[0], [1])
         assert np.array_equal(plan.serving[1], [0])
-        assert plan.master_ap[0] == 1
-        assert plan.master_ap[1] == 0
+        assert strongest_serving(beta, parts, plan) == [1, 0]
 
     def test_oversubscribed_pilot_still_serves_everyone(self):
         # four groups, one pilot, two APs: uniqueness per (AP, pilot) cannot
@@ -104,7 +109,6 @@ class TestEviction:
         parts = make_parts([0, 1, 2, 3], 4)
         plan = pilots.assign_pilots_and_cluster(beta, parts, tau_p=1)
         assert all(plan.serving[g].size >= 1 for g in range(4))
-        assert all(plan.master_ap[g] in plan.serving[g] for g in range(4))
 
 
 class TestInvariants:
@@ -123,22 +127,14 @@ class TestInvariants:
             parts = inst.parts
             plan = pilots.assign_pilots_and_cluster(inst.beta, parts, inst.tau_p)
             n_groups, n_aps = parts.n_groups, inst.n_aps
-            # every group is served and its anchor AP actually serves it
+            # every group is served
             for g in range(n_groups):
                 assert plan.serving[g].size >= 1
-                assert plan.master_ap[g] in plan.serving[g]
-            # serving/served are dual views of one relation
-            for l in range(n_aps):
-                for g in plan.served[l]:
-                    assert l in plan.serving[g]
-                assert plan.served[l].size <= inst.tau_p
-            for g in range(n_groups):
-                for l in plan.serving[g]:
-                    assert g in plan.served[l]
             # within the feasible fuzz domain each AP serves at most one
-            # group per pilot
+            # group per pilot (assert_pair_layout below ties serving to the mask)
             for l in range(n_aps):
-                pilots_here = plan.pilot_of[plan.served[l]]
+                pilots_here = plan.pilot_of[plan.serving_mask[l]]
+                assert pilots_here.size <= inst.tau_p
                 assert np.unique(pilots_here).size == pilots_here.size
             # the per-pilot lists hold each group once, on its own pilot
             assert len(plan.on_pilot) == inst.tau_p

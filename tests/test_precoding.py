@@ -41,7 +41,7 @@ class TestIpmmseDirection:
         coef, loaded, leads = full_load(pipe)
         for g in range(pipe.plan.n_groups):
             got = precoding.ipmmse_direction(
-                pipe.estimates, pipe.stats, pipe.plan, pipe.parts, g, coef, loaded, leads[g]
+                pipe.estimates, pipe.stats, pipe.plan, coef, g, loaded, leads[g]
             )
             want = oracle_direction(pipe, g)
             assert np.allclose(got, want, rtol=1e-8)
@@ -78,7 +78,7 @@ class TestIpmmseDirection:
         for g, (n, c) in enumerate(dims):
             solve_widths.clear()
             got = precoding.ipmmse_direction(
-                pipe.estimates, pipe.stats, plan, pipe.parts, g, coef, loaded, leads[g]
+                pipe.estimates, pipe.stats, plan, coef, g, loaded, leads[g]
             )
             # one solve per group, in its smaller dimension
             assert solve_widths == [min(n, c)]
@@ -140,7 +140,7 @@ class TestIpmmseDirection:
         coef, loaded, leads = full_load(pipe)
         with pytest.raises(NumericalError):
             precoding.ipmmse_direction(
-                pipe.estimates, pipe.stats, plan, pipe.parts, g, coef, loaded, leads[g]
+                pipe.estimates, pipe.stats, plan, coef, g, loaded, leads[g]
             )
 
     def test_matched_filter_limit_is_colinear(self, rng):
@@ -148,8 +148,7 @@ class TestIpmmseDirection:
         # update of the identity, so the solution is parallel to the estimate
         n_ant, t_total = 2, 5
         serving_mask = np.ones((2, 1), dtype=bool)
-        plan = pilots.PilotPlan(1, np.array([0]), serving_mask, master_ap=np.array([0]))
-        parts = SimpleNamespace(sizes=np.array([3]))
+        plan = pilots.PilotPlan(1, np.array([0]), serving_mask)
         r = np.eye(n_ant, dtype=complex)[None, None].repeat(2, axis=0)
         stats = SimpleNamespace(r_comp=r.copy(), est_cov=r.copy())
         # virtual power 0.1 * 3^2 / (2 * 0.1) and noise 1e-3: the table's only
@@ -161,7 +160,7 @@ class TestIpmmseDirection:
         estimates[:, :2] = rng.standard_normal((t_total, 2, n_ant)) + 1j * rng.standard_normal(
             (t_total, 2, n_ant)
         )
-        dirs = precoding.ipmmse_direction(estimates, stats, plan, parts, 0, coef, loaded, np.sqrt(coef[0]))
+        dirs = precoding.ipmmse_direction(estimates, stats, plan, coef, 0, loaded, np.sqrt(coef[0]))
         v = estimates[:, :2].reshape(t_total, -1)
         for t in range(t_total):
             cos = np.abs(np.vdot(v[t], dirs[t])) / (
@@ -177,7 +176,7 @@ class TestIpmmseDirection:
         g = 0
         coef, loaded, leads = full_load(pipe)
         dirs = precoding.ipmmse_direction(
-            pipe.estimates, pipe.stats, pipe.plan, pipe.parts, g, coef, loaded, leads[g]
+            pipe.estimates, pipe.stats, pipe.plan, coef, g, loaded, leads[g]
         )
         aps = pipe.plan.serving[g]
         v = pipe.estimates[:, pipe.plan.pair_of[aps, g]].reshape(cfg.realizations, -1)
@@ -296,7 +295,7 @@ class TestConjugateBeamforming:
         pipe = build_pipeline(cfg)
         rho = precoding.apa_power(pipe.stats.trace_r_comp, pipe.plan, cfg.dl_power_w, 0.5)
         for l in range(cfg.n_aps):
-            served = pipe.plan.served[l]
+            served = np.flatnonzero(pipe.plan.serving_mask[l])
             assert rho[l, served].sum() == pytest.approx(cfg.dl_power_w, rel=1e-12)
             unserved = np.setdiff1d(np.arange(pipe.plan.n_groups), served)
             assert np.all(rho[l, unserved] == 0)
