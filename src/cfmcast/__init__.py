@@ -1,6 +1,6 @@
 """Cell-free massive MIMO downlink simulator with subgroup multicast service."""
 
-from .config import DeploymentSpec, SystemConfig, preset
+from .config import SystemConfig, preset
 from .errors import (
     CampaignError,
     ConfigError,
@@ -24,7 +24,6 @@ __all__ = [
     "CompositeStats",
     "ConfigError",
     "Deployment",
-    "DeploymentSpec",
     "GroupAssignment",
     "NumericalError",
     "PilotPlan",

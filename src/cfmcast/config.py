@@ -1,9 +1,9 @@
 """Run configuration, presets and serialization.
 
 A :class:`SystemConfig` captures every semantic knob of a campaign: network
-dimensions, frame structure, power budgets, propagation constants, deployment
-layout, multicast group count, precoder and Monte Carlo sizes.  JSON configs
-mirror the dataclass field-for-field and unknown keys are rejected.
+dimensions, frame structure, power budgets, propagation constants, MS layout,
+multicast group count, precoder and Monte Carlo sizes.  JSON configs are flat
+objects that mirror the dataclass field-for-field; unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, fields, asdict, replace
 
 from .errors import ConfigError
 
@@ -27,44 +27,18 @@ _IS_TYPE = {
 }
 
 
-def _check_types(spec) -> None:
+def _check_types(cfg) -> None:
     """Reject a field value whose type is not the one its annotation names, or a non-finite real."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
         kind, _, optional = f.type.partition(" | ")
-        if (value is None and optional == "None") or kind not in _IS_TYPE:
+        if value is None and optional == "None":
             continue
         if not _IS_TYPE[kind](value):
             raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
         # JSON's NaN and Infinity parse as floats and pass every range check
         if kind == "float" and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class DeploymentSpec:
-    """Layout of mobile stations: uniform over the area or clustered squares."""
-
-    kind: str = "uniform"
-    clusters: int | None = None  # each holds n_ms // clusters MSs
-    cluster_side_m: float | None = None
-
-    def validate(self, n_ms: int, side_m: float) -> None:
-        _check_types(self)
-        if self.kind == "uniform":
-            if self.clusters is not None or self.cluster_side_m is not None:
-                raise ConfigError("uniform deployment takes no cluster parameters")
-            return
-        if self.kind != "clustered":
-            raise ConfigError(f"unknown deployment kind {self.kind!r}")
-        if self.clusters is None or self.cluster_side_m is None:
-            raise ConfigError("clustered deployment needs clusters and cluster_side_m")
-        if self.clusters < 1 or n_ms % self.clusters:
-            raise ConfigError(f"clusters = {self.clusters} must divide n_ms = {n_ms}")
-        # centers are redrawn until the square fits; at most half the side keeps
-        # at least a quarter of the draws acceptable, so the redraw ends
-        if self.cluster_side_m <= 0 or self.cluster_side_m > side_m / 2:
-            raise ConfigError("cluster_side_m must lie in (0, side_m / 2]")
 
 
 @dataclass(frozen=True)
@@ -99,7 +73,9 @@ class SystemConfig:
     # service shape: n_groups (required) is 1 for single multicast, n_ms for unicast
     precoder: str = "ipmmse"
     n_groups: int | None = None
-    deployment: DeploymentSpec = field(default_factory=DeploymentSpec)
+    # MS layout: uniform over the area, or clustered squares when clusters is set
+    clusters: int | None = None  # each holds n_ms // clusters MSs
+    cluster_side_m: float | None = None
     # reproducibility and reporting
     master_seed: int = 0
     sum_convention: str = "per_user"
@@ -137,7 +113,17 @@ class SystemConfig:
             raise ConfigError(f"sum_convention must be one of {SUM_CONVENTIONS}")
         if self.n_groups is None or not 1 <= self.n_groups <= self.n_ms:
             raise ConfigError(f"n_groups must lie in [1, n_ms], got {self.n_groups}")
-        self.deployment.validate(self.n_ms, self.side_m)
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
+        if self.clusters is None:
+            if self.cluster_side_m is not None:
+                raise ConfigError("cluster_side_m is taken only with clusters")
+        elif self.clusters < 1 or self.n_ms % self.clusters:
+            raise ConfigError(f"clusters = {self.clusters} must divide n_ms = {self.n_ms}")
+        elif self.cluster_side_m is None or not 0 < self.cluster_side_m <= self.side_m / 2:
+            # centers are redrawn until the square fits; at most half the side keeps
+            # at least a quarter of the draws acceptable, so the redraw ends
+            raise ConfigError("clusters need a cluster_side_m in (0, side_m / 2]")
 
     # --- derived quantities -------------------------------------------------
 
@@ -158,9 +144,7 @@ class SystemConfig:
     # --- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["deployment"] = {k: v for k, v in asdict(self.deployment).items() if v is not None}
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
@@ -168,16 +152,6 @@ class SystemConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(data)
-        dep = data.get("deployment")
-        if dep is not None:
-            if not isinstance(dep, dict):
-                raise ConfigError("deployment must be an object")
-            dep_known = set(DeploymentSpec.__dataclass_fields__)
-            dep_unknown = set(dep) - dep_known
-            if dep_unknown:
-                raise ConfigError(f"unknown deployment keys: {sorted(dep_unknown)}")
-            data["deployment"] = DeploymentSpec(**dep)
         return cls(**data)
 
     @classmethod
@@ -220,7 +194,8 @@ def preset(name: str) -> SystemConfig:
             n_ms=500,
             n_groups=30,
             precoder="cb",
-            deployment=DeploymentSpec(kind="clustered", clusters=10, cluster_side_m=10.0),
+            clusters=10,
+            cluster_side_m=10.0,
         ),
         "desk_uniform": SystemConfig(
             n_aps=25,
@@ -243,7 +218,8 @@ def preset(name: str) -> SystemConfig:
             realizations=100,
             n_groups=4,
             precoder="cb",
-            deployment=DeploymentSpec(kind="clustered", clusters=4, cluster_side_m=10.0),
+            clusters=4,
+            cluster_side_m=10.0,
         ),
     }
     if name not in presets:

@@ -152,10 +152,9 @@ def build_deployment(
 ) -> Deployment:
     """Draw one geometry snapshot for a SystemConfig."""
     ap_positions = place_uniform(cfg.n_aps, cfg.side_m, rng_aps)
-    dep = cfg.deployment
-    if dep.kind == "clustered":
+    if cfg.clusters is not None:
         ms_positions = place_ms_clustered(
-            dep.clusters, cfg.n_ms // dep.clusters, dep.cluster_side_m, cfg.side_m, rng_ms
+            cfg.clusters, cfg.n_ms // cfg.clusters, cfg.cluster_side_m, cfg.side_m, rng_ms
         )
     else:
         ms_positions = place_uniform(cfg.n_ms, cfg.side_m, rng_ms)

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from cfmcast import covariance, estimation, evaluation, geometry, grouping, harness, precoding
-from cfmcast.config import DeploymentSpec, SystemConfig
+from cfmcast.config import SystemConfig
 from cfmcast.errors import NumericalError
 
 
@@ -24,7 +24,6 @@ def small_config(**overrides) -> SystemConfig:
         side_m=500.0,
         snapshots=2,
         realizations=40,
-        deployment=DeploymentSpec(kind="uniform"),
     )
     base.update(overrides)
     return SystemConfig(**base)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cfmcast.config import DeploymentSpec, SystemConfig, preset
+from cfmcast.config import _IS_TYPE, SystemConfig, preset
 from cfmcast.errors import ConfigError
 from cfmcast.evaluation import se_user
 
@@ -52,27 +52,39 @@ class TestValidation:
         small_config(n_groups=12)
 
     def test_clustered_consistency(self):
-        with pytest.raises(ConfigError):
-            small_config(
-                deployment=DeploymentSpec(kind="clustered", clusters=5, cluster_side_m=10.0)
-            )
+        for clusters in (5, 0, -3):
+            with pytest.raises(ConfigError, match="must divide n_ms"):
+                small_config(clusters=clusters, cluster_side_m=10.0)
         # a hotspot wider than half the area would leave no center to draw at side_m
-        with pytest.raises(ConfigError):
-            small_config(
-                deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=500.0)
-            )
-        small_config(
-            deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=250.0)
-        )
-        with pytest.raises(ConfigError):
-            small_config(deployment=DeploymentSpec(kind="uniform", clusters=2))
-        with pytest.raises(ConfigError):
-            small_config(deployment=DeploymentSpec(kind="ring"))
+        for side in (500.0, 0.0, -1.0):
+            with pytest.raises(ConfigError, match="cluster_side_m in"):
+                small_config(clusters=3, cluster_side_m=side)
+        cfg = small_config(clusters=3, cluster_side_m=250.0)
+        assert (cfg.clusters, cfg.cluster_side_m) == (3, 250.0)
         # the cluster size is n_ms // clusters; a config that still sets it is rejected
-        data = small_config().to_dict()
-        data["deployment"] = {"kind": "clustered", "clusters": 3, "per_cluster": 4, "cluster_side_m": 10.0}
-        with pytest.raises(ConfigError):
+        data = {**small_config().to_dict(), "clusters": 3, "per_cluster": 4, "cluster_side_m": 10.0}
+        with pytest.raises(ConfigError, match="per_cluster"):
             SystemConfig.from_dict(data)
+        # the layout is uniform exactly when clusters is unset; each cluster field needs the other
+        with pytest.raises(ConfigError, match="cluster_side_m in"):
+            small_config(clusters=3)
+        with pytest.raises(ConfigError, match="only with clusters"):
+            small_config(cluster_side_m=10.0)
+
+    def test_rejects_negative_seed(self):
+        # SeedSequence takes only non-negative entropy; a negative seed would fail every snapshot
+        for seed in (-1, -(2**40)):
+            with pytest.raises(ConfigError, match="master_seed must be non-negative"):
+                small_config(master_seed=seed)
+        small_config(master_seed=0)
+        small_config(master_seed=2**40)
+
+    def test_every_field_annotation_has_a_type_check(self):
+        # a field whose annotation _check_types cannot look up would escape the type check
+        for f in SystemConfig.__dataclass_fields__.values():
+            leading, _, rest = f.type.partition(" | ")
+            assert leading in _IS_TYPE, f"{f.name}: {f.type}"
+            assert rest in ("", "None"), f"{f.name}: {f.type}"
 
     @pytest.mark.parametrize(
         "field, value",
@@ -95,26 +107,23 @@ class TestValidation:
     @pytest.mark.parametrize(
         "deployment",
         [
-            {"kind": "clustered", "clusters": 3.0, "cluster_side_m": 10.0},
-            {"kind": "clustered", "clusters": True, "cluster_side_m": 10.0},
-            {"kind": "clustered", "clusters": 3, "cluster_side_m": "10"},
-            {"kind": 1},
+            {"clusters": 3.0, "cluster_side_m": 10.0},
+            {"clusters": True, "cluster_side_m": 10.0},
+            {"clusters": 3, "cluster_side_m": "10"},
+            {"clusters": "3", "cluster_side_m": 10.0},
         ],
     )
     def test_rejects_wrong_deployment_types(self, deployment):
-        data = {**small_config().to_dict(), "deployment": deployment}
-        with pytest.raises(ConfigError):
+        data = {**small_config().to_dict(), **deployment}
+        with pytest.raises(ConfigError, match="must be of type"):
             SystemConfig.from_dict(data)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
     @pytest.mark.parametrize("field", ["dl_power_w", "nu", "cluster_side_m"])
     def test_rejects_non_finite_reals_in_json(self, tmp_path, field, value):
         # json writes and reads NaN, Infinity and -Infinity as floats
-        data = small_config(deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=10.0)).to_dict()
-        if field == "cluster_side_m":
-            data["deployment"][field] = value
-        else:
-            data[field] = value
+        data = small_config(clusters=3, cluster_side_m=10.0).to_dict()
+        data[field] = value
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
@@ -132,17 +141,23 @@ class TestValidation:
 
 class TestSerialization:
     def test_round_trip(self):
-        cfg = small_config(
-            deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=10.0)
-        )
-        again = SystemConfig.from_dict(cfg.to_dict())
-        assert again == cfg
+        for cfg in (small_config(), small_config(clusters=3, cluster_side_m=10.0)):
+            data = cfg.to_dict()
+            # a flat JSON object: every value is a scalar, keyed by field name
+            assert list(data) == list(SystemConfig.__dataclass_fields__)
+            assert not any(isinstance(v, (dict, list)) for v in data.values())
+            assert SystemConfig.from_dict(json.loads(json.dumps(data))) == cfg
 
     def test_unknown_key_rejected(self):
         data = small_config().to_dict()
         data["bandwith_hz"] = 1e6
         with pytest.raises(ConfigError):
             SystemConfig.from_dict(data)
+        # the layout fields sit at the top level; the old nested object, or null, is an unknown key
+        for deployment in ({"kind": "clustered", "clusters": 3, "cluster_side_m": 10.0}, None):
+            data = {**small_config().to_dict(), "deployment": deployment}
+            with pytest.raises(ConfigError, match="unknown config keys: \\['deployment'\\]"):
+                SystemConfig.from_dict(data)
 
     def test_from_json(self, tmp_path):
         cfg = small_config()
@@ -186,8 +201,9 @@ class TestPresets:
 
     def test_clustered_preset_layout(self):
         cfg = preset("desk_clustered")
-        assert cfg.deployment.kind == "clustered"
-        assert cfg.n_ms % cfg.deployment.clusters == 0
+        assert (cfg.clusters, cfg.cluster_side_m) == (4, 10.0)
+        assert cfg.n_ms % cfg.clusters == 0
+        assert preset("desk_uniform").clusters is None
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):

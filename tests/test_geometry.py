@@ -203,16 +203,11 @@ class TestDeployment:
         assert dep.beta.shape == (cfg.n_aps, cfg.n_ms)
 
     def test_clustered_deployment_labels(self):
-        from cfmcast.config import DeploymentSpec
         from conftest import build_pipeline
 
-        cfg = small_config(
-            n_ms=12,
-            deployment=DeploymentSpec(kind="clustered", clusters=3, cluster_side_m=10.0),
-        )
+        cfg = small_config(n_ms=12, clusters=3, cluster_side_m=10.0)
         pipe = build_pipeline(cfg, n_real=1)
         # MS k lies in hotspot k // (n_ms // clusters): each such block fits one square
-        spec = cfg.deployment
-        for block in pipe.dep.ms_positions.reshape(spec.clusters, -1, 2):
+        for block in pipe.dep.ms_positions.reshape(cfg.clusters, -1, 2):
             spread = block.max(axis=0) - block.min(axis=0)
-            assert np.all(spread <= spec.cluster_side_m + 1e-9)
+            assert np.all(spread <= cfg.cluster_side_m + 1e-9)

@@ -466,14 +466,33 @@ class TestCli:
     def test_wrong_typed_config_exits_two(self, tmp_path, capsys, override):
         data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "snapshots": 1, "realizations": 8}
         if "cluster_side_m" in override:
-            data["deployment"] = {"kind": "clustered", "clusters": 3, **override}
-        else:
-            data.update(override)
+            data["clusters"] = 3
+        data.update(override)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "run"
         assert self.run_cli("--config", str(path), "--out", str(out)) == 2
         assert "must be of type" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "deployment", [{"kind": "clustered", "clusters": 3, "cluster_side_m": 10.0}, None], ids=["object", "null"]
+    )
+    def test_nested_deployment_config_exits_two(self, tmp_path, capsys, deployment):
+        # the layout is the flat clusters / cluster_side_m pair; the old nested key is unknown
+        data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "snapshots": 1, "realizations": 8, "deployment": deployment}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert self.run_cli("--config", str(path), "--out", str(out)) == 2
+        assert "unknown config keys: ['deployment']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ("--preset", "desk_uniform", "--snapshots", "2", "--realizations", "8", "--out", str(out))
+        assert self.run_cli(*args, "--seed", "-1", "--workers", "2") == 2
+        assert "master_seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file_exits_two(self, tmp_path):
