@@ -25,21 +25,34 @@ SLAB_ELEMENTS = 1 << 19
 
 
 def _closed_form(beta: np.ndarray, phi_rad: np.ndarray, asd_rad: float, n_antennas: int) -> np.ndarray:
-    """Closed-form local scattering covariance entries, broadcast over links."""
+    """Closed-form local scattering covariance entries, broadcast over links.
+
+    The entries are beta * exp(1j pi d sin(phi)) * exp(-(asd pi d cos(phi))^2 / 2)
+    for antenna offset d, built in the returned complex array and one real
+    array of the same shape, with no other temporary of that size.
+    """
     idx = np.arange(n_antennas)
     diff = idx[:, None] - idx[None, :]
     phi = np.asarray(phi_rad, dtype=float)[..., None, None]
     b = np.asarray(beta, dtype=float)[..., None, None]
-    phase = np.exp(1j * np.pi * diff * np.sin(phi))
-    spread = np.exp(-0.5 * (asd_rad * np.pi * diff * np.cos(phi)) ** 2)
-    return b * phase * spread
+    r = np.multiply(1j * np.pi * diff, np.sin(phi))
+    np.exp(r, out=r)
+    spread = np.multiply(asd_rad * np.pi * diff, np.cos(phi))
+    np.square(spread, out=spread)
+    np.multiply(-0.5, spread, out=spread)
+    np.exp(spread, out=spread)
+    np.multiply(b, r, out=r)
+    np.multiply(r, spread, out=r)
+    return r
 
 
 def _clip_psd(r: np.ndarray) -> np.ndarray:
-    """Project stacked Hermitian matrices onto the PSD cone.
+    """Project stacked Hermitian matrices onto the PSD cone, overwriting ``r``.
 
     Eigenvalues below -EIG_CLIP_REL_TOL * trace indicate a synthesis bug and
-    raise; small negatives from rounding are clipped to zero.
+    raise; small negatives from rounding are clipped to zero.  The projection
+    U diag(w) U^H is formed one slice at a time in the eigenvector array,
+    which is returned, while ``r`` holds U diag(w).
     """
     w, u = np.linalg.eigh(r)
     trace = np.einsum("...ii->...", r).real
@@ -47,8 +60,13 @@ def _clip_psd(r: np.ndarray) -> np.ndarray:
     if np.any(w[..., 0] < floor):
         worst = float(np.min(w[..., 0] / np.maximum(trace, np.finfo(float).tiny)))
         raise SynthesisError(f"covariance has eigenvalue {worst:.3e} * trace below the clip tolerance")
-    w = np.clip(w, 0.0, None)
-    return (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    np.clip(w, 0.0, None, out=w)
+    scaled = np.multiply(u, w[..., None, :], out=r)
+    np.conj(u, out=u)
+    # one (K, N, N) slice per AP of a field; each product is formed before it overwrites its slice
+    for i in np.ndindex(u.shape[:-3]):
+        u[i] = scaled[i] @ np.swapaxes(u[i], -1, -2)
+    return u
 
 
 def covariance_field(
@@ -63,11 +81,15 @@ def covariance_field(
 def covariance_factors(r: np.ndarray) -> np.ndarray:
     """PSD factor A with A A^H = R per stacked matrix, via eigendecomposition.
 
-    Robust to rank-deficient covariances (e.g. zero angular spread).
+    Robust to rank-deficient covariances (e.g. zero angular spread).  The
+    eigenvectors are scaled in place, so the factors take no memory beyond
+    the decomposition's.
     """
     w, u = np.linalg.eigh(r)
-    w = np.clip(w, 0.0, None)
-    return u * np.sqrt(w)[..., None, :]
+    np.clip(w, 0.0, None, out=w)
+    np.sqrt(w, out=w)
+    u *= w[..., None, :]
+    return u
 
 
 def _slabs(normals: np.ndarray):

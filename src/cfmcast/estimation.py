@@ -121,5 +121,7 @@ def estimate_composites(y: np.ndarray, stats: CompositeStats, plan) -> np.ndarra
     obs = y[:, plan.pair_ap, plan.pilot_of[plan.pair_group]]  # (T, P, N)
     estimator = stats.estimator[plan.pair_ap, plan.pair_group]  # (P, N, N)
     out = np.zeros((n_real, plan.pair_ap.size + 1, n_antennas), dtype=complex)
-    out[:, :-1] = np.swapaxes(np.swapaxes(obs, 0, 1) @ np.swapaxes(estimator, -1, -2), 0, 1)
+    np.matmul(
+        np.swapaxes(obs, 0, 1), np.swapaxes(estimator, -1, -2), out=np.swapaxes(out[:, :-1], 0, 1)
+    )
     return out

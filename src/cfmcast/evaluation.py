@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StatsError
+from .errors import NumericalError, StatsError
 
-# groups per dense precoder block in SinrAccumulator.update, bounding its memory
+# SinrAccumulator.update works through a chunk in dense precoder blocks of at
+# most GROUP_BLOCK groups, a slab of realizations at a time; a slab's block
+# (t, L·N, B) and its products (t, K, B) hold at most BLOCK_ELEMENTS entries each
 GROUP_BLOCK = 64
+BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -47,23 +50,33 @@ class SinrAccumulator:
     def update(self, channels: np.ndarray, precoders: np.ndarray, plan) -> None:
         """Add one chunk of matched (T, K, L, N) channel and (T, P, N) precoder realizations.
 
-        Per block of GROUP_BLOCK groups, the conjugated precoders fill a dense
-        (T, L, N, B) block, zero where an AP does not serve a group (through
-        plan.pair_of and a trailing zero row), so one batched matmul with the
-        channels viewed without a copy as (T, K, L·N) gives conj(h_kᴴ w_g).
+        Per slab of realizations and block of GROUP_BLOCK groups, the
+        conjugated precoders fill a dense (t, L, N, B) block, zero where an AP
+        does not serve a group (through plan.pair_of and a trailing zero row),
+        so one batched matmul with the channels viewed without a copy as
+        (t, K, L·N) gives conj(h_kᴴ w_g).  Slabs hold at most BLOCK_ELEMENTS
+        entries, at least one realization, so no temporary grows with T.
         """
         n_real, n_ms, n_aps, n_ant = channels.shape
-        padded = np.concatenate([np.conj(precoders), np.zeros_like(precoders[:, :1])], axis=1)
-        for g0 in range(0, plan.n_groups, GROUP_BLOCK):
-            blk = slice(g0, g0 + GROUP_BLOCK)
-            block = padded[:, plan.pair_of[:, None, blk], np.arange(n_ant)[:, None]]  # (T, L, N, B)
-            a_conj = channels.reshape(n_real, n_ms, -1) @ block.reshape(n_real, n_aps * n_ant, -1)
-            self.sum_a[:, blk] += np.conj(a_conj.sum(axis=0))
-            self.sum_a2[:, blk] += np.sum(np.abs(a_conj) ** 2, axis=0)
+        flat = channels.reshape(n_real, n_ms, -1)
+        antennas = np.arange(n_ant)[:, None]
+        step = max(1, BLOCK_ELEMENTS // (max(n_aps * n_ant, n_ms) * min(plan.n_groups, GROUP_BLOCK)))
+        for t0 in range(0, n_real, step):
+            w = precoders[t0 : t0 + step]
+            padded = np.concatenate([np.conj(w), np.zeros_like(w[:, :1])], axis=1)
+            for g0 in range(0, plan.n_groups, GROUP_BLOCK):
+                blk = slice(g0, g0 + GROUP_BLOCK)
+                block = padded[:, plan.pair_of[:, None, blk], antennas]  # (t, L, N, B)
+                a_conj = flat[t0 : t0 + step] @ block.reshape(len(w), n_aps * n_ant, -1)
+                self.sum_a[:, blk] += np.conj(a_conj.sum(axis=0))
+                self.sum_a2[:, blk] += np.sum(np.abs(a_conj) ** 2, axis=0)
         self.count += n_real
 
     def finalize(self, power_scale: np.ndarray, group_of: np.ndarray, noise_w: float):
-        """Return (desired power, total received power, sinr, clamp count)."""
+        """Return (desired power, total received power, sinr, clamp count).
+
+        Raises NumericalError when an SINR is not finite.
+        """
         if self.count == 0:
             raise StatsError("no realizations accumulated")
         mean_a = self.sum_a / self.count
@@ -76,6 +89,8 @@ class SinrAccumulator:
         clamped = int(np.sum(denom <= 0))
         denom = np.where(denom <= 0, noise_w, denom)
         sinr = desired / denom
+        if not np.all(np.isfinite(sinr)):
+            raise NumericalError("SINR is not finite")
         return desired, total, sinr, clamped
 
 

@@ -157,17 +157,20 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
         stage_rng(cfg.master_seed, index, "shadowing"),
     )
     pending = draw(0)
-    _, factors, parts, plan, stats = snapshot_setup(cfg, index, dep)
+    # the link covariances are not read past composite_stats
+    factors, parts, plan, stats = snapshot_setup(cfg, index, dep)[1:]
     acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
     centralized = cfg.precoder == "ipmmse"
     sq_norm_sums = np.zeros(plan.serving_mask.shape)
 
+    # a chunk's large arrays are dropped after their last reader, and its
+    # buffer when the next chunk's is taken up: at most two buffers are alive
     for ci in range(len(bounds)):
-        normals, drawn = pending
+        channels, drawn = pending
         drawn.result()
         if ci + 1 < len(bounds):
             pending = draw(ci + 1)
-        channels = covariance.sample_channels(factors, normals)
+        channels = covariance.sample_channels(factors, channels)  # the normals, correlated in place
         y = estimation.project_pilots(
             channels,
             parts,
@@ -178,6 +181,7 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
             stage_rng(cfg.master_seed, index, "pilot_noise", ci),
         )
         estimates = estimation.estimate_composites(y, stats, plan)
+        del y
         if centralized:
             w = precoding.ipmmse_directions(
                 estimates, stats, plan, parts, cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w
@@ -185,6 +189,7 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
             sq_norm_sums[plan.pair_ap, plan.pair_group] += np.sum(np.abs(w) ** 2, axis=(0, 2))
         else:
             w = precoding.cb_precoders(estimates, stats, plan, cfg.dl_power_w, cfg.resolved_nu())
+        del estimates
         acc.update(channels, w, plan)
 
     if centralized:

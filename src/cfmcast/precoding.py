@@ -140,12 +140,17 @@ def fractional_power_centralized(
     ``trace_sums[g]`` is the composite covariance trace summed over the
     group's serving APs.  The denominator is the load of the group's busiest
     serving AP, which keeps every AP's expected radiated power within budget.
+    Raises NumericalError when a busiest load is zero or a power is not
+    finite, as when trace_sums**nu underflows or overflows.
     """
     mask = plan.serving_mask
     load = trace_sums**nu * omega ** (1.0 - kappa)
     ap_load = np.where(mask, load, 0.0).sum(axis=1)
     busiest = np.where(mask, ap_load[:, None], 0.0).max(axis=0)
-    return dl_power_w * trace_sums**nu * omega ** (-kappa) / busiest
+    power = dl_power_w * trace_sums**nu * omega ** (-kappa)
+    if np.any(busiest <= 0) or not np.all(np.isfinite(power)):
+        raise NumericalError(f"fractional powers are not finite (nu = {nu}, kappa = {kappa})")
+    return power / busiest
 
 
 def centralized_power(

@@ -37,6 +37,27 @@ def draw_channels(factors: np.ndarray, n_real: int, rng: np.random.Generator) ->
     return covariance.sample_channels(factors, normals)
 
 
+def out_of_place_field(beta, phi_rad, asd_rad: float, n_antennas: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for covariance.covariance_field and covariance_factors: (R, A), every step a new array.
+
+    The closed form, its PSD projection and the eigenvector scaling of the
+    factors are the same ufuncs and products the program runs in place, so
+    both results must match it bit for bit.
+    """
+    idx = np.arange(n_antennas)
+    diff = idx[:, None] - idx[None, :]
+    phi = np.asarray(phi_rad, dtype=float)[..., None, None]
+    b = np.asarray(beta, dtype=float)[..., None, None]
+    phase = np.exp(1j * np.pi * diff * np.sin(phi))
+    spread = np.exp(-0.5 * (asd_rad * np.pi * diff * np.cos(phi)) ** 2)
+    w, u = np.linalg.eigh(b * phase * spread)
+    w = np.clip(w, 0.0, None)
+    r = (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    w, u = np.linalg.eigh(r)
+    w = np.clip(w, 0.0, None)
+    return r, u * np.sqrt(w)[..., None, :]
+
+
 def serial_sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Reference for covariance.sample_channels: its slab formula, every slab on the calling thread."""
     ms_major = np.ascontiguousarray(np.swapaxes(factors, 0, 1))

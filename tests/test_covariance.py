@@ -6,10 +6,10 @@ import threading
 import numpy as np
 import pytest
 
-from cfmcast import covariance
+from cfmcast import covariance, geometry, harness, preset
 from cfmcast.errors import SynthesisError
 
-from conftest import draw_channels, serial_sample_channels
+from conftest import draw_channels, out_of_place_field, serial_sample_channels
 
 # Reference entries from direct numerical integration of the angular model
 # (Gaussian angle spread entering through its first-order deviation term),
@@ -135,6 +135,38 @@ class TestField:
         beta[1, 1] = 0.0
         with pytest.raises(SynthesisError):
             covariance.covariance_field(beta, np.zeros((2, 2)), 0.1, 2)
+
+
+class TestInPlace:
+    """The in-place synthesis gives the out-of-place floats exactly; the
+    factor eigendecomposition is phase-sensitive, so rounding would move
+    every channel draw."""
+
+    @pytest.mark.parametrize("shape", [(), (9,), (7, 9)], ids=["link", "row", "field"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_matches_out_of_place_oracle(self, rng, shape, n):
+        for asd in np.deg2rad([0.0, 5.0, 15.0, 40.0]):
+            beta = 10.0 ** rng.uniform(-10, -4, size=shape)
+            phi = rng.uniform(-np.pi, np.pi, size=shape)
+            want_r, want_a = out_of_place_field(beta, phi, asd, n)
+            r = covariance.covariance_field(beta, phi, asd, n)
+            assert np.array_equal(r, want_r)
+            assert np.array_equal(covariance.covariance_factors(r), want_a)
+
+    def test_matches_out_of_place_oracle_on_fig3_links(self):
+        # 20 of fig3 snapshot 0's 100 APs against all 500 clustered MSs
+        cfg = preset("fig3")
+        dep = geometry.build_deployment(
+            cfg, *(harness.stage_rng(cfg.master_seed, 0, stage) for stage in ("aps", "ms", "shadowing"))
+        )
+        beta = dep.beta[:20]
+        phi = geometry.nominal_angles(dep.ap_positions[:20], dep.ms_positions, cfg.side_m)
+        asd = np.deg2rad(cfg.asd_deg)
+        want_r, want_a = out_of_place_field(beta, phi, asd, cfg.n_antennas)
+        r = covariance.covariance_field(beta, phi, asd, cfg.n_antennas)
+        assert r.shape == (20, 500, 4, 4)
+        assert np.array_equal(r, want_r)
+        assert np.array_equal(covariance.covariance_factors(r), want_a)
 
 
 class TestSampling:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfmcast import evaluation, grouping, pilots, precoding
-from cfmcast.errors import StatsError
+from cfmcast.errors import NumericalError, StatsError
 
 from conftest import (
     build_pipeline,
@@ -66,17 +66,25 @@ class TestAccumulator:
         assert np.allclose(r1[2], r2[2], rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "n_groups, group_block",
-        [(4, evaluation.GROUP_BLOCK), (12, 5)],
-        ids=["one_block", "unicast_split_blocks"],
+        "n_groups, group_block, block_elements",
+        [
+            (4, evaluation.GROUP_BLOCK, evaluation.BLOCK_ELEMENTS),
+            (12, 5, evaluation.BLOCK_ELEMENTS),
+            (12, 5, 7 * 12 * 5),
+        ],
+        ids=["one_block", "unicast_split_blocks", "unicast_split_blocks_and_slabs"],
     )
-    def test_matches_per_group_oracle(self, monkeypatch, n_groups, group_block):
+    def test_matches_per_group_oracle(self, monkeypatch, n_groups, group_block, block_elements):
         cfg = small_config(n_groups=n_groups, realizations=30)
         pipe = build_pipeline(cfg)
         plan = pipe.plan
-        # the unicast plan's 12 groups split into blocks of 5, 5 and 2
+        # the unicast plan's 12 groups split into blocks of 5, 5 and 2; a block
+        # of 5 spans max(L·N, K) · 5 = 12 · 5 entries per realization, so the
+        # smallest bound takes the 30 realizations in slabs of 7, 7, 7, 7 and 2
         assert (plan.n_groups > group_block) == (n_groups == cfg.n_ms)
+        assert max(cfg.n_aps * cfg.n_antennas, cfg.n_ms) == 12
         monkeypatch.setattr(evaluation, "GROUP_BLOCK", group_block)
+        monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", block_elements)
         cb = precoding.cb_precoders(pipe.estimates, pipe.stats, plan, cfg.dl_power_w, cfg.resolved_nu())
         ip, _, _ = ipmmse_with_power(
             pipe.estimates, pipe.stats, plan, pipe.parts, cfg.group_power_w, cfg.tau_p,
@@ -141,6 +149,13 @@ class TestAccumulator:
         assert clamped == 1
         assert desired[0] == pytest.approx(4.0)
         assert sinr[0] == pytest.approx(4.0 / 1e-3)
+
+    def test_non_finite_sinr_raises(self):
+        acc = evaluation.SinrAccumulator(1, 1)
+        acc.count = 1
+        acc.sum_a2 = np.array([[1.0]])
+        with pytest.raises(NumericalError, match="SINR is not finite"):
+            acc.finalize(np.array([np.nan]), np.array([0]), 1e-3)
 
     def test_empty_accumulator_raises(self):
         acc = evaluation.SinrAccumulator(2, 1)

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,22 @@ class TestSnapshot:
             for set_threads, count in zip(setters, caller):
                 set_threads(count)
         assert np.array_equal(sinr[1], sinr[2])
+
+    def test_peak_memory_of_a_mid_size_clustered_snapshot(self):
+        # with 4 realizations the (L, K, N, N) covariance field is as large as
+        # the channel chunk; the field and its factors are built in place and
+        # the field is dropped after composite_stats, so the traced peak is
+        # 4.4 fields (the correlation: channels, factors, their MS-major copy
+        # and one slab buffer), where out-of-place synthesis reached 6.3
+        cfg = preset("fig3").with_overrides(n_aps=60, n_ms=300, n_groups=20, realizations=4)
+        field_bytes = cfg.n_aps * cfg.n_ms * cfg.n_antennas**2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            harness.run_snapshot(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * field_bytes, peak / field_bytes
 
     def test_chunk_boundary_sizes(self):
         # realization counts below, at and above the chunk size must all work
@@ -494,6 +511,20 @@ class TestCli:
         assert self.run_cli(*args, "--seed", "-1", "--workers", "2") == 2
         assert "master_seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_powers_fail_the_campaign(self, tmp_path, capsys):
+        # nu = 50 underflows every fractional power weight to zero, and the
+        # 0 / 0 powers would make every SINR NaN: the snapshot fails instead
+        data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "nu": 50.0, "snapshots": 1, "realizations": 8}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert self.run_cli("--config", str(path), "--out", str(out)) == 1
+        assert "fractional powers are not finite" in capsys.readouterr().err
+        partial = json.loads((out / "report_partial.json").read_text())
+        assert partial["failed_snapshot"] == 0 and partial["completed"] == []
+        assert not (out / "cdf.csv").exists()
+        assert not (out / "report.json").exists()
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert self.run_cli("--config", str(tmp_path / "nope.json")) == 2

@@ -247,6 +247,15 @@ class TestFractionalPower:
         # the busiest (only) AP's expected power still meets the budget
         assert rho.sum() == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("nu", [50.0, -50.0], ids=["underflow", "overflow"])
+    def test_vanishing_or_infinite_weights_raise(self, nu):
+        # 1e-8 ** 50 is zero, so every busiest load is zero; 1e-8 ** -50 is inf
+        plan = SimpleNamespace(serving_mask=np.array([[True, True]]))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+            precoding.fractional_power_centralized(
+                np.array([1e-8, 2e-8]), np.array([1.0, 1.0]), plan, 0.2, nu, 0.5
+            )
+
 
 class TestCentralizedPipeline:
     def test_audit_and_normalization_identity(self):
