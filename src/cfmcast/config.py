@@ -1,9 +1,11 @@
 """Run configuration, presets and serialization.
 
 A :class:`SystemConfig` captures every semantic knob of a campaign: network
-dimensions, frame structure, power budgets, propagation constants, MS layout,
-multicast group count, precoder and Monte Carlo sizes.  JSON configs are flat
-objects that mirror the dataclass field-for-field; unknown keys are rejected.
+dimensions, frame structure, power budgets, area, MS layout, multicast group
+count, precoder and Monte Carlo sizes.  The channel model's constants are
+fixed in code (``NOISE_W`` here, the others in ``geometry`` and
+``covariance``).  JSON configs are flat objects that mirror the dataclass
+field-for-field; unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .errors import ConfigError
 
 PRECODERS = ("ipmmse", "cb")
 SUM_CONVENTIONS = ("per_user", "per_group")
+
+# thermal noise in watts: -174 dBm/Hz over a 20 MHz band, plus a 7 dB noise figure
+NOISE_W = 10.0 ** ((-174.0 + 10.0 * math.log10(20e6) + 7.0 - 30.0) / 10.0)
 
 # value checks by the annotation's leading type; bool is excluded from both numbers
 _IS_TYPE = {
@@ -57,16 +62,8 @@ class SystemConfig:
     # fractional power-control exponents; nu=None resolves per precoder
     nu: float | None = None
     kappa: float = 0.5
-    # propagation
-    shadowing_std_db: float = 4.0
-    shadowing_decorrelation_m: float = 9.0
-    asd_deg: float = 15.0
+    # side of the square (wrapped) service area, meters
     side_m: float = 1000.0
-    ap_height_m: float = 10.0
-    ms_height_m: float = 1.5
-    noise_psd_dbm_hz: float = -174.0
-    noise_figure_db: float = 7.0
-    bandwidth_hz: float = 20e6
     # campaign sizes
     snapshots: int = 250
     realizations: int = 500
@@ -95,18 +92,17 @@ class SystemConfig:
             "dl_power_w": self.dl_power_w,
             "group_power_w": self.group_power_w,
             "side_m": self.side_m,
-            "bandwidth_hz": self.bandwidth_hz,
             "snapshots": self.snapshots,
             "realizations": self.realizations,
-            "shadowing_decorrelation_m": self.shadowing_decorrelation_m,
         }
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.tau_p > self.tau_c:
             raise ConfigError(f"tau_p = {self.tau_p} cannot exceed tau_c = {self.tau_c}")
-        if self.shadowing_std_db < 0 or self.asd_deg < 0:
-            raise ConfigError("shadowing_std_db and asd_deg must be non-negative")
+        if not 0.0 <= self.kappa <= 1.0:
+            # the fractional rule's exponent on the IP-MMSE weight omega is defined on [0, 1]
+            raise ConfigError(f"kappa must lie in [0, 1], got {self.kappa}")
         if self.precoder not in PRECODERS:
             raise ConfigError(f"precoder must be one of {PRECODERS}, got {self.precoder!r}")
         if self.sum_convention not in SUM_CONVENTIONS:
@@ -128,13 +124,8 @@ class SystemConfig:
     # --- derived quantities -------------------------------------------------
 
     @property
-    def noise_dbm(self) -> float:
-        """Thermal noise over the signal bandwidth, including the noise figure."""
-        return self.noise_psd_dbm_hz + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
-
-    @property
     def noise_w(self) -> float:
-        return 10.0 ** ((self.noise_dbm - 30.0) / 10.0)
+        return NOISE_W
 
     def resolved_nu(self) -> float:
         if self.nu is not None:
@@ -169,7 +160,6 @@ class SystemConfig:
         """Canonical field dict with per-precoder defaults resolved."""
         d = self.to_dict()
         d["nu"] = self.resolved_nu()
-        d["noise_dbm"] = self.noise_dbm
         return d
 
     def config_hash(self) -> str:

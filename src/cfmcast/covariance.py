@@ -15,12 +15,15 @@ import numpy as np
 
 from .errors import SynthesisError
 
+# angular standard deviation of the local scattering model, degrees
+ASD_DEG = 15.0
+
 # eigenvalues may only dip below zero by this fraction of the trace
 EIG_CLIP_REL_TOL = 1e-10
 
 # channels are correlated in slabs of realizations holding at most this many
 # complex entries; each of the two threads builds its slabs' complex normals
-# in one buffer of that size, the only temporary
+# in one buffer of at most that size, the only temporary
 SLAB_ELEMENTS = 1 << 19
 
 
@@ -144,14 +147,17 @@ def sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarray:
             np.multiply(im, np.sqrt(0.5), out=z.imag)
             np.matmul(ms_major, np.swapaxes(z, 1, 2)[..., None], out=slab[..., None])
 
+    def buffer(first):
+        # a thread's first slab is its longest, since only the last slab is short
+        return np.empty(slabs[first][1].shape[1:], dtype=complex)
+
     # both threads' buffers are allocated on this thread: memory that a helper
     # thread frees stays in its own allocator arena after the thread ends
-    z_shape = slabs[0][1].shape[1:]
     if len(slabs) == 1:
-        correlate(slabs, np.empty(z_shape, dtype=complex))
+        correlate(slabs, buffer(0))
         return normals
     with ThreadPoolExecutor(1) as helper:
-        odd = helper.submit(correlate, slabs[1::2], np.empty(z_shape, dtype=complex))
-        correlate(slabs[::2], np.empty(z_shape, dtype=complex))
+        odd = helper.submit(correlate, slabs[1::2], buffer(1))
+        correlate(slabs[::2], buffer(0))
         odd.result()
     return normals

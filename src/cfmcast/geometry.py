@@ -18,6 +18,12 @@ from .errors import SynthesisError
 # 3GPP-style urban microcell fit, distances in meters
 PATHLOSS_OFFSET_DB = -30.5
 PATHLOSS_SLOPE_DB = 36.7
+AP_HEIGHT_M = 10.0
+MS_HEIGHT_M = 1.5
+# log-normal shadowing, correlated over MS positions: std in dB, and the
+# distance in meters over which the correlation halves
+SHADOWING_STD_DB = 4.0
+SHADOWING_DECORRELATION_M = 9.0
 
 
 @dataclass
@@ -30,7 +36,6 @@ class Deployment:
 
     ap_positions: np.ndarray  # (L, 2)
     ms_positions: np.ndarray  # (K, 2)
-    shadowing_db: np.ndarray  # (L, K)
     beta: np.ndarray  # (L, K), linear
 
 
@@ -87,43 +92,31 @@ def path_gain_db(distance_3d_m: np.ndarray) -> np.ndarray:
 
 
 def sample_shadowing(
-    ms_positions: np.ndarray,
-    n_aps: int,
-    side_m: float,
-    std_db: float,
-    decorrelation_m: float,
-    rng: np.random.Generator,
+    ms_positions: np.ndarray, n_aps: int, side_m: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Correlated log-normal shadowing field in dB, shape (L, K).
 
     Within one AP row the MS values are jointly Gaussian with covariance
-    ``std_db**2 * 2**(-d/decorrelation_m)`` over wrapped MS-MS distances; rows
-    are independent across APs.  MSs at one point of the torus share one draw,
-    since the field is a function of position.  Raises SynthesisError if the
-    correlation matrix of the distinct points is not positive definite.
+    ``SHADOWING_STD_DB**2 * 2**(-d/SHADOWING_DECORRELATION_M)`` over wrapped
+    MS-MS distances; rows are independent across APs.  MSs at one point of the
+    torus share one draw, since the field is a function of position.  Raises
+    SynthesisError if the correlation matrix of the distinct points is not
+    positive definite.
     """
-    n_ms = ms_positions.shape[0]
-    if std_db == 0.0:
-        return np.zeros((n_aps, n_ms))
     dist = wrapped_distance(ms_positions[:, None, :], ms_positions[None, :, :], side_m)
     first = np.argmax(dist == 0.0, axis=1)  # lowest index at each MS's point
     sites = np.unique(first)
-    corr = 2.0 ** (-dist[np.ix_(sites, sites)] / decorrelation_m)
+    corr = 2.0 ** (-dist[np.ix_(sites, sites)] / SHADOWING_DECORRELATION_M)
     try:
         factor = cholesky(corr, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SynthesisError(f"shadowing correlation matrix is not positive definite: {exc}") from exc
     z = rng.standard_normal((n_aps, sites.size))
-    return std_db * (z @ factor.T)[:, np.searchsorted(sites, first)]
+    return SHADOWING_STD_DB * (z @ factor.T)[:, np.searchsorted(sites, first)]
 
 
 def large_scale_matrix(
-    ap_positions: np.ndarray,
-    ms_positions: np.ndarray,
-    side_m: float,
-    ap_height_m: float,
-    ms_height_m: float,
-    shadowing_db: np.ndarray,
+    ap_positions: np.ndarray, ms_positions: np.ndarray, side_m: float, shadowing_db: np.ndarray
 ) -> np.ndarray:
     """Linear channel gain beta per (AP, MS) link.
 
@@ -131,7 +124,7 @@ def large_scale_matrix(
     difference) in the path loss and adds the shadowing realization in dB.
     """
     d2 = wrapped_distance(ap_positions[:, None, :], ms_positions[None, :, :], side_m)
-    d3 = np.sqrt(d2**2 + (ap_height_m - ms_height_m) ** 2)
+    d3 = np.sqrt(d2**2 + (AP_HEIGHT_M - MS_HEIGHT_M) ** 2)
     gain_db = path_gain_db(d3) + shadowing_db
     return 10.0 ** (gain_db / 10.0)
 
@@ -158,20 +151,6 @@ def build_deployment(
         )
     else:
         ms_positions = place_uniform(cfg.n_ms, cfg.side_m, rng_ms)
-    shadowing_db = sample_shadowing(
-        ms_positions,
-        cfg.n_aps,
-        cfg.side_m,
-        cfg.shadowing_std_db,
-        cfg.shadowing_decorrelation_m,
-        rng_shadow,
-    )
-    beta = large_scale_matrix(
-        ap_positions, ms_positions, cfg.side_m, cfg.ap_height_m, cfg.ms_height_m, shadowing_db
-    )
-    return Deployment(
-        ap_positions=ap_positions,
-        ms_positions=ms_positions,
-        shadowing_db=shadowing_db,
-        beta=beta,
-    )
+    shadowing_db = sample_shadowing(ms_positions, cfg.n_aps, cfg.side_m, rng_shadow)
+    beta = large_scale_matrix(ap_positions, ms_positions, cfg.side_m, shadowing_db)
+    return Deployment(ap_positions=ap_positions, ms_positions=ms_positions, beta=beta)

@@ -108,7 +108,7 @@ class SnapshotSetup(NamedTuple):
 def snapshot_setup(cfg: SystemConfig, index: int, dep: geometry.Deployment) -> SnapshotSetup:
     """Covariances, groups, pilot plan and estimation statistics of a built deployment."""
     angles = geometry.nominal_angles(dep.ap_positions, dep.ms_positions, cfg.side_m)
-    r_cov = covariance.covariance_field(dep.beta, angles, np.deg2rad(cfg.asd_deg), cfg.n_antennas)
+    r_cov = covariance.covariance_field(dep.beta, angles, np.deg2rad(covariance.ASD_DEG), cfg.n_antennas)
     factors = covariance.covariance_factors(r_cov)
     parts = grouping.make_plan(dep.beta, stage_rng(cfg.master_seed, index, "grouping"), cfg.n_groups)
     plan = pilots.assign_pilots_and_cluster(dep.beta, parts, cfg.tau_p)

@@ -294,7 +294,7 @@ def test_criterion_7_statistical_checks():
     pos = np.empty((2 * n_pairs, 2))
     pos[0::2] = np.stack([xs, ys], axis=1)
     pos[1::2] = np.stack([xs + 9.0, ys], axis=1)
-    sh = geometry.sample_shadowing(pos, 400, side, 4.0, 9.0, rng)
+    sh = geometry.sample_shadowing(pos, 400, side, rng)
     corr = float(np.corrcoef(sh[:, 0::2].ravel(), sh[:, 1::2].ravel())[0, 1])
     corr_ok = abs(corr - 0.5) <= 0.05
     # estimator second moment against its analytic covariance

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cfmcast import config
 from cfmcast.config import _IS_TYPE, SystemConfig, preset
 from cfmcast.errors import ConfigError
 from cfmcast.evaluation import se_user
@@ -14,9 +15,10 @@ from conftest import small_config
 
 class TestDerived:
     def test_noise_budget(self):
-        cfg = SystemConfig(n_groups=30)
-        assert cfg.noise_dbm == pytest.approx(-93.99, abs=0.01)
-        assert cfg.noise_w == pytest.approx(10 ** ((-93.99 - 30) / 10), rel=1e-3)
+        # -174 dBm/Hz + 10 log10(20 MHz) + 7 dB = -93.99 dBm; the goldens pin this exact float
+        assert config.NOISE_W == 3.9905246299377665e-13
+        assert 10 * np.log10(config.NOISE_W) + 30 == pytest.approx(-93.99, abs=0.01)
+        assert SystemConfig(n_groups=30).noise_w == config.NOISE_W
 
     def test_prelog(self):
         # at SINR 1 the SE is the prelog itself
@@ -79,6 +81,14 @@ class TestValidation:
         small_config(master_seed=0)
         small_config(master_seed=2**40)
 
+    @pytest.mark.parametrize("kappa", [-5.0, 3.0])
+    def test_rejects_kappa_outside_unit_interval(self, kappa):
+        with pytest.raises(ConfigError, match=r"kappa must lie in \[0, 1\]"):
+            small_config(kappa=kappa)
+        # both ends are the fractional rule's own
+        small_config(kappa=0.0)
+        small_config(kappa=1.0)
+
     def test_every_field_annotation_has_a_type_check(self):
         # a field whose annotation _check_types cannot look up would escape the type check
         for f in SystemConfig.__dataclass_fields__.values():
@@ -95,7 +105,7 @@ class TestValidation:
             ("master_seed", 1.0),
             ("dl_power_w", "0.2"),
             ("kappa", None),
-            ("asd_deg", False),
+            ("group_power_w", False),
             ("precoder", 1),
             ("sum_convention", None),
         ],
@@ -158,6 +168,25 @@ class TestSerialization:
             data = {**small_config().to_dict(), "deployment": deployment}
             with pytest.raises(ConfigError, match="unknown config keys: \\['deployment'\\]"):
                 SystemConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, old_default",
+        [
+            ("shadowing_std_db", 4.0),
+            ("shadowing_decorrelation_m", 9.0),
+            ("asd_deg", 15.0),
+            ("ap_height_m", 10.0),
+            ("ms_height_m", 1.5),
+            ("noise_psd_dbm_hz", -174.0),
+            ("noise_figure_db", 7.0),
+            ("bandwidth_hz", 20e6),
+        ],
+    )
+    def test_fixed_channel_model_keys_rejected(self, key, old_default):
+        # the channel model is fixed in code; a config that still sets one of its values is rejected
+        data = {**small_config().to_dict(), key: old_default}
+        with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+            SystemConfig.from_dict(data)
 
     def test_from_json(self, tmp_path):
         cfg = small_config()

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ class TestInPlace:
         )
         beta = dep.beta[:20]
         phi = geometry.nominal_angles(dep.ap_positions[:20], dep.ms_positions, cfg.side_m)
-        asd = np.deg2rad(cfg.asd_deg)
+        asd = np.deg2rad(covariance.ASD_DEG)
         want_r, want_a = out_of_place_field(beta, phi, asd, cfg.n_antennas)
         r = covariance.covariance_field(beta, phi, asd, cfg.n_antennas)
         assert r.shape == (20, 500, 4, 4)
@@ -245,6 +246,26 @@ class TestSampling:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
         assert np.array_equal(h, want)
+
+    def test_helper_buffer_fits_its_own_slabs(self, rng):
+        # a 60-AP, 300-MS, 4-antenna chunk of 8 realizations splits into slabs
+        # of 7 and 1, and the helper thread correlates only the 1-realization
+        # slab: the two slab buffers together hold one chunk of normals, where
+        # sizing both by the first slab took 6 realizations (6.9 MB) more
+        factors = rng.standard_normal((60, 300, 4, 4)) + 1j * rng.standard_normal((60, 300, 4, 4))
+        normals = np.empty((8, 300, 60, 4), dtype=complex)
+        covariance.draw_normals(normals, np.random.default_rng(8))
+        assert [len(slab) for slab, _ in covariance._slabs(normals)] == [7, 1]
+        want = serial_sample_channels(factors, normals.copy())
+        tracemalloc.start()
+        try:
+            covariance.sample_channels(factors, normals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the factors' MS-major copy, the two buffers and 1 MB for everything else
+        assert peak < factors.nbytes + normals.nbytes + 2**20, peak / 2**20
+        assert np.array_equal(normals, want)
 
     def test_correlates_in_place(self, rng):
         factors = _random_factors(rng)

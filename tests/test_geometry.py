@@ -97,7 +97,7 @@ class TestPathGain:
         ap = np.array([[100.0, 100.0]])
         ms = np.array([[100.0, 100.0]])
         shadow = np.zeros((1, 1))
-        beta = geometry.large_scale_matrix(ap, ms, 500.0, 10.0, 1.5, shadow)
+        beta = geometry.large_scale_matrix(ap, ms, 500.0, shadow)
         want = 10 ** (geometry.path_gain_db(np.array(8.5)) / 10.0)
         assert beta[0, 0] == pytest.approx(want, rel=1e-12)
 
@@ -120,7 +120,7 @@ class TestShadowing:
         pos = np.empty((2 * n_pairs, 2))
         pos[0::2] = np.stack([xs, ys], axis=1)
         pos[1::2] = np.stack([xs + 9.0, ys], axis=1)
-        sh = geometry.sample_shadowing(pos, 400, side, 4.0, 9.0, rng)
+        sh = geometry.sample_shadowing(pos, 400, side, rng)
         a = sh[:, 0::2].ravel()
         b = sh[:, 1::2].ravel()
         corr = np.corrcoef(a, b)[0, 1]
@@ -129,7 +129,7 @@ class TestShadowing:
     def test_identical_positions_share_shadowing(self):
         rng = np.random.default_rng(3)
         pos = np.array([[10.0, 20.0], [10.0, 20.0], [300.0, 40.0]])
-        sh = geometry.sample_shadowing(pos, 5, 500.0, 4.0, 9.0, rng)
+        sh = geometry.sample_shadowing(pos, 5, 500.0, rng)
         assert np.allclose(sh[:, 0], sh[:, 1], atol=1e-6)
 
     def test_coincident_positions_draw_once(self):
@@ -137,8 +137,8 @@ class TestShadowing:
         # the draws they get with no coincident MS present
         pos = np.array([[10.0, 20.0], [300.0, 40.0], [150.0, 400.0]])
         both = np.vstack([pos, pos[[0]], [[10.0, 520.0]]])  # (10, 520) wraps onto (10, 20)
-        sh = geometry.sample_shadowing(pos, 5, 500.0, 4.0, 9.0, np.random.default_rng(3))
-        sh_both = geometry.sample_shadowing(both, 5, 500.0, 4.0, 9.0, np.random.default_rng(3))
+        sh = geometry.sample_shadowing(pos, 5, 500.0, np.random.default_rng(3))
+        sh_both = geometry.sample_shadowing(both, 5, 500.0, np.random.default_rng(3))
         assert np.array_equal(sh_both[:, :3], sh)
         assert np.array_equal(sh_both[:, 3], sh[:, 0])
         assert np.array_equal(sh_both[:, 4], sh[:, 0])
@@ -158,35 +158,29 @@ class TestShadowing:
         dist = geometry.wrapped_distance(pos[:, None], pos[None], side)
         assert np.linalg.eigvalsh(2.0 ** (-dist / 9.0))[0] == pytest.approx(min_eig, rel=0.01)
         with pytest.raises(SynthesisError):
-            geometry.sample_shadowing(pos, 3, side, 4.0, 9.0, np.random.default_rng(0))
+            geometry.sample_shadowing(pos, 3, side, np.random.default_rng(0))
 
     def test_marginal_std(self):
         rng = np.random.default_rng(5)
         pos = rng.uniform(0, 1000.0, size=(40, 2))
-        sh = geometry.sample_shadowing(pos, 2000, 1000.0, 4.0, 9.0, rng)
+        sh = geometry.sample_shadowing(pos, 2000, 1000.0, rng)
         assert sh.std() == pytest.approx(4.0, rel=0.05)
         assert sh.mean() == pytest.approx(0.0, abs=0.2)
 
     def test_rows_independent_across_aps(self):
         rng = np.random.default_rng(9)
         pos = rng.uniform(0, 1000.0, size=(2, 2))
-        sh = geometry.sample_shadowing(pos, 5000, 1000.0, 4.0, 9.0, rng)
+        sh = geometry.sample_shadowing(pos, 5000, 1000.0, rng)
         # same MS, different APs: correlation across the AP axis should vanish
         corr = np.corrcoef(sh[0::2, 0], sh[1::2, 0])[0, 1]
         assert abs(corr) < 0.05
-
-    def test_zero_std_short_circuits(self):
-        rng = np.random.default_rng(0)
-        pos = rng.uniform(0, 100.0, size=(6, 2))
-        sh = geometry.sample_shadowing(pos, 3, 100.0, 0.0, 9.0, rng)
-        assert np.all(sh == 0)
 
     def test_distance_uses_wrap(self):
         # points 991 m apart unwrapped are 9 m apart on the torus; their
         # correlation must be 0.5, not effectively zero
         rng = np.random.default_rng(21)
         pos = np.array([[4.0, 0.0], [995.0, 0.0]])
-        sh = geometry.sample_shadowing(pos, 20000, 1000.0, 4.0, 9.0, rng)
+        sh = geometry.sample_shadowing(pos, 20000, 1000.0, rng)
         corr = np.corrcoef(sh[:, 0], sh[:, 1])[0, 1]
         assert corr == pytest.approx(0.5, abs=0.05)
 

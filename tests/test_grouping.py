@@ -123,8 +123,8 @@ class TestKMeans:
             pos = geometry.place_ms_clustered(10, 5, 10.0, 1000.0, rng)
             truth = np.repeat(np.arange(10), 5)
             aps = geometry.place_uniform(20, 1000.0, rng)
-            shadow = geometry.sample_shadowing(pos, 20, 1000.0, 4.0, 9.0, rng)
-            beta = geometry.large_scale_matrix(aps, pos, 1000.0, 10.0, 1.5, shadow)
+            shadow = geometry.sample_shadowing(pos, 20, 1000.0, rng)
+            beta = geometry.large_scale_matrix(aps, pos, 1000.0, shadow)
             parts = grouping.kmeans_subgroups(beta, 10, np.random.default_rng(1000 + seed))
             if relabel_match(truth, parts.group_of):
                 hits += 1

@@ -505,6 +505,15 @@ class TestCli:
         assert "unknown config keys: ['deployment']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_kappa_outside_unit_interval_exits_two(self, tmp_path, capsys):
+        data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "kappa": -5.0, "snapshots": 1, "realizations": 8}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert self.run_cli("--config", str(path), "--out", str(out)) == 2
+        assert "kappa must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         args = ("--preset", "desk_uniform", "--snapshots", "2", "--realizations", "8", "--out", str(out))
