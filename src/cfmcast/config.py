@@ -1,11 +1,12 @@
 """Run configuration, presets and serialization.
 
 A :class:`SystemConfig` captures every semantic knob of a campaign: network
-dimensions, frame structure, power budgets, area, MS layout, multicast group
-count, precoder and Monte Carlo sizes.  The channel model's constants are
-fixed in code (``NOISE_W`` here, the others in ``geometry`` and
-``covariance``).  JSON configs are flat objects that mirror the dataclass
-field-for-field; unknown keys are rejected.
+dimensions, pilot count, area, MS layout, multicast group count, precoder and
+Monte Carlo sizes.  The system model's constants are fixed in code (the frame
+length, power budgets, power-control exponents and ``NOISE_W`` here, the
+channel model's others in ``geometry`` and ``covariance``).  JSON configs are
+flat objects that mirror the dataclass field-for-field; unknown keys are
+rejected.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ SUM_CONVENTIONS = ("per_user", "per_group")
 
 # thermal noise in watts: -174 dBm/Hz over a 20 MHz band, plus a 7 dB noise figure
 NOISE_W = 10.0 ** ((-174.0 + 10.0 * math.log10(20e6) + 7.0 - 30.0) / 10.0)
+# samples per coherence block
+TAU_C = 200
+# power budgets, watts: pilot, per-AP downlink, and the group power the IP-MMSE directions assume
+PILOT_POWER_W = 0.1
+DL_POWER_W = 0.2
+GROUP_POWER_W = 0.1
+# fractional power-control exponents: nu on tr(r_comp) per precoder, kappa on the IP-MMSE omega
+NU = {"ipmmse": -0.5, "cb": 0.5}
+KAPPA = 0.5
 
 # value checks by the annotation's leading type; bool is excluded from both numbers
 _IS_TYPE = {
@@ -52,16 +62,8 @@ class SystemConfig:
     n_aps: int = 100
     n_antennas: int = 4
     n_ms: int = 100
-    # frame structure (samples per coherence block)
-    tau_c: int = 200
+    # pilot length in samples, at most TAU_C
     tau_p: int = 20
-    # power budgets, watts
-    pilot_power_w: float = 0.1
-    dl_power_w: float = 0.2
-    group_power_w: float = 0.1
-    # fractional power-control exponents; nu=None resolves per precoder
-    nu: float | None = None
-    kappa: float = 0.5
     # side of the square (wrapped) service area, meters
     side_m: float = 1000.0
     # campaign sizes
@@ -86,11 +88,7 @@ class SystemConfig:
             "n_aps": self.n_aps,
             "n_antennas": self.n_antennas,
             "n_ms": self.n_ms,
-            "tau_c": self.tau_c,
             "tau_p": self.tau_p,
-            "pilot_power_w": self.pilot_power_w,
-            "dl_power_w": self.dl_power_w,
-            "group_power_w": self.group_power_w,
             "side_m": self.side_m,
             "snapshots": self.snapshots,
             "realizations": self.realizations,
@@ -98,11 +96,8 @@ class SystemConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.tau_p > self.tau_c:
-            raise ConfigError(f"tau_p = {self.tau_p} cannot exceed tau_c = {self.tau_c}")
-        if not 0.0 <= self.kappa <= 1.0:
-            # the fractional rule's exponent on the IP-MMSE weight omega is defined on [0, 1]
-            raise ConfigError(f"kappa must lie in [0, 1], got {self.kappa}")
+        if self.tau_p > TAU_C:
+            raise ConfigError(f"tau_p = {self.tau_p} cannot exceed tau_c = {TAU_C}")
         if self.precoder not in PRECODERS:
             raise ConfigError(f"precoder must be one of {PRECODERS}, got {self.precoder!r}")
         if self.sum_convention not in SUM_CONVENTIONS:
@@ -127,10 +122,13 @@ class SystemConfig:
     def noise_w(self) -> float:
         return NOISE_W
 
+    # perfbench/tracer.py reads the budget off the config of every traced snapshot
+    @property
+    def dl_power_w(self) -> float:
+        return DL_POWER_W
+
     def resolved_nu(self) -> float:
-        if self.nu is not None:
-            return self.nu
-        return -0.5 if self.precoder == "ipmmse" else 0.5
+        return NU[self.precoder]
 
     # --- serialization ------------------------------------------------------
 
@@ -156,14 +154,8 @@ class SystemConfig:
             raise ConfigError("config file must hold a JSON object")
         return cls.from_dict(data)
 
-    def semantic_dict(self) -> dict:
-        """Canonical field dict with per-precoder defaults resolved."""
-        d = self.to_dict()
-        d["nu"] = self.resolved_nu()
-        return d
-
     def config_hash(self) -> str:
-        payload = json.dumps(self.semantic_dict(), sort_keys=True)
+        payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def with_overrides(self, **kwargs) -> "SystemConfig":

@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import covariance, estimation, evaluation, geometry, grouping, pilots, precoding
-from .config import SystemConfig
+from .config import DL_POWER_W, GROUP_POWER_W, KAPPA, PILOT_POWER_W, TAU_C, SystemConfig
 from .errors import CampaignError, ConfigError
 
 # realizations are processed in fixed-size chunks to bound memory
@@ -60,7 +60,7 @@ class SnapshotResult:
     report: evaluation.SeReport
     group_sizes: np.ndarray
     per_ap_power: np.ndarray  # (L,) mean radiated power
-    radiated_frac: float  # per_ap_power.sum() / (L * dl_power_w)
+    radiated_frac: float  # per_ap_power.sum() / (L * DL_POWER_W)
 
     def summary(self) -> dict:
         rep = self.report
@@ -112,7 +112,7 @@ def snapshot_setup(cfg: SystemConfig, index: int, dep: geometry.Deployment) -> S
     factors = covariance.covariance_factors(r_cov)
     parts = grouping.make_plan(dep.beta, stage_rng(cfg.master_seed, index, "grouping"), cfg.n_groups)
     plan = pilots.assign_pilots_and_cluster(dep.beta, parts, cfg.tau_p)
-    stats = estimation.composite_stats(r_cov, parts, plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w)
+    stats = estimation.composite_stats(r_cov, parts, plan, cfg.tau_p, PILOT_POWER_W, cfg.noise_w)
     return SnapshotSetup(r_cov, factors, parts, plan, stats)
 
 
@@ -176,7 +176,7 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
             parts,
             plan,
             cfg.tau_p,
-            cfg.pilot_power_w,
+            PILOT_POWER_W,
             cfg.noise_w,
             stage_rng(cfg.master_seed, index, "pilot_noise", ci),
         )
@@ -184,28 +184,28 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
         del y
         if centralized:
             w = precoding.ipmmse_directions(
-                estimates, stats, plan, parts, cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w
+                estimates, stats, plan, parts, GROUP_POWER_W, cfg.tau_p, PILOT_POWER_W, cfg.noise_w
             )
             sq_norm_sums[plan.pair_ap, plan.pair_group] += np.sum(np.abs(w) ** 2, axis=(0, 2))
         else:
-            w = precoding.cb_precoders(estimates, stats, plan, cfg.dl_power_w, cfg.resolved_nu())
+            w = precoding.cb_precoders(estimates, stats, plan, DL_POWER_W, cfg.resolved_nu())
         del estimates
         acc.update(channels, w, plan)
 
     if centralized:
         power_scale, per_ap_power = precoding.centralized_power(
-            sq_norm_sums, acc.count, stats, plan, cfg.dl_power_w, cfg.resolved_nu(), cfg.kappa
+            sq_norm_sums, acc.count, stats, plan, DL_POWER_W, cfg.resolved_nu(), KAPPA
         )
     else:
         power_scale = np.ones(plan.n_groups)
         # every serving AP splits its whole budget over the groups it serves
         per_ap_power = precoding.apa_power(
-            stats.trace_r_comp, plan, cfg.dl_power_w, cfg.resolved_nu()
+            stats.trace_r_comp, plan, DL_POWER_W, cfg.resolved_nu()
         ).sum(axis=1)
 
     _, _, sinr, clamped = acc.finalize(power_scale, parts.group_of, cfg.noise_w)
-    report = evaluation.build_report(sinr, clamped, parts, cfg.tau_p, cfg.tau_c)
-    radiated_frac = float(per_ap_power.sum() / (cfg.n_aps * cfg.dl_power_w))
+    report = evaluation.build_report(sinr, clamped, parts, cfg.tau_p, TAU_C)
+    radiated_frac = float(per_ap_power.sum() / (cfg.n_aps * DL_POWER_W))
     return SnapshotResult(index, report, parts.sizes, per_ap_power, radiated_frac)
 
 
@@ -295,7 +295,7 @@ def write_outputs(result: CampaignResult, out_dir: str) -> None:
             # repr of a Python float is the shortest exact round-trip form
             fh.write(f"{float(v)!r},{float(p)!r}\n")
     report = {
-        "config": result.config.semantic_dict(),
+        "config": result.config.to_dict(),
         "config_hash": result.config.config_hash(),
         "workers": result.workers,
         "worker_blas_threads": result.worker_blas_threads,

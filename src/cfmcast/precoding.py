@@ -190,10 +190,14 @@ def apa_power(trace_r_comp: np.ndarray, plan, dl_power_w: float, nu: float) -> n
 
     Each AP divides its budget over the groups it serves in proportion to
     tr(r_comp)^nu; rows sum to the budget over served groups, zero elsewhere.
+    Every AP serves at least one group, so a zero or non-finite row total
+    means tr(r_comp)^nu underflowed or overflowed: NumericalError.
     """
     weights = np.where(plan.serving_mask, trace_r_comp**nu, 0.0)
     totals = weights.sum(axis=1, keepdims=True)
-    return dl_power_w * weights / np.where(totals > 0, totals, 1.0)
+    if np.any(totals <= 0) or not np.all(np.isfinite(totals)):
+        raise NumericalError(f"fractional power split is not finite (nu = {nu})")
+    return dl_power_w * weights / totals
 
 
 def cb_precoders(estimates: np.ndarray, stats, plan, dl_power_w: float, nu: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from cfmcast import covariance, estimation, evaluation, geometry, grouping, harness, precoding
-from cfmcast.config import SystemConfig
+from cfmcast.config import DL_POWER_W, GROUP_POWER_W, PILOT_POWER_W, SystemConfig
 from cfmcast.errors import NumericalError
 
 
@@ -18,7 +18,6 @@ def small_config(**overrides) -> SystemConfig:
         n_aps=6,
         n_antennas=2,
         n_ms=12,
-        tau_c=200,
         tau_p=3,
         n_groups=4,
         side_m=500.0,
@@ -116,7 +115,7 @@ def build_pipeline(cfg: SystemConfig, index: int = 0, n_real: int | None = None)
         setup.parts,
         setup.plan,
         cfg.tau_p,
-        cfg.pilot_power_w,
+        PILOT_POWER_W,
         cfg.noise_w,
         harness.stage_rng(cfg.master_seed, index, "pilot_noise"),
     )
@@ -226,13 +225,13 @@ def exact_cb_moments(pipe, cfg):
     Returns (μ, E|a|²).
     """
     plan, stats, parts = pipe.plan, pipe.stats, pipe.parts
-    rho = precoding.apa_power(stats.trace_r_comp, plan, cfg.dl_power_w, cfg.resolved_nu())
+    rho = precoding.apa_power(stats.trace_r_comp, plan, DL_POWER_W, cfg.resolved_nu())
     est_trace = np.einsum("lgii->lg", stats.est_cov).real
     c2 = np.where(plan.serving_mask, rho / est_trace, 0.0)  # (L, G)
     same_pilot = plan.pilot_of[parts.group_of][:, None] == plan.pilot_of[None, :]  # (K, G)
     tr_er = np.einsum("lgab,lkba->lkg", stats.estimator, pipe.r_cov)
     tr_rq = np.einsum("lkab,lgba->lkg", pipe.r_cov, stats.est_cov).real
-    s = np.sqrt(cfg.tau_p * cfg.pilot_power_w)
+    s = np.sqrt(cfg.tau_p * PILOT_POWER_W)
     mu = s * same_pilot * np.einsum("lg,lkg->kg", np.sqrt(c2), tr_er)
     return mu, np.abs(mu) ** 2 + np.einsum("lg,lkg->kg", c2, tr_rq)
 
@@ -248,7 +247,7 @@ def oracle_direction(pipe, g):
     n_ant = cfg.n_antennas
     n = aps.size * n_ant
     t_total = pipe.estimates.shape[0]
-    coef = cfg.group_power_w * parts.sizes.astype(float) ** 2 / (cfg.tau_p * cfg.pilot_power_w)
+    coef = GROUP_POWER_W * parts.sizes.astype(float) ** 2 / (cfg.tau_p * PILOT_POWER_W)
 
     def stack(c):
         v = np.zeros((t_total, n), dtype=complex)
@@ -269,7 +268,7 @@ def oracle_direction(pipe, g):
 
     v_own = stack(g)
     v_all = {c: stack(c) for c in plan.s_set[g]}
-    lead = np.sqrt(cfg.group_power_w / (cfg.tau_p * cfg.pilot_power_w)) * parts.sizes[g]
+    lead = np.sqrt(GROUP_POWER_W / (cfg.tau_p * PILOT_POWER_W)) * parts.sizes[g]
     out = np.empty_like(v_own)
     for t in range(t_total):
         m = z + cfg.noise_w * np.eye(n)
@@ -288,12 +287,12 @@ def full_load(pipe):
     """
     cfg, stats = pipe.cfg, pipe.stats
     sizes = pipe.parts.sizes.astype(float)
-    coef = cfg.group_power_w * sizes**2 / (cfg.tau_p * cfg.pilot_power_w)
+    coef = GROUP_POWER_W * sizes**2 / (cfg.tau_p * PILOT_POWER_W)
     loaded = np.stack([cfg.noise_w * np.eye(cfg.n_antennas, dtype=complex)] * cfg.n_aps)
     for l in range(cfg.n_aps):
         for c in range(pipe.plan.n_groups):
             loaded[l] += coef[c] * stats.r_comp[l, c]
-    return coef, loaded, np.sqrt(cfg.group_power_w / (cfg.tau_p * cfg.pilot_power_w)) * sizes
+    return coef, loaded, np.sqrt(GROUP_POWER_W / (cfg.tau_p * PILOT_POWER_W)) * sizes
 
 
 def ipmmse_with_power(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfmcast import covariance, estimation, grouping, pilots
+from cfmcast.config import PILOT_POWER_W
 from cfmcast.errors import NumericalError
 
 from conftest import (
@@ -66,7 +67,7 @@ class TestStatsAlgebra:
         pipe = build_pipeline(cfg, n_real=1)
         assert pipe.plan.n_groups > cfg.tau_p
         want = per_group_gamma(
-            pipe.r_cov, pipe.parts, pipe.plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w
+            pipe.r_cov, pipe.parts, pipe.plan, cfg.tau_p, PILOT_POWER_W, cfg.noise_w
         )
         assert np.array_equal(pipe.stats.gamma[:, pipe.plan.pilot_of], want)
 
@@ -138,9 +139,9 @@ class TestPilotProjection:
         cfg = small_config()
         pipe = build_pipeline(cfg, n_real=4)
         y = estimation.project_pilots(
-            pipe.channels, pipe.parts, pipe.plan, cfg.tau_p, cfg.pilot_power_w, 0.0, rng
+            pipe.channels, pipe.parts, pipe.plan, cfg.tau_p, PILOT_POWER_W, 0.0, rng
         )
-        scale = np.sqrt(cfg.tau_p * cfg.pilot_power_w)
+        scale = np.sqrt(cfg.tau_p * PILOT_POWER_W)
         used = sorted(set(int(p) for p in pipe.plan.pilot_of))
         for t in range(cfg.tau_p):
             if t not in used:
@@ -160,7 +161,7 @@ class TestPilotProjection:
         # gathered copy's sum, noise included
         cfg = small_config(**overrides)
         pipe = build_pipeline(cfg, n_real=5)
-        args = (pipe.channels, pipe.parts, pipe.plan, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w)
+        args = (pipe.channels, pipe.parts, pipe.plan, cfg.tau_p, PILOT_POWER_W, cfg.noise_w)
         y = estimation.project_pilots(*args, np.random.default_rng(3))
         assert np.array_equal(y, gathered_project_pilots(*args, np.random.default_rng(3)))
 
@@ -171,7 +172,7 @@ class TestPilotProjection:
         zero_h = np.zeros((20_000,) + pipe.channels.shape[1:], dtype=complex)
         noise_w = 1e-12
         y = estimation.project_pilots(
-            zero_h, pipe.parts, pipe.plan, cfg.tau_p, cfg.pilot_power_w, noise_w, rng
+            zero_h, pipe.parts, pipe.plan, cfg.tau_p, PILOT_POWER_W, noise_w, rng
         )
         t = int(pipe.plan.pilot_of[0])
         var = np.mean(np.abs(y[:, :, t, :]) ** 2)
@@ -180,10 +181,10 @@ class TestPilotProjection:
     def test_composite_channels_definition(self, rng):
         cfg = small_config()
         pipe = build_pipeline(cfg, n_real=3)
-        comp = composite_channels(pipe.channels, pipe.parts, cfg.tau_p, cfg.pilot_power_w)
+        comp = composite_channels(pipe.channels, pipe.parts, cfg.tau_p, PILOT_POWER_W)
         g = 1
         m = pipe.parts.members[g]
-        want = np.sqrt(cfg.tau_p * cfg.pilot_power_w) * pipe.channels[:, m].sum(axis=1) / m.size
+        want = np.sqrt(cfg.tau_p * PILOT_POWER_W) * pipe.channels[:, m].sum(axis=1) / m.size
         assert np.allclose(comp[:, :, g, :], want)
 
 
@@ -216,7 +217,7 @@ class TestEstimateRealizations:
         # estimate's sample covariance approaches est_cov
         cfg = small_config(n_aps=2, n_antennas=2, n_ms=4, n_groups=2, tau_p=2, realizations=30_000)
         pipe = build_pipeline(cfg)
-        comp = composite_channels(pipe.channels, pipe.parts, cfg.tau_p, cfg.pilot_power_w)
+        comp = composite_channels(pipe.channels, pipe.parts, cfg.tau_p, PILOT_POWER_W)
         g = 0
         l = int(pipe.plan.serving[g][0])
         est = pipe.estimates[:, pipe.plan.pair_of[l, g]]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfmcast import evaluation, grouping, pilots, precoding
+from cfmcast.config import DL_POWER_W, GROUP_POWER_W, KAPPA, PILOT_POWER_W
 from cfmcast.errors import NumericalError, StatsError
 
 from conftest import (
@@ -51,7 +52,7 @@ class TestAccumulator:
         pipe = build_pipeline(cfg)
         plan = pipe.plan
         pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, plan, cfg.dl_power_w, cfg.resolved_nu()
+            pipe.estimates, pipe.stats, plan, DL_POWER_W, cfg.resolved_nu()
         )
         one = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
         one.update(pipe.channels, pre, plan)
@@ -85,10 +86,10 @@ class TestAccumulator:
         assert max(cfg.n_aps * cfg.n_antennas, cfg.n_ms) == 12
         monkeypatch.setattr(evaluation, "GROUP_BLOCK", group_block)
         monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", block_elements)
-        cb = precoding.cb_precoders(pipe.estimates, pipe.stats, plan, cfg.dl_power_w, cfg.resolved_nu())
+        cb = precoding.cb_precoders(pipe.estimates, pipe.stats, plan, DL_POWER_W, cfg.resolved_nu())
         ip, _, _ = ipmmse_with_power(
-            pipe.estimates, pipe.stats, plan, pipe.parts, cfg.group_power_w, cfg.tau_p,
-            cfg.pilot_power_w, cfg.noise_w, cfg.dl_power_w, cfg.resolved_nu(), cfg.kappa,
+            pipe.estimates, pipe.stats, plan, pipe.parts, GROUP_POWER_W, cfg.tau_p,
+            PILOT_POWER_W, cfg.noise_w, DL_POWER_W, cfg.resolved_nu(), KAPPA,
         )
         for w in (cb, ip):
             acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
@@ -103,7 +104,7 @@ class TestAccumulator:
         pipe = build_pipeline(cfg)
         plan = pipe.plan
         pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, plan, cfg.dl_power_w, cfg.resolved_nu()
+            pipe.estimates, pipe.stats, plan, DL_POWER_W, cfg.resolved_nu()
         )
         unit = np.ones(plan.n_groups)
         _, _, sinr, _ = sinr_terms(pipe.channels, pre, unit, plan, pipe.parts.group_of, cfg.noise_w)
@@ -131,7 +132,7 @@ class TestAccumulator:
         pipe = build_pipeline(cfg)
         plan = pipe.plan
         pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, plan, cfg.dl_power_w, cfg.resolved_nu()
+            pipe.estimates, pipe.stats, plan, DL_POWER_W, cfg.resolved_nu()
         )
         acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
         acc.update(pipe.channels, pre, plan)
@@ -170,7 +171,7 @@ class TestExactCbMoments:
         # must lie within 6 standard errors of it
         cfg = small_config(precoder="cb")
         pipe = build_pipeline(cfg, n_real=20000)
-        w = precoding.cb_precoders(pipe.estimates, pipe.stats, pipe.plan, cfg.dl_power_w, cfg.resolved_nu())
+        w = precoding.cb_precoders(pipe.estimates, pipe.stats, pipe.plan, DL_POWER_W, cfg.resolved_nu())
         a = received_products(pipe.channels, w, pipe.plan)
         a2 = np.abs(a) ** 2
         n_real = a.shape[0]

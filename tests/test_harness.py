@@ -16,8 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmcast import cli, covariance, harness, precoding
-from cfmcast.config import SystemConfig, preset
+from cfmcast import cli, config, covariance, harness, precoding
+from cfmcast.config import DL_POWER_W, GROUP_POWER_W, KAPPA, PILOT_POWER_W, SystemConfig, preset
 from cfmcast.errors import CampaignError, ConfigError
 
 from conftest import build_pipeline, ipmmse_with_power, sinr_terms, small_config
@@ -153,23 +153,20 @@ class TestSnapshot:
         cfg = tiny_campaign_config(precoder="ipmmse")
         res = harness.run_snapshot(cfg, 0)
         assert res.per_ap_power is not None
-        assert res.per_ap_power.max() <= cfg.dl_power_w * 1.01
+        assert res.per_ap_power.max() <= DL_POWER_W * 1.01
 
     def test_single_group_busiest_ap_binds_exactly(self):
         # with one group the fractional rule leaves no slack: the busiest
         # serving AP radiates the whole downlink budget
         cfg = tiny_campaign_config(n_groups=1, precoder="ipmmse")
         res = harness.run_snapshot(cfg, 0)
-        assert res.per_ap_power.max() == pytest.approx(cfg.dl_power_w, rel=1e-9)
+        assert res.per_ap_power.max() == pytest.approx(DL_POWER_W, rel=1e-9)
 
     def test_distributed_serving_aps_radiate_full_budget(self):
-        # an AP that serves any group splits its whole budget over them; an AP
-        # that serves none stays silent
+        # every AP serves at least one group and splits its whole budget over them
         cfg = tiny_campaign_config(precoder="cb")
         res = harness.run_snapshot(cfg, 0)
-        plan = build_pipeline(cfg, 0, n_real=1).plan
-        want = [cfg.dl_power_w if served.any() else 0.0 for served in plan.serving_mask]
-        assert res.per_ap_power == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert res.per_ap_power == pytest.approx(np.full(cfg.n_aps, DL_POWER_W), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("precoder", ["ipmmse", "cb"])
     def test_tests_pipeline_is_the_snapshot_pipeline(self, precoder):
@@ -180,11 +177,11 @@ class TestSnapshot:
         plan, nu = pipe.plan, cfg.resolved_nu()
         if precoder == "ipmmse":
             w, power_scale, per_ap_power = ipmmse_with_power(
-                pipe.estimates, pipe.stats, plan, pipe.parts, cfg.group_power_w, cfg.tau_p,
-                cfg.pilot_power_w, cfg.noise_w, cfg.dl_power_w, nu, cfg.kappa,
+                pipe.estimates, pipe.stats, plan, pipe.parts, GROUP_POWER_W, cfg.tau_p,
+                PILOT_POWER_W, cfg.noise_w, DL_POWER_W, nu, KAPPA,
             )
         else:
-            w = precoding.cb_precoders(pipe.estimates, pipe.stats, plan, cfg.dl_power_w, nu)
+            w = precoding.cb_precoders(pipe.estimates, pipe.stats, plan, DL_POWER_W, nu)
             power_scale = np.ones(plan.n_groups)
         _, _, sinr, _ = sinr_terms(pipe.channels, w, power_scale, plan, pipe.parts.group_of, cfg.noise_w)
         res = harness.run_snapshot(cfg, 0)
@@ -202,7 +199,7 @@ class TestSnapshot:
         assert s["min_user_se"] <= s["median_user_se"]
         assert 0.0 < s["radiated_frac"] <= 1.0
         assert s["radiated_frac"] == pytest.approx(
-            res.per_ap_power.sum() / (cfg.n_aps * cfg.dl_power_w), rel=1e-12
+            res.per_ap_power.sum() / (cfg.n_aps * DL_POWER_W), rel=1e-12
         )
 
 
@@ -505,13 +502,14 @@ class TestCli:
         assert "unknown config keys: ['deployment']" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_kappa_outside_unit_interval_exits_two(self, tmp_path, capsys):
+    def test_fixed_system_model_key_exits_two(self, tmp_path, capsys):
+        # kappa is fixed in code: a config that sets it, in range or not, names an unknown key
         data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "kappa": -5.0, "snapshots": 1, "realizations": 8}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "run"
         assert self.run_cli("--config", str(path), "--out", str(out)) == 2
-        assert "kappa must lie in [0, 1]" in capsys.readouterr().err
+        assert "unknown config keys: ['kappa']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
@@ -521,10 +519,11 @@ class TestCli:
         assert "master_seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_non_finite_powers_fail_the_campaign(self, tmp_path, capsys):
+    def test_non_finite_powers_fail_the_campaign(self, tmp_path, capsys, monkeypatch):
         # nu = 50 underflows every fractional power weight to zero, and the
         # 0 / 0 powers would make every SINR NaN: the snapshot fails instead
-        data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "nu": 50.0, "snapshots": 1, "realizations": 8}
+        monkeypatch.setitem(config.NU, "ipmmse", 50.0)
+        data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "snapshots": 1, "realizations": 8}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "run"

@@ -130,6 +130,9 @@ class TestInvariants:
             # every group is served
             for g in range(n_groups):
                 assert plan.serving[g].size >= 1
+            # every AP serves a group: one per pilot in use, which the starved
+            # groups' swaps keep (apa_power divides by each AP's weight total)
+            assert plan.serving_mask.any(axis=1).all()
             # within the feasible fuzz domain each AP serves at most one
             # group per pilot (assert_pair_layout below ties serving to the mask)
             for l in range(n_aps):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfmcast import estimation, grouping, pilots, precoding
+from cfmcast.config import DL_POWER_W, GROUP_POWER_W, KAPPA, PILOT_POWER_W
 from cfmcast.errors import NumericalError, StatsError
 
 from conftest import build_pipeline, full_load, ipmmse_with_power, oracle_direction, small_config
@@ -59,7 +60,7 @@ class TestIpmmseDirection:
         )
         w = precoding.ipmmse_directions(
             pipe.estimates, pipe.stats, plan, pipe.parts,
-            cfg.group_power_w, cfg.tau_p, cfg.pilot_power_w, cfg.noise_w,
+            GROUP_POWER_W, cfg.tau_p, PILOT_POWER_W, cfg.noise_w,
         )
         for g, aps in enumerate(plan.serving):
             got = w[:, plan.pair_of[aps, g]].reshape(cfg.realizations, -1)
@@ -267,13 +268,13 @@ class TestCentralizedPipeline:
             pipe.stats,
             plan,
             pipe.parts,
-            cfg.group_power_w,
+            GROUP_POWER_W,
             cfg.tau_p,
-            cfg.pilot_power_w,
+            PILOT_POWER_W,
             cfg.noise_w,
-            cfg.dl_power_w,
+            DL_POWER_W,
             nu,
-            cfg.kappa,
+            KAPPA,
         )
         ap_norms = [
             np.mean(np.sum(np.abs(dirs[:, plan.pair_of[aps, g]]) ** 2, axis=2), axis=0)
@@ -285,7 +286,7 @@ class TestCentralizedPipeline:
             [pipe.stats.trace_r_comp[plan.serving[g], g].sum() for g in range(plan.n_groups)]
         )
         rho = precoding.fractional_power_centralized(
-            trace_sums, omega, plan, cfg.dl_power_w, nu, cfg.kappa
+            trace_sums, omega, plan, DL_POWER_W, nu, KAPPA
         )
         radiated = np.zeros(cfg.n_aps)
         for g, aps in enumerate(plan.serving):
@@ -294,7 +295,7 @@ class TestCentralizedPipeline:
             assert per_ap.sum() == pytest.approx(rho[g], rel=1e-9)
             radiated[aps] += per_ap
         np.testing.assert_allclose(per_ap_power, radiated, rtol=1e-9)
-        assert np.all(per_ap_power <= cfg.dl_power_w * 1.01)
+        assert np.all(per_ap_power <= DL_POWER_W * 1.01)
         assert per_ap_power.sum() == pytest.approx(rho.sum(), rel=1e-9)
 
 
@@ -302,10 +303,10 @@ class TestConjugateBeamforming:
     def test_apa_rows_sum_to_budget(self):
         cfg = small_config(realizations=4)
         pipe = build_pipeline(cfg)
-        rho = precoding.apa_power(pipe.stats.trace_r_comp, pipe.plan, cfg.dl_power_w, 0.5)
+        rho = precoding.apa_power(pipe.stats.trace_r_comp, pipe.plan, DL_POWER_W, 0.5)
         for l in range(cfg.n_aps):
             served = np.flatnonzero(pipe.plan.serving_mask[l])
-            assert rho[l, served].sum() == pytest.approx(cfg.dl_power_w, rel=1e-12)
+            assert rho[l, served].sum() == pytest.approx(DL_POWER_W, rel=1e-12)
             unserved = np.setdiff1d(np.arange(pipe.plan.n_groups), served)
             assert np.all(rho[l, unserved] == 0)
 
@@ -317,17 +318,33 @@ class TestConjugateBeamforming:
         rho = precoding.apa_power(trace, plan, 0.2, 0.5)
         assert rho[0, 1] / rho[0, 0] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize(
+        "trace, nu, mask",
+        [
+            ([[1e-8, 2e-8]], 50.0, [[True, True]]),
+            ([[1e-8, 2e-8]], -50.0, [[True, True]]),
+            ([[1.0, 9.0], [1.0, 9.0]], 0.5, [[True, True], [False, False]]),
+        ],
+        ids=["underflow", "overflow", "idle_ap"],
+    )
+    def test_vanishing_or_infinite_split_raises(self, trace, nu, mask):
+        # an AP's weight total is zero when tr(r_comp)**nu underflows (1e-8 ** 50)
+        # or the AP serves no group, and infinite when it overflows (1e-8 ** -50)
+        plan = SimpleNamespace(serving_mask=np.array(mask))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+            precoding.apa_power(np.array(trace), plan, 0.2, nu)
+
     def test_mean_norm_matches_closed_form(self):
         # the analytic normalization tr(est_cov) should equal the Monte Carlo
         # mean squared norm of the scaled estimate
         cfg = small_config(n_aps=2, n_antennas=2, n_ms=4, n_groups=2, tau_p=2, realizations=40_000)
         pipe = build_pipeline(cfg)
         pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, pipe.plan, cfg.dl_power_w, cfg.resolved_nu()
+            pipe.estimates, pipe.stats, pipe.plan, DL_POWER_W, cfg.resolved_nu()
         )
         plan = pipe.plan
         assert pre.shape == (cfg.realizations, plan.pair_ap.size, cfg.n_antennas)
-        rho = precoding.apa_power(pipe.stats.trace_r_comp, plan, cfg.dl_power_w, cfg.resolved_nu())
+        rho = precoding.apa_power(pipe.stats.trace_r_comp, plan, DL_POWER_W, cfg.resolved_nu())
         for p, (l, g) in enumerate(zip(plan.pair_ap, plan.pair_group)):
             mean_power = np.mean(np.sum(np.abs(pre[:, p]) ** 2, axis=1))
             assert mean_power == pytest.approx(rho[l, g], rel=0.03)
