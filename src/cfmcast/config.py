@@ -56,6 +56,12 @@ def _check_types(cfg) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
+def _reject_unknown(keys) -> None:
+    unknown = set(keys) - set(SystemConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     # network dimensions
@@ -137,10 +143,7 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown(data)
         return cls(**data)
 
     @classmethod
@@ -159,6 +162,7 @@ class SystemConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def with_overrides(self, **kwargs) -> "SystemConfig":
+        _reject_unknown(kwargs)
         return replace(self, **kwargs)
 
 

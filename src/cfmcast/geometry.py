@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .errors import SynthesisError
+from .openblas import cholesky_lower
 
 # 3GPP-style urban microcell fit, distances in meters
 PATHLOSS_OFFSET_DB = -30.5
@@ -108,7 +108,7 @@ def sample_shadowing(
     sites = np.unique(first)
     corr = 2.0 ** (-dist[np.ix_(sites, sites)] / SHADOWING_DECORRELATION_M)
     try:
-        factor = cholesky(corr, lower=True)
+        factor = cholesky_lower(corr)
     except np.linalg.LinAlgError as exc:
         raise SynthesisError(f"shadowing correlation matrix is not positive definite: {exc}") from exc
     z = rng.standard_normal((n_aps, sites.size))

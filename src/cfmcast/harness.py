@@ -10,9 +10,6 @@ sum-SE sample per snapshot and reports the empirical CDF.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
-import glob
 import json
 import multiprocessing
 import os
@@ -23,9 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
-from . import covariance, estimation, evaluation, geometry, grouping, pilots, precoding
+from . import covariance, estimation, evaluation, geometry, grouping, openblas, pilots, precoding
 from .config import DL_POWER_W, GROUP_POWER_W, KAPPA, PILOT_POWER_W, TAU_C, SystemConfig
 from .errors import CampaignError, ConfigError
 
@@ -129,16 +125,8 @@ def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
     OpenBLAS run on one thread for the snapshot, so no BLAS thread spins beside
     these and the results do not depend on the caller's counts, restored after.
     """
-    caller_threads = [getter() for getter in _openblas("get_num_threads", ctypes.c_int)]
-    setters = _openblas("set_num_threads", None, ctypes.c_int)
-    for set_threads in setters:
-        set_threads(1)
-    try:
-        with ThreadPoolExecutor(1) as drawer:
-            return _run_snapshot(cfg, index, drawer)
-    finally:
-        for set_threads, count in zip(setters, caller_threads):
-            set_threads(count)
+    with openblas.one_thread(), ThreadPoolExecutor(1) as drawer:
+        return _run_snapshot(cfg, index, drawer)
 
 
 def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> SnapshotResult:
@@ -214,24 +202,6 @@ def _summary(job: tuple[SystemConfig, int]) -> dict:
     return run_snapshot(cfg, index).summary()
 
 
-@functools.lru_cache(maxsize=None)
-def _openblas(name: str, restype, *argtypes) -> tuple:
-    """Function ``name`` of each OpenBLAS build bundled with numpy or SciPy.
-
-    numpy's build has the 64-bit integer API, whose symbols end in ``64_``.
-    Looked up once per process; a forked worker inherits a lookup made before the fork.
-    """
-    found = []
-    for package, suffix in ((np, "64_"), (scipy, "")):
-        libs = os.path.join(os.path.dirname(package.__file__) + ".libs", "libscipy_openblas*.so")
-        for path in glob.glob(libs):
-            fn = getattr(ctypes.CDLL(path), f"scipy_openblas_{name}{suffix}", None)
-            if fn is not None:
-                fn.restype, fn.argtypes = restype, list(argtypes)
-                found.append(fn)
-    return tuple(found)
-
-
 def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
     """Run all snapshots and pool their sum-SE samples into the CDF.
 
@@ -281,7 +251,7 @@ def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
         summaries=summaries,
         wall_time_s=time.monotonic() - t0,
         workers=workers,
-        worker_blas_threads=1 if _openblas("set_num_threads", None, ctypes.c_int) else None,
+        worker_blas_threads=1 if openblas.thread_counts() else None,
     )
 
 

@@ -218,6 +218,11 @@ class TestSerialization:
         assert other.snapshots == 9
         assert cfg.snapshots == 2
 
+    def test_with_overrides_rejects_unknown_keys(self):
+        # a key fixed in code, a read-only property and a typo, named like from_dict names them
+        with pytest.raises(ConfigError, match="unknown config keys: \\['dl_power_w', 'pilot_power_w', 'snapshot'\\]"):
+            small_config().with_overrides(pilot_power_w=0.1, dl_power_w=0.2, snapshot=3, realizations=9)
+
 
 class TestPresets:
     def test_known_presets_construct(self):

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import ctypes
 import json
 import os
 import signal
@@ -16,18 +15,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmcast import cli, config, covariance, harness, precoding
+from cfmcast import cli, config, covariance, harness, openblas, precoding
 from cfmcast.config import DL_POWER_W, GROUP_POWER_W, KAPPA, PILOT_POWER_W, SystemConfig, preset
 from cfmcast.errors import CampaignError, ConfigError
 
 from conftest import build_pipeline, ipmmse_with_power, sinr_terms, small_config
 
 SRC = os.path.dirname(os.path.dirname(harness.__file__))
-
-
-def blas_threads():
-    """Thread counts of the OpenBLAS builds bundled with numpy and SciPy."""
-    return [getter() for getter in harness._openblas("get_num_threads", ctypes.c_int)]
 
 
 def tiny_campaign_config(**overrides):
@@ -100,19 +94,17 @@ class TestSnapshot:
     def test_outputs_do_not_depend_on_the_callers_blas_threads(self, monkeypatch):
         # about the smallest fig3-like IP-MMSE snapshot whose products OpenBLAS
         # splits over two threads when allowed to, which moves its SINRs by ~1e-12
-        setters = harness._openblas("set_num_threads", None, ctypes.c_int)
-        if not setters:
+        caller = openblas.thread_counts()
+        if not caller:
             pytest.skip("neither numpy nor SciPy ships an OpenBLAS")
         cfg = preset("fig3").with_overrides(precoder="ipmmse", n_aps=64, n_ms=50, realizations=1)
-        caller = blas_threads()
         sinr = {}
         try:
             for count in (1, 2):
-                for set_threads in setters:
-                    set_threads(count)
-                want = blas_threads()
+                openblas.set_thread_counts([count] * len(caller))
+                want = openblas.thread_counts()
                 sinr[count] = harness.run_snapshot(cfg, 0).report.sinr
-                assert blas_threads() == want
+                assert openblas.thread_counts() == want
             # restored after a snapshot that raises, too
             def failing(factors, normals):
                 raise RuntimeError("synthetic sampling failure")
@@ -120,10 +112,9 @@ class TestSnapshot:
             monkeypatch.setattr(covariance, "sample_channels", failing)
             with pytest.raises(RuntimeError, match="synthetic sampling failure"):
                 harness.run_snapshot(cfg, 0)
-            assert blas_threads() == want
+            assert openblas.thread_counts() == want
         finally:
-            for set_threads, count in zip(setters, caller):
-                set_threads(count)
+            openblas.set_thread_counts(caller)
         assert np.array_equal(sinr[1], sinr[2])
 
     def test_peak_memory_of_a_mid_size_clustered_snapshot(self):
@@ -306,17 +297,17 @@ class TestCampaign:
     def test_pool_workers_run_one_blas_thread(self, tmp_path):
         # snapshots run one BLAS thread in a pool and in process alike
         cfg = preset("desk_uniform").with_overrides(realizations=8, snapshots=4)
-        in_process = blas_threads()
+        in_process = openblas.thread_counts()
         # null only where no bundled OpenBLAS is there to set the count through
         one = 1 if in_process else None
         result = harness.run_campaign(cfg, workers=2)
         harness.write_outputs(result, str(tmp_path))
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["worker_blas_threads"] == one
-        assert blas_threads() == in_process
+        assert openblas.thread_counts() == in_process
         serial = harness.run_campaign(cfg, workers=1)
         assert serial.worker_blas_threads == one
-        assert blas_threads() == in_process
+        assert openblas.thread_counts() == in_process
         assert serial.summaries == result.summaries
 
     def test_pool_forks_after_in_process_campaign(self):
