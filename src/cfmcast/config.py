@@ -124,11 +124,7 @@ class SystemConfig:
 
     # --- derived quantities -------------------------------------------------
 
-    @property
-    def noise_w(self) -> float:
-        return NOISE_W
-
-    # perfbench/tracer.py reads the budget off the config of every traced snapshot
+    # perfbench/tracer.py reads the budget and exponent off the config of every traced snapshot
     @property
     def dl_power_w(self) -> float:
         return DL_POWER_W
@@ -151,8 +147,8 @@ class SystemConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         return cls.from_dict(data)

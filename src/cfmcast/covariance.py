@@ -72,13 +72,11 @@ def _clip_psd(r: np.ndarray) -> np.ndarray:
     return u
 
 
-def covariance_field(
-    beta: np.ndarray, phi_rad: np.ndarray, asd_rad: float, n_antennas: int
-) -> np.ndarray:
-    """Covariances for all links at once: (L, K) inputs -> (L, K, N, N)."""
+def covariance_field(beta: np.ndarray, phi_rad: np.ndarray, n_antennas: int) -> np.ndarray:
+    """Covariances for all links at once, at the ASD_DEG spread: (L, K) inputs -> (L, K, N, N)."""
     if np.any(beta <= 0):
         raise SynthesisError("all beta values must be positive")
-    return _clip_psd(_closed_form(beta, phi_rad, asd_rad, n_antennas))
+    return _clip_psd(_closed_form(beta, phi_rad, np.deg2rad(ASD_DEG), n_antennas))
 
 
 def covariance_factors(r: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import NOISE_W, PILOT_POWER_W
 from .errors import NumericalError
 from .pilots import pilot_members
 
@@ -44,23 +45,24 @@ class CompositeStats:
         return np.einsum("lgii->lg", self.r_comp).real
 
 
-def composite_stats(r_cov: np.ndarray, grouping, plan, tau_p: int, pilot_power_w: float, noise_w: float) -> CompositeStats:
+def composite_stats(r_cov: np.ndarray, grouping, plan) -> CompositeStats:
     """Assemble all estimation statistics for a snapshot.
 
     Statistics are deterministic functions of the covariances and are computed
     for every (AP, group) or (AP, pilot) pair; pilot observations and estimate
-    realizations are later restricted to serving APs.
+    realizations are later restricted to serving APs.  The pilot length
+    tau_p is the plan's pilot count.
     """
     n_aps, _, n_antennas, _ = r_cov.shape
-    sizes = grouping.sizes
+    tau_p, sizes = plan.n_pilots, grouping.sizes
     r_comp = np.empty((n_aps, grouping.n_groups, n_antennas, n_antennas), dtype=complex)
     for g, members in enumerate(grouping.members):
-        r_comp[:, g] = (tau_p * pilot_power_w / members.size**2) * r_cov[:, members].sum(axis=1)
-    noise = noise_w * np.eye(n_antennas)
+        r_comp[:, g] = (tau_p * PILOT_POWER_W / members.size**2) * r_cov[:, members].sum(axis=1)
+    noise = NOISE_W * np.eye(n_antennas)
     # an unused pilot observes noise alone; its entry is never read
-    gamma = np.broadcast_to(noise, (n_aps, plan.n_pilots, n_antennas, n_antennas)).astype(complex)
+    gamma = np.broadcast_to(noise, (n_aps, tau_p, n_antennas, n_antennas)).astype(complex)
     for t, on_pilot in pilot_members(grouping, plan):
-        gamma[:, t] = tau_p * pilot_power_w * r_cov[:, on_pilot].sum(axis=1) + noise
+        gamma[:, t] = tau_p * PILOT_POWER_W * r_cov[:, on_pilot].sum(axis=1) + noise
     # estimator = K_g * r_comp @ gamma^{-1}, via an LU solve of the transposed system
     try:
         solved = np.linalg.solve(
@@ -74,15 +76,7 @@ def composite_stats(r_cov: np.ndarray, grouping, plan, tau_p: int, pilot_power_w
     return CompositeStats(r_comp=r_comp, gamma=gamma, est_cov=est_cov, estimator=estimator)
 
 
-def project_pilots(
-    channels: np.ndarray,
-    grouping,
-    plan,
-    tau_p: int,
-    pilot_power_w: float,
-    noise_w: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def project_pilots(channels: np.ndarray, grouping, plan, rng: np.random.Generator) -> np.ndarray:
     """Pilot observations after despreading, (T, L, tau_p, N), from (T, K, L, N) channels.
 
     Entry [..., t, :] for a pilot in use is the scaled sum of the channels of
@@ -94,9 +88,9 @@ def project_pilots(
     axis.
     """
     n_real, _, n_aps, n_antennas = channels.shape
-    y = np.zeros((n_real, n_aps, tau_p, n_antennas), dtype=complex)
-    scale = np.sqrt(tau_p * pilot_power_w)
-    noise_std = np.sqrt(noise_w / 2.0)
+    y = np.zeros((n_real, n_aps, plan.n_pilots, n_antennas), dtype=complex)
+    scale = np.sqrt(plan.n_pilots * PILOT_POWER_W)
+    noise_std = np.sqrt(NOISE_W / 2.0)
     for t, on_pilot in pilot_members(grouping, plan):
         signal = channels[:, on_pilot[0]].copy()
         for k in on_pilot[1:]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import NOISE_W, TAU_C
 from .errors import NumericalError, StatsError
 
 # SinrAccumulator.update works through a chunk in dense precoder blocks of at
@@ -72,7 +73,7 @@ class SinrAccumulator:
                 self.sum_a2[:, blk] += np.sum(np.abs(a_conj) ** 2, axis=0)
         self.count += n_real
 
-    def finalize(self, power_scale: np.ndarray, group_of: np.ndarray, noise_w: float):
+    def finalize(self, power_scale: np.ndarray, group_of: np.ndarray):
         """Return (desired power, total received power, sinr, clamp count).
 
         Raises NumericalError when an SINR is not finite.
@@ -85,19 +86,19 @@ class SinrAccumulator:
         own = group_of
         desired = power_scale[own] * np.abs(mean_a[np.arange(n_ms), own]) ** 2
         total = mean_a2 @ power_scale
-        denom = total - desired + noise_w
+        denom = total - desired + NOISE_W
         clamped = int(np.sum(denom <= 0))
-        denom = np.where(denom <= 0, noise_w, denom)
+        denom = np.where(denom <= 0, NOISE_W, denom)
         sinr = desired / denom
         if not np.all(np.isfinite(sinr)):
             raise NumericalError("SINR is not finite")
         return desired, total, sinr, clamped
 
 
-def se_user(sinr: np.ndarray, tau_p: int, tau_c: int) -> np.ndarray:
+def se_user(sinr: np.ndarray, tau_p: int) -> np.ndarray:
     """Downlink SE per MS in bit/s/Hz; the pilot overhead uses the configured
     pilot length regardless of how many pilots a snapshot actually uses."""
-    prelog = 1.0 - tau_p / tau_c
+    prelog = 1.0 - tau_p / TAU_C
     return prelog * np.log2(1.0 + sinr)
 
 
@@ -106,14 +107,8 @@ def se_group(se_users: np.ndarray, members: list) -> np.ndarray:
     return np.array([se_users[m].min() for m in members])
 
 
-def build_report(
-    sinr: np.ndarray,
-    clamped: int,
-    grouping,
-    tau_p: int,
-    tau_c: int,
-) -> SeReport:
-    users = se_user(sinr, tau_p, tau_c)
+def build_report(sinr: np.ndarray, clamped: int, grouping, tau_p: int) -> SeReport:
+    users = se_user(sinr, tau_p)
     groups = se_group(users, grouping.members)
     return SeReport(
         sinr=sinr,

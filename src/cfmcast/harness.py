@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import covariance, estimation, evaluation, geometry, grouping, openblas, pilots, precoding
-from .config import DL_POWER_W, GROUP_POWER_W, KAPPA, PILOT_POWER_W, TAU_C, SystemConfig
+from .config import DL_POWER_W, SystemConfig
 from .errors import CampaignError, ConfigError
 
 # realizations are processed in fixed-size chunks to bound memory
@@ -104,11 +104,11 @@ class SnapshotSetup(NamedTuple):
 def snapshot_setup(cfg: SystemConfig, index: int, dep: geometry.Deployment) -> SnapshotSetup:
     """Covariances, groups, pilot plan and estimation statistics of a built deployment."""
     angles = geometry.nominal_angles(dep.ap_positions, dep.ms_positions, cfg.side_m)
-    r_cov = covariance.covariance_field(dep.beta, angles, np.deg2rad(covariance.ASD_DEG), cfg.n_antennas)
+    r_cov = covariance.covariance_field(dep.beta, angles, cfg.n_antennas)
     factors = covariance.covariance_factors(r_cov)
     parts = grouping.make_plan(dep.beta, stage_rng(cfg.master_seed, index, "grouping"), cfg.n_groups)
     plan = pilots.assign_pilots_and_cluster(dep.beta, parts, cfg.tau_p)
-    stats = estimation.composite_stats(r_cov, parts, plan, cfg.tau_p, PILOT_POWER_W, cfg.noise_w)
+    stats = estimation.composite_stats(r_cov, parts, plan)
     return SnapshotSetup(r_cov, factors, parts, plan, stats)
 
 
@@ -160,39 +160,27 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
             pending = draw(ci + 1)
         channels = covariance.sample_channels(factors, channels)  # the normals, correlated in place
         y = estimation.project_pilots(
-            channels,
-            parts,
-            plan,
-            cfg.tau_p,
-            PILOT_POWER_W,
-            cfg.noise_w,
-            stage_rng(cfg.master_seed, index, "pilot_noise", ci),
+            channels, parts, plan, stage_rng(cfg.master_seed, index, "pilot_noise", ci)
         )
         estimates = estimation.estimate_composites(y, stats, plan)
         del y
         if centralized:
-            w = precoding.ipmmse_directions(
-                estimates, stats, plan, parts, GROUP_POWER_W, cfg.tau_p, PILOT_POWER_W, cfg.noise_w
-            )
+            w = precoding.ipmmse_directions(estimates, stats, plan, parts)
             sq_norm_sums[plan.pair_ap, plan.pair_group] += np.sum(np.abs(w) ** 2, axis=(0, 2))
         else:
-            w = precoding.cb_precoders(estimates, stats, plan, DL_POWER_W, cfg.resolved_nu())
+            w = precoding.cb_precoders(estimates, stats, plan)
         del estimates
         acc.update(channels, w, plan)
 
     if centralized:
-        power_scale, per_ap_power = precoding.centralized_power(
-            sq_norm_sums, acc.count, stats, plan, DL_POWER_W, cfg.resolved_nu(), KAPPA
-        )
+        power_scale, per_ap_power = precoding.centralized_power(sq_norm_sums, acc.count, stats, plan)
     else:
         power_scale = np.ones(plan.n_groups)
         # every serving AP splits its whole budget over the groups it serves
-        per_ap_power = precoding.apa_power(
-            stats.trace_r_comp, plan, DL_POWER_W, cfg.resolved_nu()
-        ).sum(axis=1)
+        per_ap_power = precoding.apa_power(stats.trace_r_comp, plan).sum(axis=1)
 
-    _, _, sinr, clamped = acc.finalize(power_scale, parts.group_of, cfg.noise_w)
-    report = evaluation.build_report(sinr, clamped, parts, cfg.tau_p, TAU_C)
+    _, _, sinr, clamped = acc.finalize(power_scale, parts.group_of)
+    report = evaluation.build_report(sinr, clamped, parts, cfg.tau_p)
     radiated_frac = float(per_ap_power.sum() / (cfg.n_aps * DL_POWER_W))
     return SnapshotResult(index, report, parts.sizes, per_ap_power, radiated_frac)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DL_POWER_W, GROUP_POWER_W, KAPPA, NOISE_W, NU, PILOT_POWER_W
 from .errors import NumericalError, StatsError
 
 
@@ -97,15 +98,17 @@ def ipmmse_direction(
     return _ipmmse_solve(v, coef[neighborhood], own_index, d_blocks, lead)
 
 
-def ipmmse_directions(
-    estimates: np.ndarray, stats, plan, grouping, group_power_w, tau_p, pilot_power_w, noise_w
-) -> np.ndarray:
-    """Unnormalized centralized directions of every group over the served pairs, (T, P, N)."""
+def ipmmse_directions(estimates: np.ndarray, stats, plan, grouping) -> np.ndarray:
+    """Unnormalized centralized directions of every group over the served pairs, (T, P, N).
+
+    The virtual group powers scale with GROUP_POWER_W over the pilot energy
+    tau_p * PILOT_POWER_W, tau_p being the plan's pilot count.
+    """
     n_real, _, n_ant = estimates.shape
     sizes = grouping.sizes.astype(float)
-    coef = group_power_w * sizes**2 / (tau_p * pilot_power_w)
-    loaded = noise_w * np.eye(n_ant) + np.einsum("g,lgab->lab", coef, stats.r_comp)
-    leads = np.sqrt(group_power_w / (tau_p * pilot_power_w)) * sizes
+    coef = GROUP_POWER_W * sizes**2 / (plan.n_pilots * PILOT_POWER_W)
+    loaded = NOISE_W * np.eye(n_ant) + np.einsum("g,lgab->lab", coef, stats.r_comp)
+    leads = np.sqrt(GROUP_POWER_W / (plan.n_pilots * PILOT_POWER_W)) * sizes
     w = np.empty((n_real, plan.pair_ap.size, n_ant), dtype=complex)
     for g, aps in enumerate(plan.serving):
         w[:, plan.pair_of[aps, g]] = ipmmse_direction(
@@ -127,41 +130,27 @@ def omega_factor(ap_norms: np.ndarray) -> np.ndarray:
     return ap_norms.max(axis=0) / total
 
 
-def fractional_power_centralized(
-    trace_sums: np.ndarray,
-    omega: np.ndarray,
-    plan,
-    dl_power_w: float,
-    nu: float,
-    kappa: float,
-) -> np.ndarray:
+def fractional_power_centralized(trace_sums: np.ndarray, omega: np.ndarray, plan) -> np.ndarray:
     """Per-group downlink powers under the centralized fractional rule.
 
-    ``trace_sums[g]`` is the composite covariance trace summed over the
-    group's serving APs.  The denominator is the load of the group's busiest
+    The rule takes the budget DL_POWER_W and the exponents nu = NU["ipmmse"]
+    and KAPPA.  ``trace_sums[g]`` is the composite covariance trace summed
+    over the group's serving APs.  The denominator is the load of the group's busiest
     serving AP, which keeps every AP's expected radiated power within budget.
     Raises NumericalError when a busiest load is zero or a power is not
     finite, as when trace_sums**nu underflows or overflows.
     """
-    mask = plan.serving_mask
-    load = trace_sums**nu * omega ** (1.0 - kappa)
+    mask, nu = plan.serving_mask, NU["ipmmse"]
+    load = trace_sums**nu * omega ** (1.0 - KAPPA)
     ap_load = np.where(mask, load, 0.0).sum(axis=1)
     busiest = np.where(mask, ap_load[:, None], 0.0).max(axis=0)
-    power = dl_power_w * trace_sums**nu * omega ** (-kappa)
+    power = DL_POWER_W * trace_sums**nu * omega ** (-KAPPA)
     if np.any(busiest <= 0) or not np.all(np.isfinite(power)):
-        raise NumericalError(f"fractional powers are not finite (nu = {nu}, kappa = {kappa})")
+        raise NumericalError(f"fractional powers are not finite (nu = {nu}, kappa = {KAPPA})")
     return power / busiest
 
 
-def centralized_power(
-    sq_norm_sums: np.ndarray,
-    count: int,
-    stats,
-    plan,
-    dl_power_w: float,
-    nu: float,
-    kappa: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def centralized_power(sq_norm_sums: np.ndarray, count: int, stats, plan) -> tuple[np.ndarray, np.ndarray]:
     """Power step of the centralized precoder: (power_scale, per_ap_power).
 
     ``sq_norm_sums[l, g]`` is the squared norm of AP l's part of group g's
@@ -177,7 +166,7 @@ def centralized_power(
     omegas = omega_factor(ap_norms)
     norms = ap_norms.sum(axis=0)
     trace_sums = np.where(plan.serving_mask, stats.trace_r_comp, 0.0).sum(axis=0)
-    rho = fractional_power_centralized(trace_sums, omegas, plan, dl_power_w, nu, kappa)
+    rho = fractional_power_centralized(trace_sums, omegas, plan)
     power_scale = rho / norms
     return power_scale, ap_norms @ power_scale
 
@@ -185,22 +174,23 @@ def centralized_power(
 # --- distributed conjugate beamforming --------------------------------------
 
 
-def apa_power(trace_r_comp: np.ndarray, plan, dl_power_w: float, nu: float) -> np.ndarray:
+def apa_power(trace_r_comp: np.ndarray, plan) -> np.ndarray:
     """Fractional per-AP power split across served groups, (L, G).
 
-    Each AP divides its budget over the groups it serves in proportion to
-    tr(r_comp)^nu; rows sum to the budget over served groups, zero elsewhere.
-    Every AP serves at least one group, so a zero or non-finite row total
+    Each AP divides its budget DL_POWER_W over the groups it serves in
+    proportion to tr(r_comp)^nu, nu = NU["cb"]; rows sum to the budget over
+    served groups, zero elsewhere.  Every AP serves at least one group, so a zero or non-finite row total
     means tr(r_comp)^nu underflowed or overflowed: NumericalError.
     """
+    nu = NU["cb"]
     weights = np.where(plan.serving_mask, trace_r_comp**nu, 0.0)
     totals = weights.sum(axis=1, keepdims=True)
     if np.any(totals <= 0) or not np.all(np.isfinite(totals)):
         raise NumericalError(f"fractional power split is not finite (nu = {nu})")
-    return dl_power_w * weights / totals
+    return DL_POWER_W * weights / totals
 
 
-def cb_precoders(estimates: np.ndarray, stats, plan, dl_power_w: float, nu: float) -> np.ndarray:
+def cb_precoders(estimates: np.ndarray, stats, plan) -> np.ndarray:
     """Conjugate beamforming from local estimates with closed-form scaling, (T, P, N).
 
     Each serving AP transmits its own composite estimate normalized by the
@@ -209,6 +199,6 @@ def cb_precoders(estimates: np.ndarray, stats, plan, dl_power_w: float, nu: floa
     precoder needs no further scale.
     """
     pairs = (plan.pair_ap, plan.pair_group)
-    rho = apa_power(stats.trace_r_comp, plan, dl_power_w, nu)[pairs]
+    rho = apa_power(stats.trace_r_comp, plan)[pairs]
     est_norm = np.einsum("lgii->lg", stats.est_cov).real[pairs]
     return np.sqrt(rho / est_norm)[:, None] * estimates[:, :-1]

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from cfmcast import covariance, estimation, evaluation, geometry, grouping, harness, precoding
-from cfmcast.config import DL_POWER_W, GROUP_POWER_W, PILOT_POWER_W, SystemConfig
+from cfmcast.config import GROUP_POWER_W, NOISE_W, PILOT_POWER_W, SystemConfig
 from cfmcast.errors import NumericalError
 
 
@@ -66,12 +66,12 @@ def serial_sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarr
     return normals
 
 
-def gathered_project_pilots(channels, grouping, plan, tau_p, pilot_power_w, noise_w, rng) -> np.ndarray:
+def gathered_project_pilots(channels, grouping, plan, rng) -> np.ndarray:
     """Reference for estimation.project_pilots: each pilot's signal summed from a fancy-indexed copy."""
     n_real, _, n_aps, n_antennas = channels.shape
-    y = np.zeros((n_real, n_aps, tau_p, n_antennas), dtype=complex)
-    scale = np.sqrt(tau_p * pilot_power_w)
-    noise_std = np.sqrt(noise_w / 2.0)
+    y = np.zeros((n_real, n_aps, plan.n_pilots, n_antennas), dtype=complex)
+    scale = np.sqrt(plan.n_pilots * PILOT_POWER_W)
+    noise_std = np.sqrt(NOISE_W / 2.0)
     for t in sorted(set(int(p) for p in plan.pilot_of)):
         on_pilot = np.concatenate([grouping.members[c] for c in np.flatnonzero(plan.pilot_of == t)])
         signal = scale * channels[:, on_pilot].sum(axis=1)
@@ -83,7 +83,7 @@ def gathered_project_pilots(channels, grouping, plan, tau_p, pilot_power_w, nois
     return y
 
 
-def per_group_gamma(r_cov, grouping, plan, tau_p, pilot_power_w, noise_w) -> np.ndarray:
+def per_group_gamma(r_cov, grouping, plan) -> np.ndarray:
     """Reference for estimation.composite_stats' Γ read per group: (L, G, N, N).
 
     Group g's observation covariance sums the link covariances of the MSs of
@@ -94,8 +94,8 @@ def per_group_gamma(r_cov, grouping, plan, tau_p, pilot_power_w, noise_w) -> np.
     for g in range(plan.n_groups):
         cohort = np.flatnonzero(plan.pilot_of == plan.pilot_of[g])
         members = np.concatenate([grouping.members[c] for c in cohort])
-        acc = tau_p * pilot_power_w * r_cov[:, members].sum(axis=1)
-        gamma[:, g] = acc + noise_w * np.eye(n_antennas)
+        acc = plan.n_pilots * PILOT_POWER_W * r_cov[:, members].sum(axis=1)
+        gamma[:, g] = acc + NOISE_W * np.eye(n_antennas)
     return gamma
 
 
@@ -111,13 +111,7 @@ def build_pipeline(cfg: SystemConfig, index: int = 0, n_real: int | None = None)
     t = cfg.realizations if n_real is None else n_real
     channels = draw_channels(setup.factors, t, harness.stage_rng(cfg.master_seed, index, "channels"))
     y = estimation.project_pilots(
-        channels,
-        setup.parts,
-        setup.plan,
-        cfg.tau_p,
-        PILOT_POWER_W,
-        cfg.noise_w,
-        harness.stage_rng(cfg.master_seed, index, "pilot_noise"),
+        channels, setup.parts, setup.plan, harness.stage_rng(cfg.master_seed, index, "pilot_noise")
     )
     estimates = estimation.estimate_composites(y, setup.stats, setup.plan)
     return SimpleNamespace(cfg=cfg, dep=dep, **setup._asdict(), channels=channels, y=y, estimates=estimates)
@@ -183,11 +177,11 @@ def composite_channels(channels: np.ndarray, grouping, tau_p: int, pilot_power_w
     return scale * out
 
 
-def sinr_terms(channels, w, power_scale, plan, group_of, noise_w):
+def sinr_terms(channels, w, power_scale, plan, group_of):
     """One-shot hardening-bound SINR from matched channel and (T, P, N) precoder realizations."""
     acc = evaluation.SinrAccumulator(channels.shape[1], plan.n_groups)
     acc.update(channels, w, plan)
-    return acc.finalize(power_scale, group_of, noise_w)
+    return acc.finalize(power_scale, group_of)
 
 
 def received_products(channels, w, plan):
@@ -225,7 +219,7 @@ def exact_cb_moments(pipe, cfg):
     Returns (μ, E|a|²).
     """
     plan, stats, parts = pipe.plan, pipe.stats, pipe.parts
-    rho = precoding.apa_power(stats.trace_r_comp, plan, DL_POWER_W, cfg.resolved_nu())
+    rho = precoding.apa_power(stats.trace_r_comp, plan)
     est_trace = np.einsum("lgii->lg", stats.est_cov).real
     c2 = np.where(plan.serving_mask, rho / est_trace, 0.0)  # (L, G)
     same_pilot = plan.pilot_of[parts.group_of][:, None] == plan.pilot_of[None, :]  # (K, G)
@@ -271,7 +265,7 @@ def oracle_direction(pipe, g):
     lead = np.sqrt(GROUP_POWER_W / (cfg.tau_p * PILOT_POWER_W)) * parts.sizes[g]
     out = np.empty_like(v_own)
     for t in range(t_total):
-        m = z + cfg.noise_w * np.eye(n)
+        m = z + NOISE_W * np.eye(n)
         for c, vc in v_all.items():
             m = m + coef[c] * np.outer(vc[t], vc[t].conj())
         out[t] = lead * (np.linalg.inv(m) @ v_own[t])
@@ -288,28 +282,24 @@ def full_load(pipe):
     cfg, stats = pipe.cfg, pipe.stats
     sizes = pipe.parts.sizes.astype(float)
     coef = GROUP_POWER_W * sizes**2 / (cfg.tau_p * PILOT_POWER_W)
-    loaded = np.stack([cfg.noise_w * np.eye(cfg.n_antennas, dtype=complex)] * cfg.n_aps)
+    loaded = np.stack([NOISE_W * np.eye(cfg.n_antennas, dtype=complex)] * cfg.n_aps)
     for l in range(cfg.n_aps):
         for c in range(pipe.plan.n_groups):
             loaded[l] += coef[c] * stats.r_comp[l, c]
     return coef, loaded, np.sqrt(GROUP_POWER_W / (cfg.tau_p * PILOT_POWER_W)) * sizes
 
 
-def ipmmse_with_power(
-    estimates, stats, plan, parts, group_power_w, tau_p, pilot_power_w, noise_w, dl_power_w, nu, kappa
-):
+def ipmmse_with_power(estimates, stats, plan, parts):
     """IP-MMSE directions of every group, normalized over all realizations.
 
     Returns (directions, power_scale, per_ap_power), with ``directions`` a
     (T, P, N) array over the plan's served pairs; the assembly and the power
     step are the ones the harness runs.
     """
-    w = precoding.ipmmse_directions(estimates, stats, plan, parts, group_power_w, tau_p, pilot_power_w, noise_w)
+    w = precoding.ipmmse_directions(estimates, stats, plan, parts)
     sums = np.zeros(plan.serving_mask.shape)
     sums[plan.pair_ap, plan.pair_group] = np.sum(np.abs(w) ** 2, axis=(0, 2))
-    power_scale, per_ap_power = precoding.centralized_power(
-        sums, w.shape[0], stats, plan, dl_power_w, nu, kappa
-    )
+    power_scale, per_ap_power = precoding.centralized_power(sums, w.shape[0], stats, plan)
     return w, power_scale, per_ap_power
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cfmcast import covariance, estimation, geometry, grouping, harness, pilots, precoding
-from cfmcast.config import SystemConfig, preset
+from cfmcast.config import DL_POWER_W, NOISE_W, PILOT_POWER_W, preset
 
 from conftest import (
     assert_pair_layout,
@@ -24,9 +24,6 @@ from conftest import (
     random_service_instance,
     small_config,
 )
-
-NOISE_W = SystemConfig(n_groups=30).noise_w
-
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
     line = f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} — {detail}"
@@ -51,17 +48,15 @@ def campaign_samples(cfg):
 
 def test_criterion_1_estimation_oracle():
     t0 = time.monotonic()
-    n_ant, tau_p, pilot_power = 2, 1, 0.1
+    n_ant, tau_p, pilot_power = 2, 1, PILOT_POWER_W
     beta = np.array([[3e-8, 1.2e-8, 0.7e-8]])
     phi = np.array([[0.4, -1.0, 2.2]])
     parts = grouping.GroupAssignment(group_of=np.array([0, 0, 1]), n_groups=2)
     plan = pilots.assign_pilots_and_cluster(beta, parts, tau_p)
-    r_cov = covariance.covariance_field(beta, phi, np.deg2rad(15.0), n_ant)
-    stats = estimation.composite_stats(r_cov, parts, plan, tau_p, pilot_power, NOISE_W)
+    r_cov = covariance.covariance_field(beta, phi, n_ant)
+    stats = estimation.composite_stats(r_cov, parts, plan)
     channels = draw_channels(covariance.covariance_factors(r_cov), 200, np.random.default_rng(0))
-    y = estimation.project_pilots(
-        channels, parts, plan, tau_p, pilot_power, NOISE_W, np.random.default_rng(1)
-    )
+    y = estimation.project_pilots(channels, parts, plan, np.random.default_rng(1))
     estimates = estimation.estimate_composites(y, stats, plan)
     # oracle: generic jointly-Gaussian LMMSE with explicit inverses
     c_yy = tau_p * pilot_power * r_cov[0].sum(axis=0) + NOISE_W * np.eye(n_ant)
@@ -133,31 +128,27 @@ def test_criterion_3_invariant_suite():
         # covariance cone and trace identity
         n_ant = int(rng.integers(1, 4))
         phi = rng.uniform(-np.pi, np.pi, size=beta.shape)
-        r_cov = covariance.covariance_field(beta, phi, np.deg2rad(15.0), n_ant)
+        r_cov = covariance.covariance_field(beta, phi, n_ant)
         w = np.linalg.eigvalsh(r_cov)
         traces = np.einsum("lkii->lk", r_cov).real
         assert w.min() >= -1e-9 * traces.max()
         assert np.allclose(traces, n_ant * beta, rtol=1e-9)
         # the estimate's covariance stays below the composite's: r_comp - est_cov is PSD
-        stats = estimation.composite_stats(r_cov, parts, plan, tau_p, 0.1, NOISE_W)
+        stats = estimation.composite_stats(r_cov, parts, plan)
         err_w = np.linalg.eigvalsh(stats.r_comp - stats.est_cov)
         assert err_w.min() >= -1e-9 * np.abs(stats.r_comp).max()
         # distributed power splits exactly
-        rho = precoding.apa_power(stats.trace_r_comp, plan, 0.2, 0.5)
+        rho = precoding.apa_power(stats.trace_r_comp, plan)
         for l in range(inst.n_aps):
-            assert rho[l].sum() == pytest.approx(0.2, rel=1e-12)
+            assert rho[l].sum() == pytest.approx(DL_POWER_W, rel=1e-12)
         # centralized realized per-AP power within one percent of the budget
         channels = draw_channels(
             covariance.covariance_factors(r_cov), 20, np.random.default_rng(checked)
         )
-        y = estimation.project_pilots(
-            channels, parts, plan, tau_p, 0.1, NOISE_W, np.random.default_rng(checked + 1)
-        )
+        y = estimation.project_pilots(channels, parts, plan, np.random.default_rng(checked + 1))
         estimates = estimation.estimate_composites(y, stats, plan)
-        _, _, per_ap_power = ipmmse_with_power(
-            estimates, stats, plan, parts, 0.1, tau_p, 0.1, NOISE_W, 0.2, -0.5, 0.5
-        )
-        assert per_ap_power.max() <= 0.2 * 1.01
+        _, _, per_ap_power = ipmmse_with_power(estimates, stats, plan, parts)
+        assert per_ap_power.max() <= DL_POWER_W * 1.01
         checked += 1
     elapsed = time.monotonic() - t0
     _verdict(

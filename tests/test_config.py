@@ -18,13 +18,12 @@ class TestDerived:
         # -174 dBm/Hz + 10 log10(20 MHz) + 7 dB = -93.99 dBm; the goldens pin this exact float
         assert config.NOISE_W == 3.9905246299377665e-13
         assert 10 * np.log10(config.NOISE_W) + 30 == pytest.approx(-93.99, abs=0.01)
-        assert SystemConfig(n_groups=30).noise_w == config.NOISE_W
 
     def test_prelog(self):
         # at SINR 1 the SE is the prelog itself
         assert config.TAU_C == 200
         for cfg in (SystemConfig(n_groups=30), small_config(tau_p=20)):
-            assert se_user(np.ones(1), cfg.tau_p, config.TAU_C) == pytest.approx([0.9])
+            assert se_user(np.ones(1), cfg.tau_p) == pytest.approx([0.9])
 
     def test_resolved_nu_defaults(self):
         assert small_config(precoder="ipmmse").resolved_nu() == pytest.approx(-0.5)

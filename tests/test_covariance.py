@@ -47,13 +47,15 @@ ORACLE_B = {
 }
 
 
-def _link(beta, phi_rad, asd_rad, n):
-    """Covariance of one link through the field's entry point."""
-    return covariance.covariance_field(np.asarray(beta), np.asarray(phi_rad), asd_rad, n)
+def _link(beta, phi_rad, asd_deg, n):
+    """Covariances through the field's entry point, at an angular spread of asd_deg."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(covariance, "ASD_DEG", asd_deg)
+        return covariance.covariance_field(np.asarray(beta), np.asarray(phi_rad), n)
 
 
 def _build(case):
-    return _link(case["beta"], np.deg2rad(case["phi_deg"]), np.deg2rad(case["asd_deg"]), case["n"])
+    return _link(case["beta"], np.deg2rad(case["phi_deg"]), case["asd_deg"], case["n"])
 
 
 class TestClosedForm:
@@ -79,9 +81,9 @@ class TestClosedForm:
         for _ in range(50):
             beta = float(10.0 ** rng.uniform(-10, -4))
             phi = float(rng.uniform(-np.pi, np.pi))
-            asd = float(rng.uniform(0.0, np.deg2rad(30)))
+            asd_deg = float(rng.uniform(0.0, 30.0))
             n = int(rng.integers(1, 6))
-            r = _link(beta, phi, asd, n)
+            r = _link(beta, phi, asd_deg, n)
             assert np.allclose(r, r.conj().T, atol=1e-12 * beta)
             w = np.linalg.eigvalsh(r)
             assert w.min() >= -1e-10 * n * beta
@@ -108,34 +110,33 @@ class TestClosedForm:
         assert np.all(np.abs(w[:-1]) < 1e-9 * n * beta)
 
     def test_wider_spread_decorrelates(self):
-        r_narrow = _link(1.0, 0.4, np.deg2rad(5), 4)
-        r_wide = _link(1.0, 0.4, np.deg2rad(25), 4)
+        r_narrow = _link(1.0, 0.4, 5.0, 4)
+        r_wide = _link(1.0, 0.4, 25.0, 4)
         assert abs(r_wide[1, 0]) < abs(r_narrow[1, 0])
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(SynthesisError):
-            _link(0.0, 0.1, 0.1, 2)
+            covariance.covariance_field(np.asarray(0.0), np.asarray(0.1), 2)
         with pytest.raises(SynthesisError):
-            _link(-1.0, 0.1, 0.1, 2)
+            covariance.covariance_field(np.asarray(-1.0), np.asarray(0.1), 2)
 
 
 class TestField:
     def test_matches_single_link(self, rng):
         beta = 10.0 ** rng.uniform(-9, -5, size=(3, 4))
         phi = rng.uniform(-np.pi, np.pi, size=(3, 4))
-        asd = np.deg2rad(15.0)
-        field = covariance.covariance_field(beta, phi, asd, 3)
+        field = covariance.covariance_field(beta, phi, 3)
         assert field.shape == (3, 4, 3, 3)
         for l in range(3):
             for k in range(4):
-                single = _link(beta[l, k], phi[l, k], asd, 3)
+                single = _link(beta[l, k], phi[l, k], covariance.ASD_DEG, 3)
                 assert np.allclose(field[l, k], single, atol=1e-14 * beta[l, k])
 
     def test_rejects_nonpositive_beta(self, rng):
         beta = np.ones((2, 2))
         beta[1, 1] = 0.0
         with pytest.raises(SynthesisError):
-            covariance.covariance_field(beta, np.zeros((2, 2)), 0.1, 2)
+            covariance.covariance_field(beta, np.zeros((2, 2)), 2)
 
 
 class TestInPlace:
@@ -146,11 +147,11 @@ class TestInPlace:
     @pytest.mark.parametrize("shape", [(), (9,), (7, 9)], ids=["link", "row", "field"])
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_matches_out_of_place_oracle(self, rng, shape, n):
-        for asd in np.deg2rad([0.0, 5.0, 15.0, 40.0]):
+        for asd_deg in (0.0, 5.0, 15.0, 40.0):
             beta = 10.0 ** rng.uniform(-10, -4, size=shape)
             phi = rng.uniform(-np.pi, np.pi, size=shape)
-            want_r, want_a = out_of_place_field(beta, phi, asd, n)
-            r = covariance.covariance_field(beta, phi, asd, n)
+            want_r, want_a = out_of_place_field(beta, phi, np.deg2rad(asd_deg), n)
+            r = _link(beta, phi, asd_deg, n)
             assert np.array_equal(r, want_r)
             assert np.array_equal(covariance.covariance_factors(r), want_a)
 
@@ -162,9 +163,8 @@ class TestInPlace:
         )
         beta = dep.beta[:20]
         phi = geometry.nominal_angles(dep.ap_positions[:20], dep.ms_positions, cfg.side_m)
-        asd = np.deg2rad(covariance.ASD_DEG)
-        want_r, want_a = out_of_place_field(beta, phi, asd, cfg.n_antennas)
-        r = covariance.covariance_field(beta, phi, asd, cfg.n_antennas)
+        want_r, want_a = out_of_place_field(beta, phi, np.deg2rad(covariance.ASD_DEG), cfg.n_antennas)
+        r = covariance.covariance_field(beta, phi, cfg.n_antennas)
         assert r.shape == (20, 500, 4, 4)
         assert np.array_equal(r, want_r)
         assert np.array_equal(covariance.covariance_factors(r), want_a)
@@ -174,14 +174,14 @@ class TestSampling:
     def test_factor_reconstructs_covariance(self, rng):
         beta = 10.0 ** rng.uniform(-9, -5, size=(2, 3))
         phi = rng.uniform(-np.pi, np.pi, size=(2, 3))
-        r = covariance.covariance_field(beta, phi, np.deg2rad(10.0), 4)
+        r = _link(beta, phi, 10.0, 4)
         a = covariance.covariance_factors(r)
         recon = a @ np.conj(np.swapaxes(a, -1, -2))
         assert np.allclose(recon, r, atol=1e-12 * beta.max())
 
     def test_sample_covariance_converges(self):
         rng = np.random.default_rng(17)
-        r = _link(1.0, 0.9, np.deg2rad(15.0), 3)
+        r = _link(1.0, 0.9, 15.0, 3)
         factors = covariance.covariance_factors(r[None, None])
         h = draw_channels(factors, 200_000, rng)[:, 0, 0, :]
         sample_cov = h.T @ h.conj() / h.shape[0]
@@ -198,9 +198,7 @@ class TestSampling:
         assert np.linalg.norm(sample_cov - r) / np.linalg.norm(r) < 0.03
 
     def test_shapes_and_determinism(self, rng):
-        r = covariance.covariance_field(
-            np.full((2, 3), 1e-7), np.zeros((2, 3)), 0.2, 2
-        )
+        r = _link(np.full((2, 3), 1e-7), np.zeros((2, 3)), np.rad2deg(0.2), 2)
         factors = covariance.covariance_factors(r)
         h1 = draw_channels(factors, 5, np.random.default_rng(4))
         h2 = draw_channels(factors, 5, np.random.default_rng(4))
@@ -281,7 +279,7 @@ def _random_factors(rng):
     """(L, K, N, N) = (3, 4, 4, 4) factors of random links."""
     beta = 10.0 ** rng.uniform(-9, -5, size=(3, 4))
     phi = rng.uniform(-np.pi, np.pi, size=(3, 4))
-    return covariance.covariance_factors(covariance.covariance_field(beta, phi, np.deg2rad(10.0), 4))
+    return covariance.covariance_factors(_link(beta, phi, 10.0, 4))
 
 
 def _link_major_channels(factors, n_real, gen):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfmcast import covariance, estimation, grouping, pilots
-from cfmcast.config import PILOT_POWER_W
+from cfmcast.config import NOISE_W, PILOT_POWER_W
 from cfmcast.errors import NumericalError
 
 from conftest import (
@@ -44,20 +44,22 @@ class TestStatsAlgebra:
         r[:, 1] = 2 * np.eye(2)
         r[:, 2] = 4 * np.eye(2)
         parts = grouping.GroupAssignment(group_of=np.array([0, 1, 0]), n_groups=2)
-        stats = estimation.composite_stats(r, parts, hand_plan([0, 1], 2, 2), 5, 0.1, 1e-3)
-        want = (5 * 0.1 / 4) * 5 * np.eye(2)
+        stats = estimation.composite_stats(r, parts, hand_plan([0, 1], 5, 2))
+        want = (5 * PILOT_POWER_W / 4) * 5 * np.eye(2)
         assert np.allclose(stats.r_comp[:, 0], want)
 
-    def test_gamma_includes_noise_floor(self):
+    def test_gamma_includes_noise_floor(self, monkeypatch):
+        monkeypatch.setattr(estimation, "NOISE_W", 1e-3)
         r = np.zeros((1, 2, 2, 2), dtype=complex)
         r[:, 0] = np.eye(2)
         r[:, 1] = 3 * np.eye(2)
         parts = grouping.GroupAssignment(group_of=np.array([0, 1]), n_groups=2)
-        stats = estimation.composite_stats(r, parts, hand_plan([0, 0], 2, 1), 4, 0.1, 1e-3)
-        assert stats.gamma.shape == (1, 2, 2, 2)
+        stats = estimation.composite_stats(r, parts, hand_plan([0, 0], 4, 1))
+        assert stats.gamma.shape == (1, 4, 2, 2)
         assert np.allclose(stats.gamma[0, 0], (0.4 * 4 + 1e-3) * np.eye(2))
-        # pilot 1 is unused: its observation is noise alone
-        assert np.array_equal(stats.gamma[0, 1], 1e-3 * np.eye(2))
+        # pilots 1 to 3 are unused: their observations are noise alone
+        for t in (1, 2, 3):
+            assert np.array_equal(stats.gamma[0, t], 1e-3 * np.eye(2))
 
     @pytest.mark.parametrize(
         "overrides", [{"n_groups": 5, "tau_p": 2}, {"n_groups": 12}], ids=["shared_pilots", "unicast"]
@@ -66,16 +68,14 @@ class TestStatsAlgebra:
         cfg = small_config(**overrides)
         pipe = build_pipeline(cfg, n_real=1)
         assert pipe.plan.n_groups > cfg.tau_p
-        want = per_group_gamma(
-            pipe.r_cov, pipe.parts, pipe.plan, cfg.tau_p, PILOT_POWER_W, cfg.noise_w
-        )
+        want = per_group_gamma(pipe.r_cov, pipe.parts, pipe.plan)
         assert np.array_equal(pipe.stats.gamma[:, pipe.plan.pilot_of], want)
 
     def test_gamma_dominates_noise(self):
         cfg = small_config()
         pipe = build_pipeline(cfg, n_real=1)
         w = np.linalg.eigvalsh(pipe.stats.gamma)
-        assert w.min() >= cfg.noise_w * (1 - 1e-9)
+        assert w.min() >= NOISE_W * (1 - 1e-9)
 
     def test_est_and_err_cov_psd(self):
         pipe = build_pipeline(small_config(), n_real=1)
@@ -92,17 +92,20 @@ class TestStatsAlgebra:
 
 
 class TestEstimatorOracle:
-    def test_matches_brute_force_lmmse(self, rng):
+    def test_matches_brute_force_lmmse(self, rng, monkeypatch):
         # one AP, 2 antennas, group of two MSs contaminated by a singleton
+        # that shares its pilot, one of three
         n = 2
-        tau_p, pp, noise_w = 3, 0.1, 2e-13
+        tau_p, pp, noise_w = 3, PILOT_POWER_W, 2e-13
+        monkeypatch.setattr(covariance, "ASD_DEG", np.rad2deg(0.2))
+        monkeypatch.setattr(estimation, "NOISE_W", noise_w)
         r = np.empty((1, 3, n, n), dtype=complex)
         for k, (b, phi) in enumerate([(2e-8, 0.3), (5e-8, -1.1), (1e-8, 2.0)]):
-            r[0, k] = covariance.covariance_field(np.asarray(b), np.asarray(phi), 0.2, n)
+            r[0, k] = covariance.covariance_field(np.asarray(b), np.asarray(phi), n)
         parts = grouping.GroupAssignment(group_of=np.array([0, 0, 1]), n_groups=2)
-        plan = pilots.assign_pilots_and_cluster(np.array([[2e-8, 5e-8, 1e-8]]), parts, tau_p=1)
+        plan = hand_plan([0, 0], tau_p, 1)
         assert np.array_equal(plan.on_pilot[0], [0, 1])
-        stats = estimation.composite_stats(r, parts, plan, tau_p, pp, noise_w)
+        stats = estimation.composite_stats(r, parts, plan)
         for _ in range(20):
             y = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             got = mmse_composite_estimate(y, stats.r_comp[0, 0], stats.gamma[0, plan.pilot_of[0]], 2)
@@ -135,12 +138,11 @@ class TestEstimatorOracle:
 
 
 class TestPilotProjection:
-    def test_zero_noise_reconstruction(self, rng):
+    def test_zero_noise_reconstruction(self, rng, monkeypatch):
         cfg = small_config()
         pipe = build_pipeline(cfg, n_real=4)
-        y = estimation.project_pilots(
-            pipe.channels, pipe.parts, pipe.plan, cfg.tau_p, PILOT_POWER_W, 0.0, rng
-        )
+        monkeypatch.setattr(estimation, "NOISE_W", 0.0)
+        y = estimation.project_pilots(pipe.channels, pipe.parts, pipe.plan, rng)
         scale = np.sqrt(cfg.tau_p * PILOT_POWER_W)
         used = sorted(set(int(p) for p in pipe.plan.pilot_of))
         for t in range(cfg.tau_p):
@@ -161,19 +163,18 @@ class TestPilotProjection:
         # gathered copy's sum, noise included
         cfg = small_config(**overrides)
         pipe = build_pipeline(cfg, n_real=5)
-        args = (pipe.channels, pipe.parts, pipe.plan, cfg.tau_p, PILOT_POWER_W, cfg.noise_w)
+        args = (pipe.channels, pipe.parts, pipe.plan)
         y = estimation.project_pilots(*args, np.random.default_rng(3))
         assert np.array_equal(y, gathered_project_pilots(*args, np.random.default_rng(3)))
 
-    def test_noise_variance_per_antenna(self):
+    def test_noise_variance_per_antenna(self, monkeypatch):
         cfg = small_config(n_aps=2, n_ms=2, n_groups=2, tau_p=2)
         pipe = build_pipeline(cfg, n_real=1)
         rng = np.random.default_rng(77)
         zero_h = np.zeros((20_000,) + pipe.channels.shape[1:], dtype=complex)
         noise_w = 1e-12
-        y = estimation.project_pilots(
-            zero_h, pipe.parts, pipe.plan, cfg.tau_p, PILOT_POWER_W, noise_w, rng
-        )
+        monkeypatch.setattr(estimation, "NOISE_W", noise_w)
+        y = estimation.project_pilots(zero_h, pipe.parts, pipe.plan, rng)
         t = int(pipe.plan.pilot_of[0])
         var = np.mean(np.abs(y[:, :, t, :]) ** 2)
         assert var == pytest.approx(noise_w, rel=0.05)

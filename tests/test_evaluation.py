@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cfmcast import evaluation, grouping, pilots, precoding
-from cfmcast.config import DL_POWER_W, GROUP_POWER_W, KAPPA, PILOT_POWER_W
 from cfmcast.errors import NumericalError, StatsError
 
 from conftest import (
@@ -28,20 +27,22 @@ def scalar_cb_setup(t_total, beta, rho, seed):
 
 
 class TestScalarOracle:
-    def test_matches_analytic_sinr(self):
+    def test_matches_analytic_sinr(self, monkeypatch):
         # h ~ CN(0, beta), w = sqrt(rho) h / sqrt(beta): the hardening bound
         # evaluates to rho*beta / (rho*beta + noise) in closed form
         beta, rho, noise_w = 2.0, 0.5, 0.3
+        monkeypatch.setattr(evaluation, "NOISE_W", noise_w)
         channels, w, plan = scalar_cb_setup(100_000, beta, rho, seed=42)
-        _, _, sinr, clamped = sinr_terms(channels, w, np.array([1.0]), plan, np.array([0]), noise_w)
+        _, _, sinr, clamped = sinr_terms(channels, w, np.array([1.0]), plan, np.array([0]))
         want = rho * beta / (rho * beta + noise_w)
         assert clamped == 0
         assert sinr[0] == pytest.approx(want, rel=0.02)
 
-    def test_power_scale_enters_linearly(self):
+    def test_power_scale_enters_linearly(self, monkeypatch):
         beta, noise_w = 1.0, 1e-2
+        monkeypatch.setattr(evaluation, "NOISE_W", noise_w)
         channels, w, plan = scalar_cb_setup(50_000, beta, 1.0, seed=3)
-        _, _, sinr, _ = sinr_terms(channels, w, np.array([0.25]), plan, np.array([0]), noise_w)
+        _, _, sinr, _ = sinr_terms(channels, w, np.array([0.25]), plan, np.array([0]))
         want = 0.25 * beta / (0.25 * beta + noise_w)
         assert sinr[0] == pytest.approx(want, rel=0.02)
 
@@ -51,9 +52,7 @@ class TestAccumulator:
         cfg = small_config(realizations=30)
         pipe = build_pipeline(cfg)
         plan = pipe.plan
-        pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, plan, DL_POWER_W, cfg.resolved_nu()
-        )
+        pre = precoding.cb_precoders(pipe.estimates, pipe.stats, plan)
         one = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
         one.update(pipe.channels, pre, plan)
         chunked = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
@@ -62,8 +61,8 @@ class TestAccumulator:
         for a, b in ((one.sum_a, chunked.sum_a), (one.sum_a2, chunked.sum_a2)):
             assert np.allclose(a, b, rtol=1e-12)
         unit = np.ones(plan.n_groups)
-        r1 = one.finalize(unit, pipe.parts.group_of, cfg.noise_w)
-        r2 = chunked.finalize(unit, pipe.parts.group_of, cfg.noise_w)
+        r1 = one.finalize(unit, pipe.parts.group_of)
+        r2 = chunked.finalize(unit, pipe.parts.group_of)
         assert np.allclose(r1[2], r2[2], rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -86,11 +85,8 @@ class TestAccumulator:
         assert max(cfg.n_aps * cfg.n_antennas, cfg.n_ms) == 12
         monkeypatch.setattr(evaluation, "GROUP_BLOCK", group_block)
         monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", block_elements)
-        cb = precoding.cb_precoders(pipe.estimates, pipe.stats, plan, DL_POWER_W, cfg.resolved_nu())
-        ip, _, _ = ipmmse_with_power(
-            pipe.estimates, pipe.stats, plan, pipe.parts, GROUP_POWER_W, cfg.tau_p,
-            PILOT_POWER_W, cfg.noise_w, DL_POWER_W, cfg.resolved_nu(), KAPPA,
-        )
+        cb = precoding.cb_precoders(pipe.estimates, pipe.stats, plan)
+        ip, _, _ = ipmmse_with_power(pipe.estimates, pipe.stats, plan, pipe.parts)
         for w in (cb, ip):
             acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
             acc.update(pipe.channels, w, plan)
@@ -103,11 +99,9 @@ class TestAccumulator:
         cfg = small_config(realizations=20)
         pipe = build_pipeline(cfg)
         plan = pipe.plan
-        pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, plan, DL_POWER_W, cfg.resolved_nu()
-        )
+        pre = precoding.cb_precoders(pipe.estimates, pipe.stats, plan)
         unit = np.ones(plan.n_groups)
-        _, _, sinr, _ = sinr_terms(pipe.channels, pre, unit, plan, pipe.parts.group_of, cfg.noise_w)
+        _, _, sinr, _ = sinr_terms(pipe.channels, pre, unit, plan, pipe.parts.group_of)
         # rotate every AP's antenna space by its own unitary
         qs = []
         for _ in range(cfg.n_aps):
@@ -122,31 +116,16 @@ class TestAccumulator:
             [np.einsum("ab,tb->ta", qs[l], pre[:, p]) for p, l in enumerate(plan.pair_ap)],
             axis=1,
         )
-        _, _, sinr_rot, _ = sinr_terms(
-            channels_rot, pre_rot, unit, plan, pipe.parts.group_of, cfg.noise_w
-        )
+        _, _, sinr_rot, _ = sinr_terms(channels_rot, pre_rot, unit, plan, pipe.parts.group_of)
         assert np.allclose(sinr, sinr_rot, rtol=1e-9)
 
-    def test_noise_floor_monotonicity(self):
-        cfg = small_config(realizations=25)
-        pipe = build_pipeline(cfg)
-        plan = pipe.plan
-        pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, plan, DL_POWER_W, cfg.resolved_nu()
-        )
-        acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
-        acc.update(pipe.channels, pre, plan)
-        unit = np.ones(plan.n_groups)
-        _, _, low, _ = acc.finalize(unit, pipe.parts.group_of, cfg.noise_w)
-        _, _, high, _ = acc.finalize(unit, pipe.parts.group_of, 100 * cfg.noise_w)
-        assert np.all(high < low)
-
-    def test_clamp_counter_and_floor(self):
+    def test_clamp_counter_and_floor(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "NOISE_W", 1e-3)
         acc = evaluation.SinrAccumulator(1, 1)
         acc.count = 4
         acc.sum_a = np.array([[8.0 + 0j]])  # mean 2 -> desired 4
         acc.sum_a2 = np.array([[4.0]])  # mean 1 < desired: denominator would go negative
-        desired, total, sinr, clamped = acc.finalize(np.array([1.0]), np.array([0]), 1e-3)
+        desired, total, sinr, clamped = acc.finalize(np.array([1.0]), np.array([0]))
         assert clamped == 1
         assert desired[0] == pytest.approx(4.0)
         assert sinr[0] == pytest.approx(4.0 / 1e-3)
@@ -156,12 +135,12 @@ class TestAccumulator:
         acc.count = 1
         acc.sum_a2 = np.array([[1.0]])
         with pytest.raises(NumericalError, match="SINR is not finite"):
-            acc.finalize(np.array([np.nan]), np.array([0]), 1e-3)
+            acc.finalize(np.array([np.nan]), np.array([0]))
 
     def test_empty_accumulator_raises(self):
         acc = evaluation.SinrAccumulator(2, 1)
         with pytest.raises(StatsError):
-            acc.finalize(np.array([1.0]), np.array([0, 0]), 1e-3)
+            acc.finalize(np.array([1.0]), np.array([0, 0]))
 
 
 class TestExactCbMoments:
@@ -171,7 +150,7 @@ class TestExactCbMoments:
         # must lie within 6 standard errors of it
         cfg = small_config(precoder="cb")
         pipe = build_pipeline(cfg, n_real=20000)
-        w = precoding.cb_precoders(pipe.estimates, pipe.stats, pipe.plan, DL_POWER_W, cfg.resolved_nu())
+        w = precoding.cb_precoders(pipe.estimates, pipe.stats, pipe.plan)
         a = received_products(pipe.channels, w, pipe.plan)
         a2 = np.abs(a) ** 2
         n_real = a.shape[0]
@@ -188,7 +167,7 @@ class TestExactCbMoments:
 class TestSpectralEfficiency:
     def test_prelog_uses_configured_pilot_length(self):
         sinr = np.array([1.0, 3.0])
-        se = evaluation.se_user(sinr, tau_p=5, tau_c=200)
+        se = evaluation.se_user(sinr, tau_p=5)
         assert np.allclose(se, (1 - 5 / 200) * np.log2(1 + sinr))
 
     def test_group_rate_is_weakest_member(self):
@@ -200,21 +179,21 @@ class TestSpectralEfficiency:
         # one 10-member group at SE 0.5: 5.0 per served user, 0.5 per stream
         parts = grouping.GroupAssignment(group_of=np.zeros(10, dtype=int), n_groups=1)
         sinr = np.full(10, 2.0 ** (0.5 / 0.9) - 1.0)
-        rep = evaluation.build_report(sinr, 0, parts, tau_p=20, tau_c=200)
+        rep = evaluation.build_report(sinr, 0, parts, tau_p=20)
         assert rep.se_group == pytest.approx([0.5])
         assert rep.sum_se_per_user == pytest.approx(5.0)
         assert rep.sum_se_per_group == pytest.approx(0.5)
 
     def test_unicast_conventions_coincide(self):
         parts = grouping.GroupAssignment(group_of=np.arange(3), n_groups=3)
-        rep = evaluation.build_report(np.array([0.3, 0.7, 1.1]), 0, parts, tau_p=20, tau_c=200)
+        rep = evaluation.build_report(np.array([0.3, 0.7, 1.1]), 0, parts, tau_p=20)
         assert rep.sum_se_per_user == pytest.approx(rep.sum_se_per_group)
 
     def test_report_aggregates(self):
         parts = grouping.GroupAssignment(group_of=np.array([0, 0, 1]), n_groups=2)
         sinr = np.array([1.0, 2.0, 3.0])
-        rep = evaluation.build_report(sinr, 0, parts, tau_p=20, tau_c=200)
-        assert evaluation.se_user(np.ones(1), tau_p=20, tau_c=200) == pytest.approx([0.9])
+        rep = evaluation.build_report(sinr, 0, parts, tau_p=20)
+        assert evaluation.se_user(np.ones(1), tau_p=20) == pytest.approx([0.9])
         assert np.allclose(rep.se_user, 0.9 * np.log2(1 + sinr))
         assert rep.se_group[0] == pytest.approx(0.9 * np.log2(2.0))
         assert rep.sum_se_per_user == pytest.approx(2 * rep.se_group[0] + rep.se_group[1])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cfmcast import cli, config, covariance, harness, openblas, precoding
-from cfmcast.config import DL_POWER_W, GROUP_POWER_W, KAPPA, PILOT_POWER_W, SystemConfig, preset
+from cfmcast.config import DL_POWER_W, preset
 from cfmcast.errors import CampaignError, ConfigError
 
 from conftest import build_pipeline, ipmmse_with_power, sinr_terms, small_config
@@ -165,16 +165,13 @@ class TestSnapshot:
         cfg = small_config(precoder=precoder)
         assert cfg.realizations <= harness.CHUNK
         pipe = build_pipeline(cfg)
-        plan, nu = pipe.plan, cfg.resolved_nu()
+        plan = pipe.plan
         if precoder == "ipmmse":
-            w, power_scale, per_ap_power = ipmmse_with_power(
-                pipe.estimates, pipe.stats, plan, pipe.parts, GROUP_POWER_W, cfg.tau_p,
-                PILOT_POWER_W, cfg.noise_w, DL_POWER_W, nu, KAPPA,
-            )
+            w, power_scale, per_ap_power = ipmmse_with_power(pipe.estimates, pipe.stats, plan, pipe.parts)
         else:
-            w = precoding.cb_precoders(pipe.estimates, pipe.stats, plan, DL_POWER_W, nu)
+            w = precoding.cb_precoders(pipe.estimates, pipe.stats, plan)
             power_scale = np.ones(plan.n_groups)
-        _, _, sinr, _ = sinr_terms(pipe.channels, w, power_scale, plan, pipe.parts.group_of, cfg.noise_w)
+        _, _, sinr, _ = sinr_terms(pipe.channels, w, power_scale, plan, pipe.parts.group_of)
         res = harness.run_snapshot(cfg, 0)
         assert np.array_equal(sinr, res.report.sinr)
         if precoder == "ipmmse":
@@ -464,6 +461,15 @@ class TestCli:
         path.write_text(json.dumps({"n_aps": 4, "bogus_key": 1}))
         assert self.run_cli("--config", str(path)) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark does not decode as UTF-8
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps({"n_groups": 4}).encode("utf-16-le"))
+        out = tmp_path / "run"
+        assert self.run_cli("--config", str(path), "--out", str(out)) == 2
+        assert "is not valid UTF-8 JSON" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "override", [{"n_groups": "4"}, {"cluster_side_m": "10"}, {"realizations": 8.5}], ids=str

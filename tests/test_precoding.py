@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cfmcast import estimation, grouping, pilots, precoding
-from cfmcast.config import DL_POWER_W, GROUP_POWER_W, KAPPA, PILOT_POWER_W
+from cfmcast import config, pilots, precoding
+from cfmcast.config import DL_POWER_W
 from cfmcast.errors import NumericalError, StatsError
 
 from conftest import build_pipeline, full_load, ipmmse_with_power, oracle_direction, small_config
@@ -58,10 +58,7 @@ class TestIpmmseDirection:
         assert any(
             np.any(~plan.serving_mask[np.ix_(plan.serving[g], plan.s_set[g])]) for g in range(plan.n_groups)
         )
-        w = precoding.ipmmse_directions(
-            pipe.estimates, pipe.stats, plan, pipe.parts,
-            GROUP_POWER_W, cfg.tau_p, PILOT_POWER_W, cfg.noise_w,
-        )
+        w = precoding.ipmmse_directions(pipe.estimates, pipe.stats, plan, pipe.parts)
         for g, aps in enumerate(plan.serving):
             got = w[:, plan.pair_of[aps, g]].reshape(cfg.realizations, -1)
             want = oracle_direction(pipe, g)
@@ -195,13 +192,13 @@ class TestNormsAndOmega:
         dirs = np.array([[1.0 + 0j, 0.0, 3.0, 4.0], [1.0, 2.0, 2.0, 0.0]]).reshape(2, 2, 2)
         sums = np.sum(np.abs(dirs) ** 2, axis=(0, 2))[:, None]
         assert sums[:, 0] == pytest.approx([6.0, 29.0])
-        scale, per_ap = precoding.centralized_power(sums, 2, stats, plan, 0.2, -0.5, 0.5)
+        scale, per_ap = precoding.centralized_power(sums, 2, stats, plan)
         assert scale[0] == pytest.approx(0.2 / 14.5)
         assert per_ap == pytest.approx([0.2 * 3.0 / 14.5, 0.2])
 
     def test_empty_sample_raises(self):
         with pytest.raises(StatsError):
-            precoding.centralized_power(np.zeros((2, 1)), 0, None, None, 0.2, -0.5, 0.5)
+            precoding.centralized_power(np.zeros((2, 1)), 0, None, None)
 
     def test_omega_factor_share(self):
         assert precoding.omega_factor(np.array([3.0, 1.0])) == pytest.approx(0.75)
@@ -214,19 +211,17 @@ class TestFractionalPower:
         # one group served by one AP concentrates everything: rho equals the
         # downlink budget
         plan = SimpleNamespace(serving_mask=np.array([[True]]))
-        rho = precoding.fractional_power_centralized(
-            np.array([2.5e-7]), np.array([1.0]), plan, 0.2, -0.5, 0.5
-        )
+        rho = precoding.fractional_power_centralized(np.array([2.5e-7]), np.array([1.0]), plan)
         assert rho[0] == pytest.approx(0.2)
 
-    def test_flat_exponents_reduce_to_load_ratio(self):
+    def test_flat_exponents_reduce_to_load_ratio(self, monkeypatch):
         # nu = kappa = 0: the numerator is the plain budget and each AP's load
         # is the sum of its groups' omegas
+        monkeypatch.setitem(config.NU, "ipmmse", 0.0)
+        monkeypatch.setattr(precoding, "KAPPA", 0.0)
         plan = SimpleNamespace(serving_mask=np.array([[True, False], [True, True]]))
         omega = np.array([0.6, 1.0])
-        rho = precoding.fractional_power_centralized(
-            np.array([3.0, 7.0]), omega, plan, 0.2, 0.0, 0.0
-        )
+        rho = precoding.fractional_power_centralized(np.array([3.0, 7.0]), omega, plan)
         assert rho[0] == pytest.approx(0.2 / 1.6)
         assert rho[1] == pytest.approx(0.2 / 1.6)
 
@@ -234,48 +229,31 @@ class TestFractionalPower:
         # a group with a larger covariance trace receives less power under a
         # negative trace exponent
         plan = SimpleNamespace(serving_mask=np.array([[True, False], [False, True]]))
-        rho = precoding.fractional_power_centralized(
-            np.array([1.0, 16.0]), np.array([1.0, 1.0]), plan, 0.2, -0.5, 0.5
-        )
+        rho = precoding.fractional_power_centralized(np.array([1.0, 16.0]), np.array([1.0, 1.0]), plan)
         assert rho[0] == pytest.approx(0.2)
         assert rho[1] == pytest.approx(0.2)
         # compare across groups within one AP instead
         plan_shared = SimpleNamespace(serving_mask=np.array([[True, True]]))
-        rho = precoding.fractional_power_centralized(
-            np.array([1.0, 16.0]), np.array([1.0, 1.0]), plan_shared, 0.2, -0.5, 0.5
-        )
+        rho = precoding.fractional_power_centralized(np.array([1.0, 16.0]), np.array([1.0, 1.0]), plan_shared)
         assert rho[1] / rho[0] == pytest.approx(0.25)
         # the busiest (only) AP's expected power still meets the budget
         assert rho.sum() == pytest.approx(0.2)
 
     @pytest.mark.parametrize("nu", [50.0, -50.0], ids=["underflow", "overflow"])
-    def test_vanishing_or_infinite_weights_raise(self, nu):
+    def test_vanishing_or_infinite_weights_raise(self, monkeypatch, nu):
         # 1e-8 ** 50 is zero, so every busiest load is zero; 1e-8 ** -50 is inf
+        monkeypatch.setitem(config.NU, "ipmmse", nu)
         plan = SimpleNamespace(serving_mask=np.array([[True, True]]))
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
-            precoding.fractional_power_centralized(
-                np.array([1e-8, 2e-8]), np.array([1.0, 1.0]), plan, 0.2, nu, 0.5
-            )
+            precoding.fractional_power_centralized(np.array([1e-8, 2e-8]), np.array([1.0, 1.0]), plan)
 
 
 class TestCentralizedPipeline:
     def test_audit_and_normalization_identity(self):
         cfg = small_config(realizations=25)
         pipe = build_pipeline(cfg)
-        plan, nu = pipe.plan, cfg.resolved_nu()
-        dirs, scale, per_ap_power = ipmmse_with_power(
-            pipe.estimates,
-            pipe.stats,
-            plan,
-            pipe.parts,
-            GROUP_POWER_W,
-            cfg.tau_p,
-            PILOT_POWER_W,
-            cfg.noise_w,
-            DL_POWER_W,
-            nu,
-            KAPPA,
-        )
+        plan = pipe.plan
+        dirs, scale, per_ap_power = ipmmse_with_power(pipe.estimates, pipe.stats, plan, pipe.parts)
         ap_norms = [
             np.mean(np.sum(np.abs(dirs[:, plan.pair_of[aps, g]]) ** 2, axis=2), axis=0)
             for g, aps in enumerate(plan.serving)
@@ -285,9 +263,7 @@ class TestCentralizedPipeline:
         trace_sums = np.array(
             [pipe.stats.trace_r_comp[plan.serving[g], g].sum() for g in range(plan.n_groups)]
         )
-        rho = precoding.fractional_power_centralized(
-            trace_sums, omega, plan, DL_POWER_W, nu, KAPPA
-        )
+        rho = precoding.fractional_power_centralized(trace_sums, omega, plan)
         radiated = np.zeros(cfg.n_aps)
         for g, aps in enumerate(plan.serving):
             w = np.sqrt(scale[g]) * dirs[:, plan.pair_of[aps, g]]
@@ -303,19 +279,21 @@ class TestConjugateBeamforming:
     def test_apa_rows_sum_to_budget(self):
         cfg = small_config(realizations=4)
         pipe = build_pipeline(cfg)
-        rho = precoding.apa_power(pipe.stats.trace_r_comp, pipe.plan, DL_POWER_W, 0.5)
+        rho = precoding.apa_power(pipe.stats.trace_r_comp, pipe.plan)
         for l in range(cfg.n_aps):
             served = np.flatnonzero(pipe.plan.serving_mask[l])
             assert rho[l, served].sum() == pytest.approx(DL_POWER_W, rel=1e-12)
             unserved = np.setdiff1d(np.arange(pipe.plan.n_groups), served)
             assert np.all(rho[l, unserved] == 0)
 
-    def test_apa_proportionality(self):
+    def test_apa_proportionality(self, monkeypatch):
         plan = SimpleNamespace(serving_mask=np.array([[True, True]]))
         trace = np.array([[1.0, 9.0]])
-        rho = precoding.apa_power(trace, plan, 0.2, 1.0)
+        with monkeypatch.context() as patch:
+            patch.setitem(config.NU, "cb", 1.0)
+            rho = precoding.apa_power(trace, plan)
         assert rho[0, 1] / rho[0, 0] == pytest.approx(9.0)
-        rho = precoding.apa_power(trace, plan, 0.2, 0.5)
+        rho = precoding.apa_power(trace, plan)
         assert rho[0, 1] / rho[0, 0] == pytest.approx(3.0)
 
     @pytest.mark.parametrize(
@@ -327,24 +305,23 @@ class TestConjugateBeamforming:
         ],
         ids=["underflow", "overflow", "idle_ap"],
     )
-    def test_vanishing_or_infinite_split_raises(self, trace, nu, mask):
+    def test_vanishing_or_infinite_split_raises(self, monkeypatch, trace, nu, mask):
         # an AP's weight total is zero when tr(r_comp)**nu underflows (1e-8 ** 50)
         # or the AP serves no group, and infinite when it overflows (1e-8 ** -50)
+        monkeypatch.setitem(config.NU, "cb", nu)
         plan = SimpleNamespace(serving_mask=np.array(mask))
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
-            precoding.apa_power(np.array(trace), plan, 0.2, nu)
+            precoding.apa_power(np.array(trace), plan)
 
     def test_mean_norm_matches_closed_form(self):
         # the analytic normalization tr(est_cov) should equal the Monte Carlo
         # mean squared norm of the scaled estimate
         cfg = small_config(n_aps=2, n_antennas=2, n_ms=4, n_groups=2, tau_p=2, realizations=40_000)
         pipe = build_pipeline(cfg)
-        pre = precoding.cb_precoders(
-            pipe.estimates, pipe.stats, pipe.plan, DL_POWER_W, cfg.resolved_nu()
-        )
+        pre = precoding.cb_precoders(pipe.estimates, pipe.stats, pipe.plan)
         plan = pipe.plan
         assert pre.shape == (cfg.realizations, plan.pair_ap.size, cfg.n_antennas)
-        rho = precoding.apa_power(pipe.stats.trace_r_comp, plan, DL_POWER_W, cfg.resolved_nu())
+        rho = precoding.apa_power(pipe.stats.trace_r_comp, plan)
         for p, (l, g) in enumerate(zip(plan.pair_ap, plan.pair_group)):
             mean_power = np.mean(np.sum(np.abs(pre[:, p]) ** 2, axis=1))
             assert mean_power == pytest.approx(rho[l, g], rel=0.03)
