@@ -4,7 +4,8 @@ Each (AP, MS) link has an N x N covariance from the local scattering model on
 a half-wavelength uniform linear array: a nominal azimuth angle plus Gaussian
 angular spread, evaluated with the standard first-order closed form.  Channels
 are drawn as h = A z with A a PSD factor of the covariance and z circularly
-symmetric standard normal.
+symmetric standard normal.  The covariances are link-major, (L, K, N, N); the
+factors are MS-major, (K, L, N, N), the layout of the channels they correlate.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ ASD_DEG = 15.0
 EIG_CLIP_REL_TOL = 1e-10
 
 # channels are correlated in slabs of realizations holding at most this many
-# complex entries; each of the two threads builds its slabs' complex normals
-# in one buffer of at most that size, the only temporary
-SLAB_ELEMENTS = 1 << 19
+# complex entries (4 MB); each of the two threads builds its slabs' complex
+# normals in one buffer of at most that size, the only temporary
+SLAB_ELEMENTS = 1 << 18
+
+# the factors are eigendecomposed in blocks of this many MSs
+FACTOR_BLOCK_MS = 64
 
 
 def _closed_form(beta: np.ndarray, phi_rad: np.ndarray, asd_rad: float, n_antennas: int) -> np.ndarray:
@@ -80,17 +84,23 @@ def covariance_field(beta: np.ndarray, phi_rad: np.ndarray, n_antennas: int) -> 
 
 
 def covariance_factors(r: np.ndarray) -> np.ndarray:
-    """PSD factor A with A A^H = R per stacked matrix, via eigendecomposition.
+    """PSD factors A with A A^H = R, via eigendecomposition: (L, K, N, N) -> C-contiguous (K, L, N, N).
 
     Robust to rank-deficient covariances (e.g. zero angular spread).  The
-    eigenvectors are scaled in place, so the factors take no memory beyond
-    the decomposition's.
+    link covariances are decomposed in blocks of FACTOR_BLOCK_MS MSs, each
+    block's eigenvectors scaled straight into the one MS-major output, so the
+    factors take no full-size temporary beside ``r`` and themselves.  eigh
+    works one matrix at a time, so every link's factor is the same floats in
+    any block.
     """
-    w, u = np.linalg.eigh(r)
-    np.clip(w, 0.0, None, out=w)
-    np.sqrt(w, out=w)
-    u *= w[..., None, :]
-    return u
+    n_aps, n_ms = r.shape[:2]
+    out = np.empty((n_ms, n_aps) + r.shape[2:], dtype=r.dtype)
+    for start in range(0, n_ms, FACTOR_BLOCK_MS):
+        w, u = np.linalg.eigh(np.swapaxes(r[:, start : start + FACTOR_BLOCK_MS], 0, 1))
+        np.clip(w, 0.0, None, out=w)
+        np.sqrt(w, out=w)
+        np.multiply(u, w[..., None, :], out=out[start : start + FACTOR_BLOCK_MS])
+    return out
 
 
 def _slabs(normals: np.ndarray):
@@ -123,8 +133,9 @@ def draw_normals(out: np.ndarray, rng: np.random.Generator) -> None:
 def sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Correlate the normals of :func:`draw_normals` in place into channels, shape (T, K, L, N).
 
-    ``factors`` is the (L, K, N, N) output of :func:`covariance_factors`; each
-    realization is independent across links and time.  Link (l, k) of
+    ``factors`` is the C-contiguous (K, L, N, N) output of
+    :func:`covariance_factors`, read as it is; each realization is independent
+    across links and time.  Link (l, k) of
     realization t is its factor times the circularly symmetric normal vector
     (a + 1j b) / sqrt(2), where a and b are the link's entries of the
     (T, L, K, N) real and imaginary draws.  Returns ``normals``.
@@ -134,7 +145,6 @@ def sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarray:
     written by one thread alone with the same products, so the channels do not
     depend on the split.
     """
-    ms_major = np.ascontiguousarray(np.swapaxes(factors, 0, 1))
     slabs = list(_slabs(normals))
 
     def correlate(slabs, z_buf):
@@ -143,7 +153,7 @@ def sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarray:
             z = z_buf[: len(slab)]
             np.multiply(re, np.sqrt(0.5), out=z.real)
             np.multiply(im, np.sqrt(0.5), out=z.imag)
-            np.matmul(ms_major, np.swapaxes(z, 1, 2)[..., None], out=slab[..., None])
+            np.matmul(factors, np.swapaxes(z, 1, 2)[..., None], out=slab[..., None])
 
     def buffer(first):
         # a thread's first slab is its longest, since only the last slab is short

@@ -109,13 +109,20 @@ def estimate_composites(y: np.ndarray, stats: CompositeStats, plan) -> np.ndarra
 
     Returns (T, P + 1, N): row p is AP ``plan.pair_ap[p]``'s estimate of group
     ``plan.pair_group[p]``'s composite channel, and the trailing row is zero, so
-    indexing through ``plan.pair_of`` reads zeros for unserved pairs.
+    indexing through ``plan.pair_of`` reads zeros for unserved pairs.  Pairs
+    are numbered AP by AP, so one batched product per AP, over that AP's run
+    of pairs, writes straight into the returned array.
     """
-    n_real, _, _, n_antennas = y.shape
-    obs = y[:, plan.pair_ap, plan.pilot_of[plan.pair_group]]  # (T, P, N)
-    estimator = stats.estimator[plan.pair_ap, plan.pair_group]  # (P, N, N)
+    n_real, n_aps, _, n_antennas = y.shape
     out = np.zeros((n_real, plan.pair_ap.size + 1, n_antennas), dtype=complex)
-    np.matmul(
-        np.swapaxes(obs, 0, 1), np.swapaxes(estimator, -1, -2), out=np.swapaxes(out[:, :-1], 0, 1)
-    )
+    runs = np.searchsorted(plan.pair_ap, np.arange(n_aps + 1))
+    for l in range(n_aps):
+        pairs = slice(runs[l], runs[l + 1])
+        groups = plan.pair_group[pairs]
+        obs = y[:, l, plan.pilot_of[groups]]  # (T, pairs of l, N)
+        np.matmul(
+            np.swapaxes(obs, 0, 1),
+            np.swapaxes(stats.estimator[l, groups], -1, -2),
+            out=np.swapaxes(out[:, pairs], 0, 1),
+        )
     return out

@@ -95,7 +95,7 @@ class SnapshotSetup(NamedTuple):
     """Everything one deployment fixes before the first channel realization."""
 
     r_cov: np.ndarray  # (L, K, N, N) link covariances
-    factors: np.ndarray  # (L, K, N, N) their square-root factors
+    factors: np.ndarray  # (K, L, N, N) their square-root factors, MS-major like the channels
     parts: grouping.GroupAssignment
     plan: pilots.PilotPlan
     stats: estimation.CompositeStats
@@ -152,13 +152,16 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
     sq_norm_sums = np.zeros(plan.serving_mask.shape)
 
     # a chunk's large arrays are dropped after their last reader, and its
-    # buffer when the next chunk's is taken up: at most two buffers are alive
+    # buffer when the next chunk's is taken up: at most two buffers are alive;
+    # the factors go after the last chunk's correlation
     for ci in range(len(bounds)):
         channels, drawn = pending
         drawn.result()
         if ci + 1 < len(bounds):
             pending = draw(ci + 1)
         channels = covariance.sample_channels(factors, channels)  # the normals, correlated in place
+        if ci + 1 == len(bounds):
+            del factors
         y = estimation.project_pilots(
             channels, parts, plan, stage_rng(cfg.master_seed, index, "pilot_noise", ci)
         )

@@ -43,7 +43,7 @@ def _ipmmse_solve(v, coef, own_index, d_blocks, lead_scale):
     solved against the own column directly.  Otherwise D is inverted once per
     call and, with Y = D^-1 X and K = X^H Y, the Woodbury identity gives the
     solution Y_own - Y (diag(1/coef) + K)^-1 K_own: one (C, C) solve per
-    realization.
+    realization.  The Woodbury branch conjugates ``v`` in place, overwriting it.
     """
     n_aps, n_ant = d_blocks.shape[:2]
     n_nbr, n = v.shape[1:]
@@ -58,7 +58,7 @@ def _ipmmse_solve(v, coef, own_index, d_blocks, lead_scale):
             # one (N, N) @ (N, T * C) product per serving AP, then back to (T, n, C)
             y = d_inv @ v.reshape(-1, n_aps, n_ant).transpose(1, 2, 0)
             y = y.reshape(-1, *v.shape[:2]).transpose(1, 0, 2)
-            k = np.conj(v) @ y
+            k = np.conj(v, out=v) @ y
             s = np.linalg.solve(k + np.diag(1.0 / coef), k[:, :, own_index, None])
             out = y[:, :, own_index] - (y @ s)[..., 0]
     except np.linalg.LinAlgError as exc:

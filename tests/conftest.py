@@ -29,19 +29,26 @@ def small_config(**overrides) -> SystemConfig:
 
 
 def draw_channels(factors: np.ndarray, n_real: int, rng: np.random.Generator) -> np.ndarray:
-    """(T, K, L, N) channels for (L, K, N, N) factors: the harness's draw, then its correlation."""
-    n_aps, n_ms, n_ant = factors.shape[:3]
+    """(T, K, L, N) channels for MS-major (K, L, N, N) factors: the harness's draw, then its correlation."""
+    n_ms, n_aps, n_ant = factors.shape[:3]
     normals = np.empty((n_real, n_ms, n_aps, n_ant), dtype=complex)
     covariance.draw_normals(normals, rng)
     return covariance.sample_channels(factors, normals)
 
 
+def as_field(a: np.ndarray) -> np.ndarray:
+    """Link quantities (..., N, N) of one link, one AP's row or an (L, K) field, viewed as (L, K, N, N)."""
+    return a.reshape((1,) * (4 - a.ndim) + a.shape)
+
+
 def out_of_place_field(beta, phi_rad, asd_rad: float, n_antennas: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference for covariance.covariance_field and covariance_factors: (R, A), every step a new array.
 
-    The closed form, its PSD projection and the eigenvector scaling of the
-    factors are the same ufuncs and products the program runs in place, so
-    both results must match it bit for bit.
+    R has the shape of the inputs plus (N, N); A holds the factors of
+    ``as_field(R)``, MS-major, (K, L, N, N).  The closed form, its PSD
+    projection and the eigenvector scaling of the factors are the same ufuncs
+    and products the program runs in place or in blocks, so both results must
+    match it bit for bit.
     """
     idx = np.arange(n_antennas)
     diff = idx[:, None] - idx[None, :]
@@ -54,15 +61,14 @@ def out_of_place_field(beta, phi_rad, asd_rad: float, n_antennas: int) -> tuple[
     r = (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
     w, u = np.linalg.eigh(r)
     w = np.clip(w, 0.0, None)
-    return r, u * np.sqrt(w)[..., None, :]
+    return r, np.ascontiguousarray(np.swapaxes(as_field(u * np.sqrt(w)[..., None, :]), 0, 1))
 
 
 def serial_sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Reference for covariance.sample_channels: its slab formula, every slab on the calling thread."""
-    ms_major = np.ascontiguousarray(np.swapaxes(factors, 0, 1))
     for slab, (re, im) in covariance._slabs(normals):
         z = (re + 1j * im) * np.sqrt(0.5)
-        np.matmul(ms_major, np.swapaxes(z, 1, 2)[..., None], out=slab[..., None])
+        np.matmul(factors, np.swapaxes(z, 1, 2)[..., None], out=slab[..., None])
     return normals
 
 

@@ -10,7 +10,7 @@ import pytest
 from cfmcast import covariance, geometry, harness, preset
 from cfmcast.errors import SynthesisError
 
-from conftest import draw_channels, out_of_place_field, serial_sample_channels
+from conftest import as_field, draw_channels, out_of_place_field, serial_sample_channels
 
 # Reference entries from direct numerical integration of the angular model
 # (Gaussian angle spread entering through its first-order deviation term),
@@ -140,9 +140,9 @@ class TestField:
 
 
 class TestInPlace:
-    """The in-place synthesis gives the out-of-place floats exactly; the
-    factor eigendecomposition is phase-sensitive, so rounding would move
-    every channel draw."""
+    """The in-place synthesis and the blocked MS-major factors give the
+    out-of-place floats exactly; the factor eigendecomposition is
+    phase-sensitive, so rounding would move every channel draw."""
 
     @pytest.mark.parametrize("shape", [(), (9,), (7, 9)], ids=["link", "row", "field"])
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -153,7 +153,9 @@ class TestInPlace:
             want_r, want_a = out_of_place_field(beta, phi, np.deg2rad(asd_deg), n)
             r = _link(beta, phi, asd_deg, n)
             assert np.array_equal(r, want_r)
-            assert np.array_equal(covariance.covariance_factors(r), want_a)
+            factors = covariance.covariance_factors(as_field(r))
+            assert factors.flags["C_CONTIGUOUS"]
+            assert np.array_equal(factors, want_a)
 
     def test_matches_out_of_place_oracle_on_fig3_links(self):
         # 20 of fig3 snapshot 0's 100 APs against all 500 clustered MSs
@@ -167,7 +169,11 @@ class TestInPlace:
         r = covariance.covariance_field(beta, phi, cfg.n_antennas)
         assert r.shape == (20, 500, 4, 4)
         assert np.array_equal(r, want_r)
-        assert np.array_equal(covariance.covariance_factors(r), want_a)
+        # 500 MSs are eight blocks of FACTOR_BLOCK_MS, the last one short
+        factors = covariance.covariance_factors(r)
+        assert factors.shape == (500, 20, 4, 4)
+        assert factors.flags["C_CONTIGUOUS"]
+        assert np.array_equal(factors, want_a)
 
 
 class TestSampling:
@@ -175,7 +181,7 @@ class TestSampling:
         beta = 10.0 ** rng.uniform(-9, -5, size=(2, 3))
         phi = rng.uniform(-np.pi, np.pi, size=(2, 3))
         r = _link(beta, phi, 10.0, 4)
-        a = covariance.covariance_factors(r)
+        a = np.swapaxes(covariance.covariance_factors(r), 0, 1)
         recon = a @ np.conj(np.swapaxes(a, -1, -2))
         assert np.allclose(recon, r, atol=1e-12 * beta.max())
 
@@ -245,12 +251,14 @@ class TestSampling:
         assert threading.active_count() == threads
         assert np.array_equal(h, want)
 
-    def test_helper_buffer_fits_its_own_slabs(self, rng):
-        # a 60-AP, 300-MS, 4-antenna chunk of 8 realizations splits into slabs
-        # of 7 and 1, and the helper thread correlates only the 1-realization
-        # slab: the two slab buffers together hold one chunk of normals, where
-        # sizing both by the first slab took 6 realizations (6.9 MB) more
-        factors = rng.standard_normal((60, 300, 4, 4)) + 1j * rng.standard_normal((60, 300, 4, 4))
+    def test_helper_buffer_fits_its_own_slabs(self, rng, monkeypatch):
+        # at 2^19 entries per slab, a 60-AP, 300-MS, 4-antenna chunk of 8
+        # realizations splits into slabs of 7 and 1, and the helper thread
+        # correlates only the 1-realization slab: the two slab buffers together
+        # hold one chunk of normals, where sizing both by the first slab took 6
+        # realizations (6.9 MB) more
+        monkeypatch.setattr(covariance, "SLAB_ELEMENTS", 1 << 19)
+        factors = rng.standard_normal((300, 60, 4, 4)) + 1j * rng.standard_normal((300, 60, 4, 4))
         normals = np.empty((8, 300, 60, 4), dtype=complex)
         covariance.draw_normals(normals, np.random.default_rng(8))
         assert [len(slab) for slab, _ in covariance._slabs(normals)] == [7, 1]
@@ -261,8 +269,8 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the factors' MS-major copy, the two buffers and 1 MB for everything else
-        assert peak < factors.nbytes + normals.nbytes + 2**20, peak / 2**20
+        # the two buffers and 1 MB for everything else: the factors are read as they are
+        assert peak < normals.nbytes + 2**20, peak / 2**20
         assert np.array_equal(normals, want)
 
     def test_correlates_in_place(self, rng):
@@ -276,15 +284,17 @@ class TestSampling:
 
 
 def _random_factors(rng):
-    """(L, K, N, N) = (3, 4, 4, 4) factors of random links."""
+    """MS-major (K, L, N, N) = (4, 3, 4, 4) factors of random links."""
     beta = 10.0 ** rng.uniform(-9, -5, size=(3, 4))
     phi = rng.uniform(-np.pi, np.pi, size=(3, 4))
     return covariance.covariance_factors(_link(beta, phi, 10.0, 4))
 
 
 def _link_major_channels(factors, n_real, gen):
-    """Channels from one (T, L, K, N) real and one imaginary draw, swapped to (T, K, L, N)."""
-    shape = (n_real,) + factors.shape[:2] + (factors.shape[-1],)
+    """Channels from one (T, L, K, N) real and one imaginary draw, correlated
+    by a link-major copy of the MS-major factors and swapped to (T, K, L, N)."""
+    link_major = np.ascontiguousarray(np.swapaxes(factors, 0, 1))
+    shape = (n_real,) + link_major.shape[:2] + (link_major.shape[-1],)
     z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
     z *= np.sqrt(0.5)
-    return np.swapaxes((factors @ z[..., None])[..., 0], 1, 2)
+    return np.swapaxes((link_major @ z[..., None])[..., 0], 1, 2)
