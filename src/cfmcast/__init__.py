@@ -9,7 +9,7 @@ from .errors import (
     SynthesisError,
 )
 from .geometry import Deployment, build_deployment
-from .grouping import GroupAssignment, kmeans_subgroups, make_plan
+from .grouping import kmeans_subgroups, make_plan
 from .pilots import PilotPlan, assign_pilots_and_cluster
 from .estimation import CompositeStats, composite_stats
 from .precoding import cb_precoders
@@ -24,7 +24,6 @@ __all__ = [
     "CompositeStats",
     "ConfigError",
     "Deployment",
-    "GroupAssignment",
     "NumericalError",
     "PilotPlan",
     "SeReport",

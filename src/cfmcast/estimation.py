@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import NOISE_W, PILOT_POWER_W
 from .errors import NumericalError
-from .pilots import pilot_members
 
 
 @dataclass
@@ -45,7 +44,7 @@ class CompositeStats:
         return np.einsum("lgii->lg", self.r_comp).real
 
 
-def composite_stats(r_cov: np.ndarray, grouping, plan) -> CompositeStats:
+def composite_stats(r_cov: np.ndarray, plan) -> CompositeStats:
     """Assemble all estimation statistics for a snapshot.
 
     Statistics are deterministic functions of the covariances and are computed
@@ -54,14 +53,14 @@ def composite_stats(r_cov: np.ndarray, grouping, plan) -> CompositeStats:
     tau_p is the plan's pilot count.
     """
     n_aps, _, n_antennas, _ = r_cov.shape
-    tau_p, sizes = plan.n_pilots, grouping.sizes
-    r_comp = np.empty((n_aps, grouping.n_groups, n_antennas, n_antennas), dtype=complex)
-    for g, members in enumerate(grouping.members):
+    tau_p, sizes = plan.n_pilots, plan.sizes
+    r_comp = np.empty((n_aps, plan.n_groups, n_antennas, n_antennas), dtype=complex)
+    for g, members in enumerate(plan.members):
         r_comp[:, g] = (tau_p * PILOT_POWER_W / members.size**2) * r_cov[:, members].sum(axis=1)
     noise = NOISE_W * np.eye(n_antennas)
-    # an unused pilot observes noise alone; its entry is never read
-    gamma = np.broadcast_to(noise, (n_aps, tau_p, n_antennas, n_antennas)).astype(complex)
-    for t, on_pilot in pilot_members(grouping, plan):
+    gamma = np.empty((n_aps, tau_p, n_antennas, n_antennas), dtype=complex)
+    for t, on_pilot in enumerate(plan.pilot_ms):
+        # an unused pilot observes noise alone; its entry is never read
         gamma[:, t] = tau_p * PILOT_POWER_W * r_cov[:, on_pilot].sum(axis=1) + noise
     # estimator = K_g * r_comp @ gamma^{-1}, via an LU solve of the transposed system
     try:
@@ -76,14 +75,14 @@ def composite_stats(r_cov: np.ndarray, grouping, plan) -> CompositeStats:
     return CompositeStats(r_comp=r_comp, gamma=gamma, est_cov=est_cov, estimator=estimator)
 
 
-def project_pilots(channels: np.ndarray, grouping, plan, rng: np.random.Generator) -> np.ndarray:
+def project_pilots(channels: np.ndarray, plan, rng: np.random.Generator) -> np.ndarray:
     """Pilot observations after despreading, (T, L, tau_p, N), from (T, K, L, N) channels.
 
     Entry [..., t, :] for a pilot in use is the scaled sum of the channels of
     every MS whose group holds that pilot, plus white noise.  An unused pilot
     slot stays zero and draws no noise, so ``rng`` is read in pilot order over
     the pilots in use alone.  The channels are added one MS at a time, in
-    ``pilots.pilot_members`` order, into one (T, L, N) buffer, which gives the
+    ``plan.pilot_ms`` order, into one (T, L, N) buffer, which gives the
     same floats as summing a gathered (T, |members|, L, N) copy over its MS
     axis.
     """
@@ -91,7 +90,9 @@ def project_pilots(channels: np.ndarray, grouping, plan, rng: np.random.Generato
     y = np.zeros((n_real, n_aps, plan.n_pilots, n_antennas), dtype=complex)
     scale = np.sqrt(plan.n_pilots * PILOT_POWER_W)
     noise_std = np.sqrt(NOISE_W / 2.0)
-    for t, on_pilot in pilot_members(grouping, plan):
+    for t, on_pilot in enumerate(plan.pilot_ms):
+        if not on_pilot.size:
+            continue
         signal = channels[:, on_pilot[0]].copy()
         for k in on_pilot[1:]:
             signal += channels[:, k]

@@ -107,14 +107,15 @@ def se_group(se_users: np.ndarray, members: list) -> np.ndarray:
     return np.array([se_users[m].min() for m in members])
 
 
-def build_report(sinr: np.ndarray, clamped: int, grouping, tau_p: int) -> SeReport:
-    users = se_user(sinr, tau_p)
-    groups = se_group(users, grouping.members)
+def build_report(sinr: np.ndarray, clamped: int, plan) -> SeReport:
+    """Per-MS and per-group SEs of a snapshot; the prelog reads tau_p from the plan's pilot count."""
+    users = se_user(sinr, plan.n_pilots)
+    groups = se_group(users, plan.members)
     return SeReport(
         sinr=sinr,
         se_user=users,
         se_group=groups,
-        sum_se_per_user=float(np.sum(grouping.sizes * groups)),
+        sum_se_per_user=float(np.sum(plan.sizes * groups)),
         sum_se_per_group=float(np.sum(groups)),
         clamped=clamped,
     )

@@ -4,38 +4,16 @@ Subgrouping clusters the users' large-scale fading fingerprints (the per-AP
 channel gains in dB) with Lloyd's k-means, so users that look alike from the
 infrastructure's point of view share one precoded stream.  The group count
 alone sets the service: one group is single multicast, one per MS unicast.
+The partition is a (K,) group label per MS; ``pilots.PilotPlan`` carries it
+through the rest of the snapshot.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITERS = 100
-
-
-@dataclass
-class GroupAssignment:
-    """Partition of the K MSs into G non-empty groups."""
-
-    group_of: np.ndarray  # (K,) labels in [0, G)
-    n_groups: int
-    members: list = field(init=False)
-    sizes: np.ndarray = field(init=False)  # (G,) member counts
-
-    def __post_init__(self):
-        labels = np.asarray(self.group_of)
-        if labels.ndim != 1 or labels.size == 0:
-            raise ValueError("group_of must be a non-empty 1-D label array")
-        if labels.min() < 0 or labels.max() >= self.n_groups:
-            raise ValueError("group labels out of range")
-        self.group_of = labels.astype(int)
-        self.members = [np.flatnonzero(self.group_of == g) for g in range(self.n_groups)]
-        self.sizes = np.bincount(self.group_of, minlength=self.n_groups)
-        if np.any(self.sizes == 0):
-            raise ValueError("every group must have at least one member")
 
 
 def db_fingerprints(beta: np.ndarray) -> np.ndarray:
@@ -100,8 +78,8 @@ def _lloyd(features, n_groups, rng):
     return labels, history
 
 
-def kmeans_subgroups(beta: np.ndarray, n_groups: int, rng: np.random.Generator) -> GroupAssignment:
-    """Cluster MSs into subgroups by their dB gain fingerprints.
+def kmeans_subgroups(beta: np.ndarray, n_groups: int, rng: np.random.Generator) -> np.ndarray:
+    """Cluster MSs into subgroups by their dB gain fingerprints: the (K,) group labels.
 
     Runs Lloyd's algorithm with k-means++ seeding for ``KMEANS_RESTARTS``
     independent starts and keeps the partition with the lowest within-cluster
@@ -117,11 +95,11 @@ def kmeans_subgroups(beta: np.ndarray, n_groups: int, rng: np.random.Generator) 
         labels, history = _lloyd(features, n_groups, rng)
         if best is None or history[-1] < best[0]:
             best = (history[-1], labels)
-    return GroupAssignment(group_of=best[1], n_groups=n_groups)
+    return best[1]
 
 
-def make_plan(beta: np.ndarray, rng: np.random.Generator, n_groups: int) -> GroupAssignment:
-    """Service partition into ``n_groups`` groups.
+def make_plan(beta: np.ndarray, rng: np.random.Generator, n_groups: int) -> np.ndarray:
+    """Service partition into ``n_groups`` groups: the (K,) group label per MS.
 
     One group per MS is unicast, each MS its own group in MS order; every
     other count is clustered by :func:`kmeans_subgroups`, which puts all MSs
@@ -129,5 +107,5 @@ def make_plan(beta: np.ndarray, rng: np.random.Generator, n_groups: int) -> Grou
     """
     n_ms = beta.shape[1]
     if n_groups == n_ms:
-        return GroupAssignment(group_of=np.arange(n_ms), n_groups=n_ms)
+        return np.arange(n_ms)
     return kmeans_subgroups(beta, n_groups, rng)

@@ -96,20 +96,19 @@ class SnapshotSetup(NamedTuple):
 
     r_cov: np.ndarray  # (L, K, N, N) link covariances
     factors: np.ndarray  # (K, L, N, N) their square-root factors, MS-major like the channels
-    parts: grouping.GroupAssignment
     plan: pilots.PilotPlan
     stats: estimation.CompositeStats
 
 
 def snapshot_setup(cfg: SystemConfig, index: int, dep: geometry.Deployment) -> SnapshotSetup:
-    """Covariances, groups, pilot plan and estimation statistics of a built deployment."""
+    """Covariances, service plan and estimation statistics of a built deployment."""
     angles = geometry.nominal_angles(dep.ap_positions, dep.ms_positions, cfg.side_m)
     r_cov = covariance.covariance_field(dep.beta, angles, cfg.n_antennas)
     factors = covariance.covariance_factors(r_cov)
-    parts = grouping.make_plan(dep.beta, stage_rng(cfg.master_seed, index, "grouping"), cfg.n_groups)
-    plan = pilots.assign_pilots_and_cluster(dep.beta, parts, cfg.tau_p)
-    stats = estimation.composite_stats(r_cov, parts, plan)
-    return SnapshotSetup(r_cov, factors, parts, plan, stats)
+    group_of = grouping.make_plan(dep.beta, stage_rng(cfg.master_seed, index, "grouping"), cfg.n_groups)
+    plan = pilots.assign_pilots_and_cluster(dep.beta, group_of, cfg.tau_p)
+    stats = estimation.composite_stats(r_cov, plan)
+    return SnapshotSetup(r_cov, factors, plan, stats)
 
 
 def run_snapshot(cfg: SystemConfig, index: int) -> SnapshotResult:
@@ -146,7 +145,7 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
     )
     pending = draw(0)
     # the link covariances are not read past composite_stats
-    factors, parts, plan, stats = snapshot_setup(cfg, index, dep)[1:]
+    factors, plan, stats = snapshot_setup(cfg, index, dep)[1:]
     acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
     centralized = cfg.precoder == "ipmmse"
     sq_norm_sums = np.zeros(plan.serving_mask.shape)
@@ -162,13 +161,11 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
         channels = covariance.sample_channels(factors, channels)  # the normals, correlated in place
         if ci + 1 == len(bounds):
             del factors
-        y = estimation.project_pilots(
-            channels, parts, plan, stage_rng(cfg.master_seed, index, "pilot_noise", ci)
-        )
+        y = estimation.project_pilots(channels, plan, stage_rng(cfg.master_seed, index, "pilot_noise", ci))
         estimates = estimation.estimate_composites(y, stats, plan)
         del y
         if centralized:
-            w = precoding.ipmmse_directions(estimates, stats, plan, parts)
+            w = precoding.ipmmse_directions(estimates, stats, plan)
             sq_norm_sums[plan.pair_ap, plan.pair_group] += np.sum(np.abs(w) ** 2, axis=(0, 2))
         else:
             w = precoding.cb_precoders(estimates, stats, plan)
@@ -182,10 +179,10 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
         # every serving AP splits its whole budget over the groups it serves
         per_ap_power = precoding.apa_power(stats.trace_r_comp, plan).sum(axis=1)
 
-    _, _, sinr, clamped = acc.finalize(power_scale, parts.group_of)
-    report = evaluation.build_report(sinr, clamped, parts, cfg.tau_p)
+    _, _, sinr, clamped = acc.finalize(power_scale, plan.group_of)
+    report = evaluation.build_report(sinr, clamped, plan)
     radiated_frac = float(per_ap_power.sum() / (cfg.n_aps * DL_POWER_W))
-    return SnapshotResult(index, report, parts.sizes, per_ap_power, radiated_frac)
+    return SnapshotResult(index, report, plan.sizes, per_ap_power, radiated_frac)
 
 
 def _summary(job: tuple[SystemConfig, int]) -> dict:

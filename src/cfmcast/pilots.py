@@ -24,8 +24,9 @@ import numpy as np
 
 @dataclass
 class PilotPlan:
-    """Pilot labels, the serving relation and the served-pair layout.
+    """One service decision: the subgroup partition, the pilots and the serving relation.
 
+    ``group_of[k]`` is MS k's group, ``pilot_of[g]`` group g's pilot and
     ``serving_mask[l, g]`` is True when AP l serves group g.  The served pairs
     are numbered in row-major order of the mask: pair p joins AP ``pair_ap[p]``
     to group ``pair_group[p]``, and ``pair_of[l, g]`` is that number, or P (one
@@ -35,23 +36,28 @@ class PilotPlan:
     """
 
     n_pilots: int
+    group_of: np.ndarray  # (K,) group label per MS
     pilot_of: np.ndarray  # (G,) pilot label per group
     serving_mask: np.ndarray  # (L, G) bool
+    members: list = field(init=False)  # per group: sorted MS indices
+    sizes: np.ndarray = field(init=False)  # (G,) member counts
+    pilot_ms: list = field(init=False)  # per pilot: its groups' members, group by group; empty if unused
     pair_ap: np.ndarray = field(init=False)  # (P,)
     pair_group: np.ndarray = field(init=False)  # (P,)
     pair_of: np.ndarray = field(init=False)  # (L, G), P where unserved
     serving: list = field(init=False)  # per group: sorted AP indices (L_g)
-    on_pilot: list = field(init=False)  # per pilot: sorted groups holding it, empty if unused
     s_set: list = field(init=False)  # per group: groups sharing at least one serving AP, itself included
 
     def __post_init__(self):
+        self.group_of, self.members, self.sizes = _partition(self.group_of, self.n_groups)
+        holders = (np.flatnonzero(self.pilot_of == t) for t in range(self.n_pilots))
+        self.pilot_ms = [np.concatenate([self.members[g] for g in gs]) if gs.size else gs for gs in holders]
         mask = self.serving_mask
         self.pair_ap, self.pair_group = np.nonzero(mask)
         n_pairs = self.pair_ap.size
         self.pair_of = np.full(mask.shape, n_pairs)
         self.pair_of[self.pair_ap, self.pair_group] = np.arange(n_pairs)
         self.serving = [np.flatnonzero(col) for col in mask.T]
-        self.on_pilot = [np.flatnonzero(self.pilot_of == t) for t in range(self.n_pilots)]
         dense = mask.astype(float)
         self.s_set = [np.flatnonzero(row) for row in dense.T @ dense]
 
@@ -60,9 +66,18 @@ class PilotPlan:
         return self.pilot_of.shape[0]
 
 
-def group_gains(beta: np.ndarray, grouping) -> np.ndarray:
-    """Mean member gain per (AP, group), shape (L, G)."""
-    return np.stack([beta[:, m].mean(axis=1) for m in grouping.members], axis=1)
+def _partition(group_of, n_groups: int) -> tuple[np.ndarray, list, np.ndarray]:
+    """Checked (K,) int labels in [0, n_groups), each group's sorted members and the (G,) sizes."""
+    labels = np.asarray(group_of)
+    if labels.ndim != 1 or labels.size == 0:
+        raise ValueError("group_of must be a non-empty 1-D label array")
+    if labels.min() < 0 or labels.max() >= n_groups:
+        raise ValueError("group labels out of range")
+    labels = labels.astype(int)
+    sizes = np.bincount(labels, minlength=n_groups)
+    if np.any(sizes == 0):
+        raise ValueError("every group must have at least one member")
+    return labels, [np.flatnonzero(labels == g) for g in range(n_groups)], sizes
 
 
 def pilot_interference(sums: np.ndarray, pilot_of: np.ndarray, tau_p: int) -> np.ndarray:
@@ -74,18 +89,9 @@ def pilot_interference(sums: np.ndarray, pilot_of: np.ndarray, tau_p: int) -> np
     return np.bincount(pilot_of, weights=sums, minlength=tau_p)
 
 
-def pilot_members(grouping, plan):
-    """Yield (t, MSs of the groups in ``plan.on_pilot[t]``, group by group) per pilot in use."""
-    for t, groups in enumerate(plan.on_pilot):
-        if groups.size:
-            yield t, np.concatenate([grouping.members[g] for g in groups])
-
-
-def _assign_pilots(beta, grouping, tau_p, masters):
-    n_groups = grouping.n_groups
-    sums = np.stack([beta[:, m].sum(axis=1) for m in grouping.members], axis=1)
-    pilot_of = np.full(n_groups, -1, dtype=int)
-    for g in range(n_groups):
+def _assign_pilots(sums, tau_p, masters):
+    pilot_of = np.full(sums.shape[1], -1, dtype=int)
+    for g in range(pilot_of.size):
         if g < tau_p:
             pilot_of[g] = g
             continue
@@ -143,26 +149,29 @@ def _serve_starved(gains, pilot_of, incumbent, counts):
     return incumbent, counts
 
 
-def assign_pilots_and_cluster(beta: np.ndarray, grouping, tau_p: int) -> PilotPlan:
+def assign_pilots_and_cluster(beta: np.ndarray, group_of: np.ndarray, tau_p: int) -> PilotPlan:
     """Run the joint pilot assignment and AP clustering for a partition.
 
-    Returns the pilot label per group and the serving mask; the plan derives
-    the served pairs, the serving sets L_g, the per-pilot group lists and the
-    interference neighborhood (shared AP) sets from them.
+    ``group_of`` labels each MS's group, 0 to G - 1.  Returns the plan of the
+    partition, the pilot label per group and the serving mask, from which it
+    derives the served pairs, the serving sets L_g, the per-pilot MS lists and
+    the interference neighborhood (shared AP) sets.
     """
     if tau_p < 1:
         raise ValueError(f"tau_p must be at least 1, got {tau_p}")
     n_aps = beta.shape[0]
-    gains = group_gains(beta, grouping)
+    _, members, sizes = _partition(group_of, int(np.max(group_of)) + 1)
+    sums = np.stack([beta[:, m].sum(axis=1) for m in members], axis=1)
+    gains = sums / sizes  # mean member gain per (AP, group)
     masters = np.argmax(gains, axis=0)
-    pilot_of = _assign_pilots(beta, grouping, tau_p, masters)
+    pilot_of = _assign_pilots(sums, tau_p, masters)
     incumbent, counts = _serve_strongest(gains, pilot_of, masters, tau_p)
     incumbent, counts = _serve_starved(gains, pilot_of, incumbent, counts)
 
-    mask = np.zeros((n_aps, grouping.n_groups), dtype=bool)
+    mask = np.zeros((n_aps, sizes.size), dtype=bool)
     aps, slots = np.nonzero(incumbent >= 0)
     mask[aps, incumbent[aps, slots]] = True
     # a fallback double-up is the only way a group is served off the incumbent table
     doubled = np.flatnonzero((counts > 0) & ~mask.any(axis=0))
     mask[masters[doubled], doubled] = True
-    return PilotPlan(n_pilots=tau_p, pilot_of=pilot_of, serving_mask=mask)
+    return PilotPlan(n_pilots=tau_p, group_of=group_of, pilot_of=pilot_of, serving_mask=mask)

@@ -98,14 +98,14 @@ def ipmmse_direction(
     return _ipmmse_solve(v, coef[neighborhood], own_index, d_blocks, lead)
 
 
-def ipmmse_directions(estimates: np.ndarray, stats, plan, grouping) -> np.ndarray:
+def ipmmse_directions(estimates: np.ndarray, stats, plan) -> np.ndarray:
     """Unnormalized centralized directions of every group over the served pairs, (T, P, N).
 
     The virtual group powers scale with GROUP_POWER_W over the pilot energy
     tau_p * PILOT_POWER_W, tau_p being the plan's pilot count.
     """
     n_real, _, n_ant = estimates.shape
-    sizes = grouping.sizes.astype(float)
+    sizes = plan.sizes.astype(float)
     coef = GROUP_POWER_W * sizes**2 / (plan.n_pilots * PILOT_POWER_W)
     loaded = NOISE_W * np.eye(n_ant) + np.einsum("g,lgab->lab", coef, stats.r_comp)
     leads = np.sqrt(GROUP_POWER_W / (plan.n_pilots * PILOT_POWER_W)) * sizes

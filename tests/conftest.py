@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from cfmcast import covariance, estimation, evaluation, geometry, grouping, harness, precoding
+from cfmcast import covariance, estimation, evaluation, geometry, harness, precoding
 from cfmcast.config import GROUP_POWER_W, NOISE_W, PILOT_POWER_W, SystemConfig
 from cfmcast.errors import NumericalError
 
@@ -72,14 +72,14 @@ def serial_sample_channels(factors: np.ndarray, normals: np.ndarray) -> np.ndarr
     return normals
 
 
-def gathered_project_pilots(channels, grouping, plan, rng) -> np.ndarray:
+def gathered_project_pilots(channels, plan, rng) -> np.ndarray:
     """Reference for estimation.project_pilots: each pilot's signal summed from a fancy-indexed copy."""
     n_real, _, n_aps, n_antennas = channels.shape
     y = np.zeros((n_real, n_aps, plan.n_pilots, n_antennas), dtype=complex)
     scale = np.sqrt(plan.n_pilots * PILOT_POWER_W)
     noise_std = np.sqrt(NOISE_W / 2.0)
     for t in sorted(set(int(p) for p in plan.pilot_of)):
-        on_pilot = np.concatenate([grouping.members[c] for c in np.flatnonzero(plan.pilot_of == t)])
+        on_pilot = np.concatenate([plan.members[c] for c in np.flatnonzero(plan.pilot_of == t)])
         signal = scale * channels[:, on_pilot].sum(axis=1)
         noise = noise_std * (
             rng.standard_normal((n_real, n_aps, n_antennas))
@@ -89,7 +89,7 @@ def gathered_project_pilots(channels, grouping, plan, rng) -> np.ndarray:
     return y
 
 
-def per_group_gamma(r_cov, grouping, plan) -> np.ndarray:
+def per_group_gamma(r_cov, plan) -> np.ndarray:
     """Reference for estimation.composite_stats' Γ read per group: (L, G, N, N).
 
     Group g's observation covariance sums the link covariances of the MSs of
@@ -99,7 +99,7 @@ def per_group_gamma(r_cov, grouping, plan) -> np.ndarray:
     gamma = np.empty((n_aps, plan.n_groups, n_antennas, n_antennas), dtype=complex)
     for g in range(plan.n_groups):
         cohort = np.flatnonzero(plan.pilot_of == plan.pilot_of[g])
-        members = np.concatenate([grouping.members[c] for c in cohort])
+        members = np.concatenate([plan.members[c] for c in cohort])
         acc = plan.n_pilots * PILOT_POWER_W * r_cov[:, members].sum(axis=1)
         gamma[:, g] = acc + NOISE_W * np.eye(n_antennas)
     return gamma
@@ -116,22 +116,20 @@ def build_pipeline(cfg: SystemConfig, index: int = 0, n_real: int | None = None)
     setup = harness.snapshot_setup(cfg, index, dep)
     t = cfg.realizations if n_real is None else n_real
     channels = draw_channels(setup.factors, t, harness.stage_rng(cfg.master_seed, index, "channels"))
-    y = estimation.project_pilots(
-        channels, setup.parts, setup.plan, harness.stage_rng(cfg.master_seed, index, "pilot_noise")
-    )
+    y = estimation.project_pilots(channels, setup.plan, harness.stage_rng(cfg.master_seed, index, "pilot_noise"))
     estimates = estimation.estimate_composites(y, setup.stats, setup.plan)
     return SimpleNamespace(cfg=cfg, dep=dep, **setup._asdict(), channels=channels, y=y, estimates=estimates)
 
 
-def random_partition(rng: np.random.Generator, n_ms: int, n_groups: int) -> grouping.GroupAssignment:
-    """Random labels guaranteed to leave no group empty."""
+def random_partition(rng: np.random.Generator, n_ms: int, n_groups: int) -> np.ndarray:
+    """Random (K,) group labels guaranteed to leave none of the ``n_groups`` groups empty."""
     labels = rng.integers(0, n_groups, size=n_ms)
     labels[rng.permutation(n_ms)[:n_groups]] = np.arange(n_groups)
-    return grouping.GroupAssignment(group_of=labels, n_groups=n_groups)
+    return labels
 
 
 def random_service_instance(rng: np.random.Generator) -> SimpleNamespace:
-    """One fuzz instance: gains, a partition and a pilot budget.
+    """One fuzz instance: gains, a partition's group labels and a pilot budget.
 
     Group counts are capped so that no pilot can be shared by more groups than
     there are APs; beyond that cap a per-pilot uniqueness violation is forced
@@ -143,8 +141,8 @@ def random_service_instance(rng: np.random.Generator) -> SimpleNamespace:
     g_max = min(n_ms, tau_p + n_aps - 1, 3 * tau_p)
     n_groups = int(rng.integers(1, g_max + 1))
     beta = 10.0 ** rng.normal(-8.0, 1.5, size=(n_aps, n_ms))
-    parts = random_partition(rng, n_ms, n_groups)
-    return SimpleNamespace(beta=beta, parts=parts, tau_p=tau_p, n_aps=n_aps, n_ms=n_ms)
+    group_of = random_partition(rng, n_ms, n_groups)
+    return SimpleNamespace(beta=beta, group_of=group_of, n_groups=n_groups, tau_p=tau_p, n_aps=n_aps, n_ms=n_ms)
 
 
 def assert_pair_layout(plan):
@@ -174,11 +172,11 @@ def mmse_composite_estimate(
     return group_size * (r_comp @ cho_solve(factor, y))
 
 
-def composite_channels(channels: np.ndarray, grouping, tau_p: int, pilot_power_w: float) -> np.ndarray:
+def composite_channels(channels: np.ndarray, plan, tau_p: int, pilot_power_w: float) -> np.ndarray:
     """Realized composite channels per group, (T, L, G, N), from (T, K, L, N) channels."""
     scale = np.sqrt(tau_p * pilot_power_w)
     out = np.stack(
-        [channels[:, m].sum(axis=1) / m.size for m in grouping.members], axis=2
+        [channels[:, m].sum(axis=1) / m.size for m in plan.members], axis=2
     )
     return scale * out
 
@@ -224,11 +222,11 @@ def exact_cb_moments(pipe, cfg):
 
     Returns (μ, E|a|²).
     """
-    plan, stats, parts = pipe.plan, pipe.stats, pipe.parts
+    plan, stats = pipe.plan, pipe.stats
     rho = precoding.apa_power(stats.trace_r_comp, plan)
     est_trace = np.einsum("lgii->lg", stats.est_cov).real
     c2 = np.where(plan.serving_mask, rho / est_trace, 0.0)  # (L, G)
-    same_pilot = plan.pilot_of[parts.group_of][:, None] == plan.pilot_of[None, :]  # (K, G)
+    same_pilot = plan.pilot_of[plan.group_of][:, None] == plan.pilot_of[None, :]  # (K, G)
     tr_er = np.einsum("lgab,lkba->lkg", stats.estimator, pipe.r_cov)
     tr_rq = np.einsum("lkab,lgba->lkg", pipe.r_cov, stats.est_cov).real
     s = np.sqrt(cfg.tau_p * PILOT_POWER_W)
@@ -242,12 +240,12 @@ def oracle_direction(pipe, g):
     Uses explicit matrix inverses and plain loops so it shares no code path
     with the batched implementation.
     """
-    cfg, plan, stats, parts = pipe.cfg, pipe.plan, pipe.stats, pipe.parts
+    cfg, plan, stats = pipe.cfg, pipe.plan, pipe.stats
     aps = plan.serving[g]
     n_ant = cfg.n_antennas
     n = aps.size * n_ant
     t_total = pipe.estimates.shape[0]
-    coef = GROUP_POWER_W * parts.sizes.astype(float) ** 2 / (cfg.tau_p * PILOT_POWER_W)
+    coef = GROUP_POWER_W * plan.sizes.astype(float) ** 2 / (cfg.tau_p * PILOT_POWER_W)
 
     def stack(c):
         v = np.zeros((t_total, n), dtype=complex)
@@ -268,7 +266,7 @@ def oracle_direction(pipe, g):
 
     v_own = stack(g)
     v_all = {c: stack(c) for c in plan.s_set[g]}
-    lead = np.sqrt(GROUP_POWER_W / (cfg.tau_p * PILOT_POWER_W)) * parts.sizes[g]
+    lead = np.sqrt(GROUP_POWER_W / (cfg.tau_p * PILOT_POWER_W)) * plan.sizes[g]
     out = np.empty_like(v_own)
     for t in range(t_total):
         m = z + NOISE_W * np.eye(n)
@@ -286,7 +284,7 @@ def full_load(pipe):
     summed per AP in a plain loop.
     """
     cfg, stats = pipe.cfg, pipe.stats
-    sizes = pipe.parts.sizes.astype(float)
+    sizes = pipe.plan.sizes.astype(float)
     coef = GROUP_POWER_W * sizes**2 / (cfg.tau_p * PILOT_POWER_W)
     loaded = np.stack([NOISE_W * np.eye(cfg.n_antennas, dtype=complex)] * cfg.n_aps)
     for l in range(cfg.n_aps):
@@ -295,14 +293,14 @@ def full_load(pipe):
     return coef, loaded, np.sqrt(GROUP_POWER_W / (cfg.tau_p * PILOT_POWER_W)) * sizes
 
 
-def ipmmse_with_power(estimates, stats, plan, parts):
+def ipmmse_with_power(estimates, stats, plan):
     """IP-MMSE directions of every group, normalized over all realizations.
 
     Returns (directions, power_scale, per_ap_power), with ``directions`` a
     (T, P, N) array over the plan's served pairs; the assembly and the power
     step are the ones the harness runs.
     """
-    w = precoding.ipmmse_directions(estimates, stats, plan, parts)
+    w = precoding.ipmmse_directions(estimates, stats, plan)
     sums = np.zeros(plan.serving_mask.shape)
     sums[plan.pair_ap, plan.pair_group] = np.sum(np.abs(w) ** 2, axis=(0, 2))
     power_scale, per_ap_power = precoding.centralized_power(sums, w.shape[0], stats, plan)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from cfmcast import covariance, estimation, geometry, grouping, harness, pilots, precoding
+from cfmcast import covariance, estimation, geometry, harness, pilots, precoding
 from cfmcast.config import DL_POWER_W, NOISE_W, PILOT_POWER_W, preset
 
 from conftest import (
@@ -42,7 +42,8 @@ def boot_frac(a, b, n_boot=2000, seed=0):
 
 
 def campaign_samples(cfg):
-    result = harness.run_campaign(cfg, workers=1)
+    # criterion 6 holds pooled campaigns to the serial bytes
+    result = harness.run_campaign(cfg, workers=2)
     return np.array([s["sum_se_per_user"] for s in result.summaries])
 
 
@@ -51,18 +52,17 @@ def test_criterion_1_estimation_oracle():
     n_ant, tau_p, pilot_power = 2, 1, PILOT_POWER_W
     beta = np.array([[3e-8, 1.2e-8, 0.7e-8]])
     phi = np.array([[0.4, -1.0, 2.2]])
-    parts = grouping.GroupAssignment(group_of=np.array([0, 0, 1]), n_groups=2)
-    plan = pilots.assign_pilots_and_cluster(beta, parts, tau_p)
+    plan = pilots.assign_pilots_and_cluster(beta, np.array([0, 0, 1]), tau_p)
     r_cov = covariance.covariance_field(beta, phi, n_ant)
-    stats = estimation.composite_stats(r_cov, parts, plan)
+    stats = estimation.composite_stats(r_cov, plan)
     channels = draw_channels(covariance.covariance_factors(r_cov), 200, np.random.default_rng(0))
-    y = estimation.project_pilots(channels, parts, plan, np.random.default_rng(1))
+    y = estimation.project_pilots(channels, plan, np.random.default_rng(1))
     estimates = estimation.estimate_composites(y, stats, plan)
     # oracle: generic jointly-Gaussian LMMSE with explicit inverses
     c_yy = tau_p * pilot_power * r_cov[0].sum(axis=0) + NOISE_W * np.eye(n_ant)
     c_yy_inv = np.linalg.inv(c_yy)
     worst = 0.0
-    for g, members in enumerate(parts.members):
+    for g, members in enumerate(plan.members):
         c_xy = (tau_p * pilot_power / members.size) * r_cov[0, members].sum(axis=0)
         want = y[:, 0, 0, :] @ (c_xy @ c_yy_inv).T
         got = estimates[:, plan.pair_of[0, g]]
@@ -116,12 +116,12 @@ def test_criterion_3_invariant_suite():
     checked = 0
     for _ in range(n_instances):
         inst = random_service_instance(rng)
-        parts, beta, tau_p = inst.parts, inst.beta, inst.tau_p
-        plan = pilots.assign_pilots_and_cluster(beta, parts, tau_p)
+        beta, tau_p = inst.beta, inst.tau_p
+        plan = pilots.assign_pilots_and_cluster(beta, inst.group_of, tau_p)
         # pilot plan invariants
-        head = min(parts.n_groups, tau_p)
+        head = min(plan.n_groups, tau_p)
         assert np.array_equal(plan.pilot_of[:head], np.arange(head))
-        for g in range(parts.n_groups):
+        for g in range(plan.n_groups):
             assert plan.serving[g].size >= 1
         assert np.all(plan.serving_mask.sum(axis=1) <= tau_p)
         assert_pair_layout(plan)
@@ -134,7 +134,7 @@ def test_criterion_3_invariant_suite():
         assert w.min() >= -1e-9 * traces.max()
         assert np.allclose(traces, n_ant * beta, rtol=1e-9)
         # the estimate's covariance stays below the composite's: r_comp - est_cov is PSD
-        stats = estimation.composite_stats(r_cov, parts, plan)
+        stats = estimation.composite_stats(r_cov, plan)
         err_w = np.linalg.eigvalsh(stats.r_comp - stats.est_cov)
         assert err_w.min() >= -1e-9 * np.abs(stats.r_comp).max()
         # distributed power splits exactly
@@ -145,9 +145,9 @@ def test_criterion_3_invariant_suite():
         channels = draw_channels(
             covariance.covariance_factors(r_cov), 20, np.random.default_rng(checked)
         )
-        y = estimation.project_pilots(channels, parts, plan, np.random.default_rng(checked + 1))
+        y = estimation.project_pilots(channels, plan, np.random.default_rng(checked + 1))
         estimates = estimation.estimate_composites(y, stats, plan)
-        _, _, per_ap_power = ipmmse_with_power(estimates, stats, plan, parts)
+        _, _, per_ap_power = ipmmse_with_power(estimates, stats, plan)
         assert per_ap_power.max() <= DL_POWER_W * 1.01
         checked += 1
     elapsed = time.monotonic() - t0

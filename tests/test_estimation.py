@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cfmcast import covariance, estimation, grouping, pilots
+from cfmcast import covariance, estimation, pilots
 from cfmcast.config import NOISE_W, PILOT_POWER_W
 from cfmcast.errors import NumericalError
 
@@ -30,11 +30,11 @@ def brute_force_lmmse(y, r_members, r_cohort, tau_p, pilot_power, noise_w, group
     return c_xy @ np.linalg.inv(c_yy) @ y
 
 
-def hand_plan(pilot_of, n_pilots, n_aps):
-    """A plan in which every AP serves every group."""
+def hand_plan(group_of, pilot_of, n_pilots, n_aps):
+    """A plan of the given partition and pilots in which every AP serves every group."""
     pilot_of = np.asarray(pilot_of)
     mask = np.ones((n_aps, pilot_of.size), dtype=bool)
-    return pilots.PilotPlan(n_pilots, pilot_of, mask)
+    return pilots.PilotPlan(n_pilots, np.asarray(group_of), pilot_of, mask)
 
 
 class TestStatsAlgebra:
@@ -43,8 +43,7 @@ class TestStatsAlgebra:
         r[:, 0] = np.eye(2)
         r[:, 1] = 2 * np.eye(2)
         r[:, 2] = 4 * np.eye(2)
-        parts = grouping.GroupAssignment(group_of=np.array([0, 1, 0]), n_groups=2)
-        stats = estimation.composite_stats(r, parts, hand_plan([0, 1], 5, 2))
+        stats = estimation.composite_stats(r, hand_plan([0, 1, 0], [0, 1], 5, 2))
         want = (5 * PILOT_POWER_W / 4) * 5 * np.eye(2)
         assert np.allclose(stats.r_comp[:, 0], want)
 
@@ -53,8 +52,7 @@ class TestStatsAlgebra:
         r = np.zeros((1, 2, 2, 2), dtype=complex)
         r[:, 0] = np.eye(2)
         r[:, 1] = 3 * np.eye(2)
-        parts = grouping.GroupAssignment(group_of=np.array([0, 1]), n_groups=2)
-        stats = estimation.composite_stats(r, parts, hand_plan([0, 0], 4, 1))
+        stats = estimation.composite_stats(r, hand_plan([0, 1], [0, 0], 4, 1))
         assert stats.gamma.shape == (1, 4, 2, 2)
         assert np.allclose(stats.gamma[0, 0], (0.4 * 4 + 1e-3) * np.eye(2))
         # pilots 1 to 3 are unused: their observations are noise alone
@@ -68,7 +66,7 @@ class TestStatsAlgebra:
         cfg = small_config(**overrides)
         pipe = build_pipeline(cfg, n_real=1)
         assert pipe.plan.n_groups > cfg.tau_p
-        want = per_group_gamma(pipe.r_cov, pipe.parts, pipe.plan)
+        want = per_group_gamma(pipe.r_cov, pipe.plan)
         assert np.array_equal(pipe.stats.gamma[:, pipe.plan.pilot_of], want)
 
     def test_gamma_dominates_noise(self):
@@ -102,10 +100,9 @@ class TestEstimatorOracle:
         r = np.empty((1, 3, n, n), dtype=complex)
         for k, (b, phi) in enumerate([(2e-8, 0.3), (5e-8, -1.1), (1e-8, 2.0)]):
             r[0, k] = covariance.covariance_field(np.asarray(b), np.asarray(phi), n)
-        parts = grouping.GroupAssignment(group_of=np.array([0, 0, 1]), n_groups=2)
-        plan = hand_plan([0, 0], tau_p, 1)
-        assert np.array_equal(plan.on_pilot[0], [0, 1])
-        stats = estimation.composite_stats(r, parts, plan)
+        plan = hand_plan([0, 0, 1], [0, 0], tau_p, 1)
+        assert np.array_equal(plan.pilot_ms[0], [0, 1, 2])
+        stats = estimation.composite_stats(r, plan)
         for _ in range(20):
             y = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             got = mmse_composite_estimate(y, stats.r_comp[0, 0], stats.gamma[0, plan.pilot_of[0]], 2)
@@ -120,12 +117,12 @@ class TestEstimatorOracle:
         # every group on a pilot solves against that pilot's one Γ:
         # estimator @ Γ = |g| r_comp
         pipe = build_pipeline(small_config(n_groups=5, tau_p=2), n_real=1)
-        plan, stats, sizes = pipe.plan, pipe.stats, pipe.parts.sizes
-        assert np.array_equal(np.sort(np.concatenate(plan.on_pilot)), np.arange(plan.n_groups))
-        for t, groups in enumerate(plan.on_pilot):
+        plan, stats, sizes = pipe.plan, pipe.stats, pipe.plan.sizes
+        assert np.array_equal(np.unique(plan.pilot_of), np.arange(plan.n_pilots))
+        for t in range(plan.n_pilots):
+            groups = np.flatnonzero(plan.pilot_of == t)
             assert groups.size >= 2
             for g in groups:
-                assert plan.pilot_of[g] == t
                 want = sizes[g] * stats.r_comp[:, g]
                 lhs = stats.estimator[:, g] @ stats.gamma[:, t]
                 assert np.allclose(lhs, want, rtol=0, atol=1e-9 * np.abs(want).max())
@@ -142,7 +139,7 @@ class TestPilotProjection:
         cfg = small_config()
         pipe = build_pipeline(cfg, n_real=4)
         monkeypatch.setattr(estimation, "NOISE_W", 0.0)
-        y = estimation.project_pilots(pipe.channels, pipe.parts, pipe.plan, rng)
+        y = estimation.project_pilots(pipe.channels, pipe.plan, rng)
         scale = np.sqrt(cfg.tau_p * PILOT_POWER_W)
         used = sorted(set(int(p) for p in pipe.plan.pilot_of))
         for t in range(cfg.tau_p):
@@ -150,7 +147,7 @@ class TestPilotProjection:
                 assert np.all(y[:, :, t, :] == 0)
                 continue
             on_pilot = np.concatenate(
-                [pipe.parts.members[g] for g in np.flatnonzero(pipe.plan.pilot_of == t)]
+                [pipe.plan.members[g] for g in np.flatnonzero(pipe.plan.pilot_of == t)]
             )
             want = scale * pipe.channels[:, on_pilot].sum(axis=1)
             assert np.allclose(y[:, :, t, :], want, rtol=1e-12)
@@ -163,7 +160,7 @@ class TestPilotProjection:
         # gathered copy's sum, noise included
         cfg = small_config(**overrides)
         pipe = build_pipeline(cfg, n_real=5)
-        args = (pipe.channels, pipe.parts, pipe.plan)
+        args = (pipe.channels, pipe.plan)
         y = estimation.project_pilots(*args, np.random.default_rng(3))
         assert np.array_equal(y, gathered_project_pilots(*args, np.random.default_rng(3)))
 
@@ -174,7 +171,7 @@ class TestPilotProjection:
         zero_h = np.zeros((20_000,) + pipe.channels.shape[1:], dtype=complex)
         noise_w = 1e-12
         monkeypatch.setattr(estimation, "NOISE_W", noise_w)
-        y = estimation.project_pilots(zero_h, pipe.parts, pipe.plan, rng)
+        y = estimation.project_pilots(zero_h, pipe.plan, rng)
         t = int(pipe.plan.pilot_of[0])
         var = np.mean(np.abs(y[:, :, t, :]) ** 2)
         assert var == pytest.approx(noise_w, rel=0.05)
@@ -182,9 +179,9 @@ class TestPilotProjection:
     def test_composite_channels_definition(self, rng):
         cfg = small_config()
         pipe = build_pipeline(cfg, n_real=3)
-        comp = composite_channels(pipe.channels, pipe.parts, cfg.tau_p, PILOT_POWER_W)
+        comp = composite_channels(pipe.channels, pipe.plan, cfg.tau_p, PILOT_POWER_W)
         g = 1
-        m = pipe.parts.members[g]
+        m = pipe.plan.members[g]
         want = np.sqrt(cfg.tau_p * PILOT_POWER_W) * pipe.channels[:, m].sum(axis=1) / m.size
         assert np.allclose(comp[:, :, g, :], want)
 
@@ -206,7 +203,7 @@ class TestEstimateRealizations:
         g = 0
         l = int(plan.serving[g][0])
         t = int(plan.pilot_of[g])
-        size = int(pipe.parts.sizes[g])
+        size = int(pipe.plan.sizes[g])
         for ti in range(3):
             want = mmse_composite_estimate(
                 pipe.y[ti, l, t], stats.r_comp[l, g], stats.gamma[l, t], size
@@ -218,7 +215,7 @@ class TestEstimateRealizations:
         # estimate's sample covariance approaches est_cov
         cfg = small_config(n_aps=2, n_antennas=2, n_ms=4, n_groups=2, tau_p=2, realizations=30_000)
         pipe = build_pipeline(cfg)
-        comp = composite_channels(pipe.channels, pipe.parts, cfg.tau_p, PILOT_POWER_W)
+        comp = composite_channels(pipe.channels, pipe.plan, cfg.tau_p, PILOT_POWER_W)
         g = 0
         l = int(pipe.plan.serving[g][0])
         est = pipe.estimates[:, pipe.plan.pair_of[l, g]]

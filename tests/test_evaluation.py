@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cfmcast import evaluation, grouping, pilots, precoding
+from cfmcast import evaluation, pilots, precoding
 from cfmcast.errors import NumericalError, StatsError
 
 from conftest import (
@@ -22,7 +22,7 @@ def scalar_cb_setup(t_total, beta, rho, seed):
     rng = np.random.default_rng(seed)
     h = np.sqrt(beta / 2) * (rng.standard_normal(t_total) + 1j * rng.standard_normal(t_total))
     w = np.sqrt(rho) * h / np.sqrt(beta)
-    plan = pilots.PilotPlan(1, np.array([0]), np.array([[True]]))
+    plan = pilots.PilotPlan(1, np.array([0]), np.array([0]), np.array([[True]]))
     return h.reshape(t_total, 1, 1, 1), w.reshape(t_total, 1, 1), plan
 
 
@@ -61,8 +61,8 @@ class TestAccumulator:
         for a, b in ((one.sum_a, chunked.sum_a), (one.sum_a2, chunked.sum_a2)):
             assert np.allclose(a, b, rtol=1e-12)
         unit = np.ones(plan.n_groups)
-        r1 = one.finalize(unit, pipe.parts.group_of)
-        r2 = chunked.finalize(unit, pipe.parts.group_of)
+        r1 = one.finalize(unit, pipe.plan.group_of)
+        r2 = chunked.finalize(unit, pipe.plan.group_of)
         assert np.allclose(r1[2], r2[2], rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -86,7 +86,7 @@ class TestAccumulator:
         monkeypatch.setattr(evaluation, "GROUP_BLOCK", group_block)
         monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", block_elements)
         cb = precoding.cb_precoders(pipe.estimates, pipe.stats, plan)
-        ip, _, _ = ipmmse_with_power(pipe.estimates, pipe.stats, plan, pipe.parts)
+        ip, _, _ = ipmmse_with_power(pipe.estimates, pipe.stats, plan)
         for w in (cb, ip):
             acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
             acc.update(pipe.channels, w, plan)
@@ -101,7 +101,7 @@ class TestAccumulator:
         plan = pipe.plan
         pre = precoding.cb_precoders(pipe.estimates, pipe.stats, plan)
         unit = np.ones(plan.n_groups)
-        _, _, sinr, _ = sinr_terms(pipe.channels, pre, unit, plan, pipe.parts.group_of)
+        _, _, sinr, _ = sinr_terms(pipe.channels, pre, unit, plan, pipe.plan.group_of)
         # rotate every AP's antenna space by its own unitary
         qs = []
         for _ in range(cfg.n_aps):
@@ -116,7 +116,7 @@ class TestAccumulator:
             [np.einsum("ab,tb->ta", qs[l], pre[:, p]) for p, l in enumerate(plan.pair_ap)],
             axis=1,
         )
-        _, _, sinr_rot, _ = sinr_terms(channels_rot, pre_rot, unit, plan, pipe.parts.group_of)
+        _, _, sinr_rot, _ = sinr_terms(channels_rot, pre_rot, unit, plan, pipe.plan.group_of)
         assert np.allclose(sinr, sinr_rot, rtol=1e-9)
 
     def test_clamp_counter_and_floor(self, monkeypatch):
@@ -164,6 +164,12 @@ class TestExactCbMoments:
         assert z_a2.max() <= 6.0, z_a2.max()
 
 
+def plan_report(sinr, group_of, tau_p=20):
+    """``build_report`` under a one-AP plan of the given partition and pilot count."""
+    plan = pilots.assign_pilots_and_cluster(np.ones((1, len(group_of))), np.asarray(group_of), tau_p)
+    return evaluation.build_report(sinr, 0, plan)
+
+
 class TestSpectralEfficiency:
     def test_prelog_uses_configured_pilot_length(self):
         sinr = np.array([1.0, 3.0])
@@ -177,22 +183,20 @@ class TestSpectralEfficiency:
 
     def test_sum_conventions(self):
         # one 10-member group at SE 0.5: 5.0 per served user, 0.5 per stream
-        parts = grouping.GroupAssignment(group_of=np.zeros(10, dtype=int), n_groups=1)
         sinr = np.full(10, 2.0 ** (0.5 / 0.9) - 1.0)
-        rep = evaluation.build_report(sinr, 0, parts, tau_p=20)
+        rep = plan_report(sinr, np.zeros(10, dtype=int))
         assert rep.se_group == pytest.approx([0.5])
         assert rep.sum_se_per_user == pytest.approx(5.0)
         assert rep.sum_se_per_group == pytest.approx(0.5)
 
     def test_unicast_conventions_coincide(self):
-        parts = grouping.GroupAssignment(group_of=np.arange(3), n_groups=3)
-        rep = evaluation.build_report(np.array([0.3, 0.7, 1.1]), 0, parts, tau_p=20)
+        rep = plan_report(np.array([0.3, 0.7, 1.1]), np.arange(3))
         assert rep.sum_se_per_user == pytest.approx(rep.sum_se_per_group)
 
     def test_report_aggregates(self):
-        parts = grouping.GroupAssignment(group_of=np.array([0, 0, 1]), n_groups=2)
+        # the prelog reads the pilot length from the plan
         sinr = np.array([1.0, 2.0, 3.0])
-        rep = evaluation.build_report(sinr, 0, parts, tau_p=20)
+        rep = plan_report(sinr, [0, 0, 1], tau_p=20)
         assert evaluation.se_user(np.ones(1), tau_p=20) == pytest.approx([0.9])
         assert np.allclose(rep.se_user, 0.9 * np.log2(1 + sinr))
         assert rep.se_group[0] == pytest.approx(0.9 * np.log2(2.0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cfmcast import grouping
+from cfmcast import grouping, pilots
 
 from conftest import random_partition
 
@@ -34,21 +34,36 @@ def relabel_match(a, b):
     return len(set(mapping.values())) == len(mapping)
 
 
+def label_plan(group_of, n_groups):
+    """A one-pilot, one-AP service plan of the labels ``group_of`` over ``n_groups`` groups."""
+    return pilots.PilotPlan(1, group_of, np.zeros(n_groups, dtype=int), np.ones((1, n_groups), dtype=bool))
+
+
 class TestAssignment:
+    """The partition's members, sizes and checks, which the service plan derives and makes."""
+
     def test_members_partition_users(self, rng):
-        parts = random_partition(rng, 20, 6)
-        all_members = np.sort(np.concatenate(parts.members))
+        plan = label_plan(random_partition(rng, 20, 6), 6)
+        all_members = np.sort(np.concatenate(plan.members))
         assert np.array_equal(all_members, np.arange(20))
-        assert parts.sizes.sum() == 20
-        assert np.all(parts.sizes >= 1)
+        for g, members in enumerate(plan.members):
+            assert np.all(plan.group_of[members] == g)
+        assert plan.sizes.sum() == 20
+        assert np.all(plan.sizes >= 1)
 
     def test_rejects_empty_group(self):
-        with pytest.raises(ValueError):
-            grouping.GroupAssignment(group_of=np.array([0, 0, 2]), n_groups=3)
+        with pytest.raises(ValueError, match="at least one member"):
+            label_plan(np.array([0, 0, 2]), 3)
+        with pytest.raises(ValueError, match="at least one member"):
+            pilots.assign_pilots_and_cluster(np.ones((2, 3)), np.array([0, 0, 2]), 1)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            grouping.GroupAssignment(group_of=np.array([0, 3]), n_groups=3)
+        with pytest.raises(ValueError, match="out of range"):
+            label_plan(np.array([0, 3]), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            label_plan(np.array([0, -1, 1]), 2)
+        with pytest.raises(ValueError, match="1-D"):
+            label_plan(np.zeros((2, 1), dtype=int), 1)
 
 
 class TestFingerprints:
@@ -69,23 +84,22 @@ class TestKMeans:
 
     def test_valid_partition(self, rng):
         beta = 10.0 ** rng.normal(-8, 1.0, size=(5, 25))
-        parts = grouping.kmeans_subgroups(beta, 7, np.random.default_rng(0))
-        assert parts.n_groups == 7
-        assert parts.sizes.sum() == 25
-        assert np.all(parts.sizes >= 1)
+        labels = grouping.kmeans_subgroups(beta, 7, np.random.default_rng(0))
+        assert labels.shape == (25,)
+        assert np.array_equal(np.unique(labels), np.arange(7))
 
     def test_deterministic_given_seed(self, rng):
         beta = 10.0 ** rng.normal(-8, 1.0, size=(5, 25))
         a = grouping.kmeans_subgroups(beta, 4, np.random.default_rng(42))
         b = grouping.kmeans_subgroups(beta, 4, np.random.default_rng(42))
-        assert np.array_equal(a.group_of, b.group_of)
+        assert np.array_equal(a, b)
 
     def test_degenerate_counts(self, rng):
         beta = 10.0 ** rng.normal(-8, 1.0, size=(4, 10))
         one = grouping.kmeans_subgroups(beta, 1, np.random.default_rng(0))
-        assert np.all(one.group_of == 0)
+        assert np.all(one == 0)
         full = grouping.kmeans_subgroups(beta, 10, np.random.default_rng(0))
-        assert np.array_equal(np.sort(full.group_of), np.arange(10))
+        assert np.array_equal(np.sort(full), np.arange(10))
 
     def test_rejects_bad_group_count(self, rng):
         beta = np.ones((3, 5))
@@ -100,8 +114,8 @@ class TestKMeans:
         centers[1] = centers[0] + 40.0
         centers[2] = centers[0] - 40.0
         beta, truth = blob_beta(rng, 8, centers, per_blob=6)
-        parts = grouping.kmeans_subgroups(beta, 3, np.random.default_rng(1))
-        assert relabel_match(truth, parts.group_of)
+        labels = grouping.kmeans_subgroups(beta, 3, np.random.default_rng(1))
+        assert relabel_match(truth, labels)
 
     def test_uniform_gain_scaling_invariance(self, rng):
         # scaling every gain by one factor shifts all fingerprints equally in
@@ -109,7 +123,7 @@ class TestKMeans:
         beta = 10.0 ** rng.normal(-8, 1.0, size=(5, 20))
         a = grouping.kmeans_subgroups(beta, 4, np.random.default_rng(3))
         b = grouping.kmeans_subgroups(1e3 * beta, 4, np.random.default_rng(3))
-        assert np.array_equal(a.group_of, b.group_of)
+        assert np.array_equal(a, b)
 
     def test_clustered_deployment_recovery_rate(self):
         # co-located hotspot users share a fingerprint up to shadowing; the
@@ -125,8 +139,8 @@ class TestKMeans:
             aps = geometry.place_uniform(20, 1000.0, rng)
             shadow = geometry.sample_shadowing(pos, 20, 1000.0, rng)
             beta = geometry.large_scale_matrix(aps, pos, 1000.0, shadow)
-            parts = grouping.kmeans_subgroups(beta, 10, np.random.default_rng(1000 + seed))
-            if relabel_match(truth, parts.group_of):
+            labels = grouping.kmeans_subgroups(beta, 10, np.random.default_rng(1000 + seed))
+            if relabel_match(truth, labels):
                 hits += 1
         assert hits >= 0.95 * n_trials
 
@@ -136,16 +150,14 @@ class TestMakePlan:
         # one group per MS is the identity partition in MS order, without k-means
         beta = np.ones((3, 7))
         gen = np.random.default_rng(0)
-        parts = grouping.make_plan(beta, gen, 7)
-        assert parts.n_groups == 7
-        assert np.array_equal(parts.group_of, np.arange(7))
+        labels = grouping.make_plan(beta, gen, 7)
+        assert np.array_equal(labels, np.arange(7))
         assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_single(self):
         beta = np.ones((3, 7))
-        parts = grouping.make_plan(beta, np.random.default_rng(0), 1)
-        assert parts.n_groups == 1
-        assert np.all(parts.group_of == 0)
+        labels = grouping.make_plan(beta, np.random.default_rng(0), 1)
+        assert np.array_equal(labels, np.zeros(7))
 
     def test_subgroup_requires_count(self):
         beta = np.ones((3, 7))

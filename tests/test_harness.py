@@ -192,11 +192,11 @@ class TestSnapshot:
         pipe = build_pipeline(cfg)
         plan = pipe.plan
         if precoder == "ipmmse":
-            w, power_scale, per_ap_power = ipmmse_with_power(pipe.estimates, pipe.stats, plan, pipe.parts)
+            w, power_scale, per_ap_power = ipmmse_with_power(pipe.estimates, pipe.stats, plan)
         else:
             w = precoding.cb_precoders(pipe.estimates, pipe.stats, plan)
             power_scale = np.ones(plan.n_groups)
-        _, _, sinr, _ = sinr_terms(pipe.channels, w, power_scale, plan, pipe.parts.group_of)
+        _, _, sinr, _ = sinr_terms(pipe.channels, w, power_scale, plan, pipe.plan.group_of)
         res = harness.run_snapshot(cfg, 0)
         assert np.array_equal(sinr, res.report.sinr)
         if precoder == "ipmmse":
@@ -361,7 +361,7 @@ class TestCampaign:
         harness.run_campaign(cfg.with_overrides(snapshots=3), workers=2)
         assert sizes == [2, 2]
 
-    def test_default_workers_env(self):
+    def test_zero_workers_raise(self):
         with pytest.raises(ConfigError):
             harness.run_campaign(tiny_campaign_config(), workers=0)
 
@@ -442,6 +442,35 @@ class TestOutputs:
         assert payload["completed"] == [{"snapshot": 0}]
 
 
+# a valid one-snapshot JSON config and preset arguments
+_SMALL = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "snapshots": 1, "realizations": 8}
+_DESK = ("--preset", "desk_uniform", "--snapshots", "2", "--realizations", "8")
+
+# id: (the --config file's JSON object or raw bytes, or None for no file;
+# further arguments; an excerpt of the error message); the CLI runs in an empty
+# directory, so nope.json does not exist
+EXIT_TWO = {
+    "bad_key": ({"n_aps": 4, "bogus_key": 1}, (), "unknown config keys: ['bogus_key']"),
+    # a UTF-16 byte-order mark does not decode as UTF-8
+    "non_utf8": (b"\xff\xfe" + json.dumps({"n_groups": 4}).encode("utf-16-le"), (), "is not valid UTF-8 JSON"),
+    "n_groups_str": (dict(_SMALL, n_groups="4"), (), "must be of type"),
+    "cluster_side_m_str": (dict(_SMALL, clusters=3, cluster_side_m="10"), (), "must be of type"),
+    "realizations_float": (dict(_SMALL, realizations=8.5), (), "must be of type"),
+    # the layout is the flat clusters / cluster_side_m pair; the old nested key is unknown
+    "nested_deployment_object": (
+        dict(_SMALL, deployment={"kind": "clustered", "clusters": 3, "cluster_side_m": 10.0}),
+        (),
+        "unknown config keys: ['deployment']",
+    ),
+    "nested_deployment_null": (dict(_SMALL, deployment=None), (), "unknown config keys: ['deployment']"),
+    # kappa is fixed in code: a config that sets it, in range or not, names an unknown key
+    "kappa": (dict(_SMALL, kappa=-5.0), (), "unknown config keys: ['kappa']"),
+    "negative_seed": (None, _DESK + ("--seed", "-1", "--workers", "2"), "master_seed must be non-negative"),
+    "missing_file": (None, ("--config", "nope.json"), "No such file or directory"),
+    "zero_workers": (None, _DESK + ("--workers", "0"), "workers must be at least 1"),
+}
+
+
 class TestCli:
     def run_cli(self, *argv):
         return cli.main(list(argv))
@@ -481,65 +510,17 @@ class TestCli:
         assert report["config"]["master_seed"] == 5
         assert report["config"]["sum_convention"] == "per_group"
 
-    def test_bad_config_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n_aps": 4, "bogus_key": 1}))
-        assert self.run_cli("--config", str(path)) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
-        # a UTF-16 byte-order mark does not decode as UTF-8
-        path = tmp_path / "cfg.json"
-        path.write_bytes(b"\xff\xfe" + json.dumps({"n_groups": 4}).encode("utf-16-le"))
-        out = tmp_path / "run"
-        assert self.run_cli("--config", str(path), "--out", str(out)) == 2
-        assert "is not valid UTF-8 JSON" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "override", [{"n_groups": "4"}, {"cluster_side_m": "10"}, {"realizations": 8.5}], ids=str
-    )
-    def test_wrong_typed_config_exits_two(self, tmp_path, capsys, override):
-        data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "snapshots": 1, "realizations": 8}
-        if "cluster_side_m" in override:
-            data["clusters"] = 3
-        data.update(override)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(data))
-        out = tmp_path / "run"
-        assert self.run_cli("--config", str(path), "--out", str(out)) == 2
-        assert "must be of type" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "deployment", [{"kind": "clustered", "clusters": 3, "cluster_side_m": 10.0}, None], ids=["object", "null"]
-    )
-    def test_nested_deployment_config_exits_two(self, tmp_path, capsys, deployment):
-        # the layout is the flat clusters / cluster_side_m pair; the old nested key is unknown
-        data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "snapshots": 1, "realizations": 8, "deployment": deployment}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(data))
-        out = tmp_path / "run"
-        assert self.run_cli("--config", str(path), "--out", str(out)) == 2
-        assert "unknown config keys: ['deployment']" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_fixed_system_model_key_exits_two(self, tmp_path, capsys):
-        # kappa is fixed in code: a config that sets it, in range or not, names an unknown key
-        data = {"n_ms": 12, "n_aps": 6, "n_groups": 4, "kappa": -5.0, "snapshots": 1, "realizations": 8}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(data))
-        out = tmp_path / "run"
-        assert self.run_cli("--config", str(path), "--out", str(out)) == 2
-        assert "unknown config keys: ['kappa']" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_seed_exits_two(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        args = ("--preset", "desk_uniform", "--snapshots", "2", "--realizations", "8", "--out", str(out))
-        assert self.run_cli(*args, "--seed", "-1", "--workers", "2") == 2
-        assert "master_seed must be non-negative" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("case", EXIT_TWO.values(), ids=EXIT_TWO.keys())
+    def test_bad_input_exits_two_creating_nothing(self, tmp_path, monkeypatch, capsys, case):
+        config, args, message = case
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            raw = config if isinstance(config, bytes) else json.dumps(config).encode()
+            (tmp_path / "cfg.json").write_bytes(raw)
+            args = ("--config", "cfg.json") + args
+        assert self.run_cli(*args, "--out", "run") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_non_finite_powers_fail_the_campaign(self, tmp_path, capsys, monkeypatch):
         # nu = 50 underflows every fractional power weight to zero, and the
@@ -555,16 +536,6 @@ class TestCli:
         assert partial["failed_snapshot"] == 0 and partial["completed"] == []
         assert not (out / "cdf.csv").exists()
         assert not (out / "report.json").exists()
-
-    def test_missing_config_file_exits_two(self, tmp_path):
-        assert self.run_cli("--config", str(tmp_path / "nope.json")) == 2
-
-    def test_bad_worker_count_exits_two(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        args = ("--preset", "desk_uniform", "--snapshots", "1", "--out", str(out))
-        assert self.run_cli(*args, "--workers", "0") == 2
-        assert "workers" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
     def test_out_not_a_directory_exits_two_before_the_campaign(self, tmp_path, monkeypatch, capsys, under):

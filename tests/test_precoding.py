@@ -58,7 +58,7 @@ class TestIpmmseDirection:
         assert any(
             np.any(~plan.serving_mask[np.ix_(plan.serving[g], plan.s_set[g])]) for g in range(plan.n_groups)
         )
-        w = precoding.ipmmse_directions(pipe.estimates, pipe.stats, plan, pipe.parts)
+        w = precoding.ipmmse_directions(pipe.estimates, pipe.stats, plan)
         for g, aps in enumerate(plan.serving):
             got = w[:, plan.pair_of[aps, g]].reshape(cfg.realizations, -1)
             want = oracle_direction(pipe, g)
@@ -146,7 +146,7 @@ class TestIpmmseDirection:
         # update of the identity, so the solution is parallel to the estimate
         n_ant, t_total = 2, 5
         serving_mask = np.ones((2, 1), dtype=bool)
-        plan = pilots.PilotPlan(1, np.array([0]), serving_mask)
+        plan = pilots.PilotPlan(1, np.zeros(3, dtype=int), np.array([0]), serving_mask)
         r = np.eye(n_ant, dtype=complex)[None, None].repeat(2, axis=0)
         stats = SimpleNamespace(r_comp=r.copy(), est_cov=r.copy())
         # virtual power 0.1 * 3^2 / (2 * 0.1) and noise 1e-3: the table's only
@@ -253,7 +253,7 @@ class TestCentralizedPipeline:
         cfg = small_config(realizations=25)
         pipe = build_pipeline(cfg)
         plan = pipe.plan
-        dirs, scale, per_ap_power = ipmmse_with_power(pipe.estimates, pipe.stats, plan, pipe.parts)
+        dirs, scale, per_ap_power = ipmmse_with_power(pipe.estimates, pipe.stats, plan)
         ap_norms = [
             np.mean(np.sum(np.abs(dirs[:, plan.pair_of[aps, g]]) ** 2, axis=2), axis=0)
             for g, aps in enumerate(plan.serving)
