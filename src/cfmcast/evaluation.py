@@ -15,10 +15,9 @@ import numpy as np
 from .config import NOISE_W, TAU_C
 from .errors import NumericalError, StatsError
 
-# SinrAccumulator.update works through a chunk in dense precoder blocks of at
-# most GROUP_BLOCK groups, a slab of realizations at a time; a slab's block
-# (t, L·N, B) and its products (t, K, B) hold at most BLOCK_ELEMENTS entries each
-GROUP_BLOCK = 64
+# SinrAccumulator.update works through a chunk a slab of realizations at a
+# time; a slab's dense precoder block (t, L·N, G) and its products (t, K, G)
+# hold at most BLOCK_ELEMENTS entries each
 BLOCK_ELEMENTS = 1 << 18
 
 
@@ -49,28 +48,25 @@ class SinrAccumulator:
         self.count = 0
 
     def update(self, channels: np.ndarray, precoders: np.ndarray, plan) -> None:
-        """Add one chunk of matched (T, K, L, N) channel and (T, P, N) precoder realizations.
+        """Add one chunk of matched (T, K, L, N) channel and (T, P + 1, N) precoder realizations.
 
-        Per slab of realizations and block of GROUP_BLOCK groups, the
-        conjugated precoders fill a dense (t, L, N, B) block, zero where an AP
-        does not serve a group (through plan.pair_of and a trailing zero row),
-        so one batched matmul with the channels viewed without a copy as
-        (t, K, L·N) gives conj(h_kᴴ w_g).  Slabs hold at most BLOCK_ELEMENTS
-        entries, at least one realization, so no temporary grows with T.
+        Per slab of realizations, the conjugated precoders fill a dense
+        (t, L, N, G) block through plan.pair_of, whose unserved pairs read the
+        precoders' zero last row, so one batched matmul with the channels
+        viewed without a copy as (t, K, L·N) gives conj(h_kᴴ w_g).  Slabs hold
+        at most BLOCK_ELEMENTS entries, at least one realization, so no
+        temporary grows with T.
         """
         n_real, n_ms, n_aps, n_ant = channels.shape
         flat = channels.reshape(n_real, n_ms, -1)
         antennas = np.arange(n_ant)[:, None]
-        step = max(1, BLOCK_ELEMENTS // (max(n_aps * n_ant, n_ms) * min(plan.n_groups, GROUP_BLOCK)))
+        step = max(1, BLOCK_ELEMENTS // (max(n_aps * n_ant, n_ms) * plan.n_groups))
         for t0 in range(0, n_real, step):
-            w = precoders[t0 : t0 + step]
-            padded = np.concatenate([np.conj(w), np.zeros_like(w[:, :1])], axis=1)
-            for g0 in range(0, plan.n_groups, GROUP_BLOCK):
-                blk = slice(g0, g0 + GROUP_BLOCK)
-                block = padded[:, plan.pair_of[:, None, blk], antennas]  # (t, L, N, B)
-                a_conj = flat[t0 : t0 + step] @ block.reshape(len(w), n_aps * n_ant, -1)
-                self.sum_a[:, blk] += np.conj(a_conj.sum(axis=0))
-                self.sum_a2[:, blk] += np.sum(np.abs(a_conj) ** 2, axis=0)
+            w = np.conj(precoders[t0 : t0 + step])
+            block = w[:, plan.pair_of[:, None, :], antennas]  # (t, L, N, G)
+            a_conj = flat[t0 : t0 + step] @ block.reshape(len(w), n_aps * n_ant, -1)
+            self.sum_a += np.conj(a_conj.sum(axis=0))
+            self.sum_a2 += np.sum(np.abs(a_conj) ** 2, axis=0)
         self.count += n_real
 
     def finalize(self, power_scale: np.ndarray, group_of: np.ndarray):

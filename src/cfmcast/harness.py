@@ -166,7 +166,7 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
         del y
         if centralized:
             w = precoding.ipmmse_directions(estimates, stats, plan)
-            sq_norm_sums[plan.pair_ap, plan.pair_group] += np.sum(np.abs(w) ** 2, axis=(0, 2))
+            sq_norm_sums[plan.pair_ap, plan.pair_group] += np.sum(np.abs(w[:, :-1]) ** 2, axis=(0, 2))
         else:
             w = precoding.cb_precoders(estimates, stats, plan)
         del estimates

@@ -1,26 +1,27 @@
 """Multicast precoders: centralized improved partial MMSE (IP-MMSE) and
 distributed conjugate beamforming (CB).
 
-Precoder realizations use the plan's served-pair layout: a (T, P, N) array
-whose row p is the part of group ``plan.pair_group[p]``'s precoder transmitted
-by AP ``plan.pair_ap[p]``.  The centralized precoder regularizes each group's
-composite estimate against the estimates of its interference neighborhood S_g
-(the groups sharing a serving AP) and a deterministic regularizer: per
-serving AP, the error covariances r_comp - est_cov of S_g and the full
-composite covariances of every other group, weighted by their virtual powers,
-plus noise.  That is one full-load table built once per call, noise plus every
-group's weighted r_comp per AP, minus the weighted est_cov of S_g.  Each
-realization's system matrix is block diagonal plus rank |S_g|, solved in its
-smaller dimension: as a dense n x n system when the serving dimension
-n = |L_g| N is at most |S_g|, by the Woodbury identity in |S_g| dimensions
-otherwise.
+Precoder realizations use the estimates' served-pair layout: a (T, P + 1, N)
+array whose row p is the part of group ``plan.pair_group[p]``'s precoder
+transmitted by AP ``plan.pair_ap[p]``, and whose last row, the one
+``plan.pair_of`` points unserved pairs to, is zero.  The centralized precoder
+regularizes each group's composite estimate against the estimates of its
+interference neighborhood S_g (the groups sharing a serving AP) and a
+deterministic regularizer: per serving AP, the error covariances
+r_comp - est_cov of S_g and the full composite covariances of every other
+group, weighted by their virtual powers, plus noise.  That is one full-load
+table built once per call, noise plus every group's weighted r_comp per AP,
+minus the weighted est_cov of S_g.  Each realization's system matrix is block
+diagonal plus rank |S_g|, solved in its smaller dimension: as a dense n x n
+system when the serving dimension n = |L_g| N is at most |S_g|, by the
+Woodbury identity in |S_g| dimensions otherwise.
 ``ipmmse_direction`` returns one group's unnormalized directions and
 ``ipmmse_directions`` lays every group's out over the served pairs; the caller
-sums their squared norms per served pair into an (L, G) table, which
-``centralized_power`` turns into the per-group scale and per-AP radiated power
-under the centralized fractional rule.  The distributed precoder scales each
-serving AP's own estimate with a closed-form normalization and a per-AP
-fractional split.
+sums their squared norms per served pair, the rows ``[:-1]``, into an (L, G)
+table, which ``centralized_power`` turns into the per-group scale and per-AP
+radiated power under the centralized fractional rule.  The distributed
+precoder scales each serving AP's own estimate with a closed-form
+normalization and a per-AP fractional split.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def ipmmse_direction(
 
 
 def ipmmse_directions(estimates: np.ndarray, stats, plan) -> np.ndarray:
-    """Unnormalized centralized directions of every group over the served pairs, (T, P, N).
+    """Unnormalized centralized directions of every group over the served pairs, (T, P + 1, N).
 
     The virtual group powers scale with GROUP_POWER_W over the pilot energy
     tau_p * PILOT_POWER_W, tau_p being the plan's pilot count.
@@ -109,7 +110,7 @@ def ipmmse_directions(estimates: np.ndarray, stats, plan) -> np.ndarray:
     coef = GROUP_POWER_W * sizes**2 / (plan.n_pilots * PILOT_POWER_W)
     loaded = NOISE_W * np.eye(n_ant) + np.einsum("g,lgab->lab", coef, stats.r_comp)
     leads = np.sqrt(GROUP_POWER_W / (plan.n_pilots * PILOT_POWER_W)) * sizes
-    w = np.empty((n_real, plan.pair_ap.size, n_ant), dtype=complex)
+    w = np.zeros((n_real, plan.pair_ap.size + 1, n_ant), dtype=complex)
     for g, aps in enumerate(plan.serving):
         w[:, plan.pair_of[aps, g]] = ipmmse_direction(
             estimates, stats, plan, coef, g, loaded, leads[g]
@@ -191,7 +192,7 @@ def apa_power(trace_r_comp: np.ndarray, plan) -> np.ndarray:
 
 
 def cb_precoders(estimates: np.ndarray, stats, plan) -> np.ndarray:
-    """Conjugate beamforming from local estimates with closed-form scaling, (T, P, N).
+    """Conjugate beamforming from local estimates with closed-form scaling, (T, P + 1, N).
 
     Each serving AP transmits its own composite estimate normalized by the
     analytic mean squared norm tr(est_cov) and weighted by its fractional
@@ -201,4 +202,5 @@ def cb_precoders(estimates: np.ndarray, stats, plan) -> np.ndarray:
     pairs = (plan.pair_ap, plan.pair_group)
     rho = apa_power(stats.trace_r_comp, plan)[pairs]
     est_norm = np.einsum("lgii->lg", stats.est_cov).real[pairs]
-    return np.sqrt(rho / est_norm)[:, None] * estimates[:, :-1]
+    # the estimates' zero last row stays zero
+    return np.append(np.sqrt(rho / est_norm), 0.0)[:, None] * estimates

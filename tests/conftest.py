@@ -182,7 +182,7 @@ def composite_channels(channels: np.ndarray, plan, tau_p: int, pilot_power_w: fl
 
 
 def sinr_terms(channels, w, power_scale, plan, group_of):
-    """One-shot hardening-bound SINR from matched channel and (T, P, N) precoder realizations."""
+    """One-shot hardening-bound SINR from matched channel and (T, P + 1, N) precoder realizations."""
     acc = evaluation.SinrAccumulator(channels.shape[1], plan.n_groups)
     acc.update(channels, w, plan)
     return acc.finalize(power_scale, group_of)
@@ -192,7 +192,7 @@ def received_products(channels, w, plan):
     """Received inner products a_kg = sum over serving APs of h_klᴴ w_lg, (T, K, G).
 
     One einsum per group over its serving APs' slice of the (T, K, L, N)
-    channels and the (T, P, N) precoders.
+    channels and the (T, P + 1, N) precoders.
     """
     return np.stack(
         [
@@ -297,12 +297,12 @@ def ipmmse_with_power(estimates, stats, plan):
     """IP-MMSE directions of every group, normalized over all realizations.
 
     Returns (directions, power_scale, per_ap_power), with ``directions`` a
-    (T, P, N) array over the plan's served pairs; the assembly and the power
+    (T, P + 1, N) array over the plan's served pairs; the assembly and the power
     step are the ones the harness runs.
     """
     w = precoding.ipmmse_directions(estimates, stats, plan)
     sums = np.zeros(plan.serving_mask.shape)
-    sums[plan.pair_ap, plan.pair_group] = np.sum(np.abs(w) ** 2, axis=(0, 2))
+    sums[plan.pair_ap, plan.pair_group] = np.sum(np.abs(w[:, :-1]) ** 2, axis=(0, 2))
     power_scale, per_ap_power = precoding.centralized_power(sums, w.shape[0], stats, plan)
     return w, power_scale, per_ap_power
 

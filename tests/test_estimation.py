@@ -133,6 +133,13 @@ class TestEstimatorOracle:
                 np.zeros(2, dtype=complex), np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex), 1
             )
 
+    def test_singular_gamma_in_composite_stats_raises(self, monkeypatch):
+        # zero member covariances and no noise leave both used pilots' Γ zero
+        monkeypatch.setattr(estimation, "NOISE_W", 0.0)
+        r = np.zeros((2, 3, 2, 2), dtype=complex)
+        with pytest.raises(NumericalError, match="observation covariance solve failed"):
+            estimation.composite_stats(r, hand_plan([0, 1, 0], [0, 1], 3, 2))
+
 
 class TestPilotProjection:
     def test_zero_noise_reconstruction(self, rng, monkeypatch):

@@ -21,9 +21,10 @@ def scalar_cb_setup(t_total, beta, rho, seed):
     """Single AP, one antenna, one user, perfect-knowledge CB precoder."""
     rng = np.random.default_rng(seed)
     h = np.sqrt(beta / 2) * (rng.standard_normal(t_total) + 1j * rng.standard_normal(t_total))
-    w = np.sqrt(rho) * h / np.sqrt(beta)
+    w = np.zeros((t_total, 2, 1), dtype=complex)  # the one served pair, then the zero row
+    w[:, 0, 0] = np.sqrt(rho) * h / np.sqrt(beta)
     plan = pilots.PilotPlan(1, np.array([0]), np.array([0]), np.array([[True]]))
-    return h.reshape(t_total, 1, 1, 1), w.reshape(t_total, 1, 1), plan
+    return h.reshape(t_total, 1, 1, 1), w, plan
 
 
 class TestScalarOracle:
@@ -66,24 +67,23 @@ class TestAccumulator:
         assert np.allclose(r1[2], r2[2], rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "n_groups, group_block, block_elements",
+        "n_groups, block_elements",
         [
-            (4, evaluation.GROUP_BLOCK, evaluation.BLOCK_ELEMENTS),
-            (12, 5, evaluation.BLOCK_ELEMENTS),
-            (12, 5, 7 * 12 * 5),
+            (4, evaluation.BLOCK_ELEMENTS),
+            (12, evaluation.BLOCK_ELEMENTS),
+            (12, 7 * 12 * 12),
         ],
-        ids=["one_block", "unicast_split_blocks", "unicast_split_blocks_and_slabs"],
+        ids=["one_block", "unicast_one_block", "unicast_split_slabs"],
     )
-    def test_matches_per_group_oracle(self, monkeypatch, n_groups, group_block, block_elements):
+    def test_matches_per_group_oracle(self, monkeypatch, n_groups, block_elements):
         cfg = small_config(n_groups=n_groups, realizations=30)
         pipe = build_pipeline(cfg)
         plan = pipe.plan
-        # the unicast plan's 12 groups split into blocks of 5, 5 and 2; a block
-        # of 5 spans max(L·N, K) · 5 = 12 · 5 entries per realization, so the
-        # smallest bound takes the 30 realizations in slabs of 7, 7, 7, 7 and 2
-        assert (plan.n_groups > group_block) == (n_groups == cfg.n_ms)
+        # the unicast plan's block of 12 groups spans max(L·N, K) · 12 = 12 · 12
+        # entries per realization, so the smallest bound takes the 30
+        # realizations in slabs of 7, 7, 7, 7 and 2
+        assert plan.n_groups == n_groups
         assert max(cfg.n_aps * cfg.n_antennas, cfg.n_ms) == 12
-        monkeypatch.setattr(evaluation, "GROUP_BLOCK", group_block)
         monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", block_elements)
         cb = precoding.cb_precoders(pipe.estimates, pipe.stats, plan)
         ip, _, _ = ipmmse_with_power(pipe.estimates, pipe.stats, plan)
@@ -112,10 +112,9 @@ class TestAccumulator:
             [np.einsum("ab,tkb->tka", qs[l], pipe.channels[:, :, l]) for l in range(cfg.n_aps)],
             axis=2,
         )
-        pre_rot = np.stack(
-            [np.einsum("ab,tb->ta", qs[l], pre[:, p]) for p, l in enumerate(plan.pair_ap)],
-            axis=1,
-        )
+        pre_rot = pre.copy()  # the zero last row stays zero
+        for p, l in enumerate(plan.pair_ap):
+            pre_rot[:, p] = np.einsum("ab,tb->ta", qs[l], pre[:, p])
         _, _, sinr_rot, _ = sinr_terms(channels_rot, pre_rot, unit, plan, pipe.plan.group_of)
         assert np.allclose(sinr, sinr_rot, rtol=1e-9)
 

@@ -101,6 +101,31 @@ class TestKMeans:
         full = grouping.kmeans_subgroups(beta, 10, np.random.default_rng(0))
         assert np.array_equal(np.sort(full), np.arange(10))
 
+    def test_coincident_fingerprints_repair_empty_clusters(self, monkeypatch):
+        # three distinct fingerprints among nine MSs and five groups: k-means++
+        # seeds its last centroids with every point coincident with a chosen
+        # one, and the tied distances leave clusters empty, which the repair
+        # refills from clusters of two or more members
+        beta = np.repeat(10.0 ** np.array([[-8.0, -6.0, -7.0], [-6.0, -8.0, -7.5]]), 3, axis=1)
+        repair = grouping._repair_empty
+        counts = []
+
+        def spy(labels, features, centroids, n_groups):
+            before = np.bincount(labels, minlength=n_groups)
+            labels, centroids = repair(labels, features, centroids, n_groups)
+            counts.append((before, np.bincount(labels, minlength=n_groups)))
+            return labels, centroids
+
+        monkeypatch.setattr(grouping, "_repair_empty", spy)
+        labels = grouping.kmeans_subgroups(beta, 5, np.random.default_rng(7))
+        assert any(np.any(before == 0) for before, _ in counts)
+        for before, after in counts:
+            # every group is filled, and every donor had a member to spare
+            assert np.all(after >= 1)
+            assert np.all(before[after < before] >= 2)
+        assert np.array_equal(np.unique(labels), np.arange(5))
+        assert np.array_equal(labels, grouping.kmeans_subgroups(beta, 5, np.random.default_rng(7)))
+
     def test_rejects_bad_group_count(self, rng):
         beta = np.ones((3, 5))
         with pytest.raises(ValueError):

@@ -453,6 +453,9 @@ EXIT_TWO = {
     "bad_key": ({"n_aps": 4, "bogus_key": 1}, (), "unknown config keys: ['bogus_key']"),
     # a UTF-16 byte-order mark does not decode as UTF-8
     "non_utf8": (b"\xff\xfe" + json.dumps({"n_groups": 4}).encode("utf-16-le"), (), "is not valid UTF-8 JSON"),
+    # valid JSON that is not an object
+    "json_list": ([], (), "must hold a JSON object"),
+    "json_number": (3, (), "must hold a JSON object"),
     "n_groups_str": (dict(_SMALL, n_groups="4"), (), "must be of type"),
     "cluster_side_m_str": (dict(_SMALL, clusters=3, cluster_side_m="10"), (), "must be of type"),
     "realizations_float": (dict(_SMALL, realizations=8.5), (), "must be of type"),

@@ -125,6 +125,17 @@ class TestIpmmseDirection:
         err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert np.all(err <= 1e-10)
 
+    @pytest.mark.parametrize("excess", [0, 1], ids=["direct", "woodbury"])
+    def test_singular_system_raises(self, excess):
+        # zero estimates and zero regularizer blocks: the direct n x n system is
+        # zero at n <= |S_g|, and the Woodbury side cannot invert the blocks
+        n_aps, n_ant, n_real = 3, 2, 4
+        c = n_aps * n_ant - excess
+        v = np.zeros((n_real, c, n_aps * n_ant), dtype=complex)
+        d_blocks = np.zeros((n_aps, n_ant, n_ant), dtype=complex)
+        with pytest.raises(NumericalError, match="precoder system solve failed"):
+            precoding._ipmmse_solve(v, np.ones(c), 0, d_blocks, 1.0)
+
     @pytest.mark.parametrize("overrides, regime", REGIMES)
     def test_non_finite_estimate_raises(self, overrides, regime):
         cfg = small_config(realizations=6, **overrides)
@@ -248,6 +259,23 @@ class TestFractionalPower:
             precoding.fractional_power_centralized(np.array([1e-8, 2e-8]), np.array([1.0, 1.0]), plan)
 
 
+class TestServedPairLayout:
+    def test_precoders_keep_the_estimates_zero_row(self):
+        # the last row is the one plan.pair_of points unserved pairs to
+        cfg = small_config(realizations=5)
+        pipe = build_pipeline(cfg)
+        plan = pipe.plan
+        assert not plan.serving_mask.all()
+        for w in (
+            precoding.ipmmse_directions(pipe.estimates, pipe.stats, plan),
+            precoding.cb_precoders(pipe.estimates, pipe.stats, plan),
+        ):
+            assert w.shape == (cfg.realizations, plan.pair_ap.size + 1, cfg.n_antennas)
+            assert np.all(w[:, -1] == 0)
+            assert np.all(w[:, plan.pair_of[~plan.serving_mask]] == 0)
+            assert np.all(np.any(w[:, :-1] != 0, axis=2))
+
+
 class TestCentralizedPipeline:
     def test_audit_and_normalization_identity(self):
         cfg = small_config(realizations=25)
@@ -320,7 +348,7 @@ class TestConjugateBeamforming:
         pipe = build_pipeline(cfg)
         pre = precoding.cb_precoders(pipe.estimates, pipe.stats, pipe.plan)
         plan = pipe.plan
-        assert pre.shape == (cfg.realizations, plan.pair_ap.size, cfg.n_antennas)
+        assert pre.shape == (cfg.realizations, plan.pair_ap.size + 1, cfg.n_antennas)
         rho = precoding.apa_power(pipe.stats.trace_r_comp, plan)
         for p, (l, g) in enumerate(zip(plan.pair_ap, plan.pair_group)):
             mean_power = np.mean(np.sum(np.abs(pre[:, p]) ** 2, axis=1))
