@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .config import PRECODERS, SUM_CONVENTIONS, SystemConfig, preset
+from .config import PRECODERS, SystemConfig, preset
 from .errors import CampaignError, ConfigError
 from .harness import run_campaign, write_outputs, write_partial
 
@@ -29,7 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--realizations", type=int, help="override realizations per snapshot")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--workers", type=int, default=1, help="parallel snapshot workers (default 1)")
-    parser.add_argument("--sum-convention", choices=SUM_CONVENTIONS, help="override sum-SE pooling")
     parser.add_argument("--out", help="output directory (default: simout_<config hash>)")
     return parser
 
@@ -47,8 +46,6 @@ def resolve_config(args) -> SystemConfig:
         overrides["realizations"] = args.realizations
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.sum_convention is not None:
-        overrides["sum_convention"] = args.sum_convention
     if overrides:
         cfg = cfg.with_overrides(**overrides)
     return cfg
@@ -81,7 +78,7 @@ def main(argv=None) -> int:
     write_outputs(result, out_dir)
     print(
         f"{cfg.snapshots} snapshots, median sum SE "
-        f"{float(np.median(result.samples)):.3f} bit/s/Hz ({cfg.sum_convention}), "
+        f"{float(np.median(result.samples)):.3f} bit/s/Hz (per user), "
         f"outputs in {out_dir}"
     )
     return 0

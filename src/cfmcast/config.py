@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields, asdict, replace
 from .errors import ConfigError
 
 PRECODERS = ("ipmmse", "cb")
-SUM_CONVENTIONS = ("per_user", "per_group")
 
 # thermal noise in watts: -174 dBm/Hz over a 20 MHz band, plus a 7 dB noise figure
 NOISE_W = 10.0 ** ((-174.0 + 10.0 * math.log10(20e6) + 7.0 - 30.0) / 10.0)
@@ -81,9 +80,8 @@ class SystemConfig:
     # MS layout: uniform over the area, or clustered squares when clusters is set
     clusters: int | None = None  # each holds n_ms // clusters MSs
     cluster_side_m: float | None = None
-    # reproducibility and reporting
+    # reproducibility
     master_seed: int = 0
-    sum_convention: str = "per_user"
 
     def __post_init__(self):
         self.validate()
@@ -106,8 +104,6 @@ class SystemConfig:
             raise ConfigError(f"tau_p = {self.tau_p} cannot exceed tau_c = {TAU_C}")
         if self.precoder not in PRECODERS:
             raise ConfigError(f"precoder must be one of {PRECODERS}, got {self.precoder!r}")
-        if self.sum_convention not in SUM_CONVENTIONS:
-            raise ConfigError(f"sum_convention must be one of {SUM_CONVENTIONS}")
         if self.n_groups is None or not 1 <= self.n_groups <= self.n_ms:
             raise ConfigError(f"n_groups must lie in [1, n_ms], got {self.n_groups}")
         if self.master_seed < 0:
@@ -124,10 +120,15 @@ class SystemConfig:
 
     # --- derived quantities -------------------------------------------------
 
-    # perfbench/tracer.py reads the budget and exponent off the config of every traced snapshot
+    # perfbench/tracer.py reads the budget and exponent off the config of every traced
+    # snapshot, and perfbench/campaign.py the sum convention of a failed campaign
     @property
     def dl_power_w(self) -> float:
         return DL_POWER_W
+
+    @property
+    def sum_convention(self) -> str:
+        return "per_user"
 
     def resolved_nu(self) -> float:
         return NU[self.precoder]
@@ -150,7 +151,7 @@ class SystemConfig:
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ConfigError(f"config file {path} must hold a JSON object")
         return cls.from_dict(data)
 
     def config_hash(self) -> str:

@@ -75,7 +75,7 @@ class SnapshotResult:
 @dataclass
 class CampaignResult:
     config: SystemConfig
-    samples: np.ndarray  # (snapshots,) sum-SE under the configured convention
+    samples: np.ndarray  # (snapshots,) per-user sum SE
     cdf_values: np.ndarray
     cdf_probs: np.ndarray
     summaries: list
@@ -148,7 +148,7 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
     factors, plan, stats = snapshot_setup(cfg, index, dep)[1:]
     acc = evaluation.SinrAccumulator(cfg.n_ms, plan.n_groups)
     centralized = cfg.precoder == "ipmmse"
-    sq_norm_sums = np.zeros(plan.serving_mask.shape)
+    pair_sq_norms = np.zeros(plan.pair_ap.size)
 
     # a chunk's large arrays are dropped after their last reader, and its
     # buffer when the next chunk's is taken up: at most two buffers are alive;
@@ -166,14 +166,14 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
         del y
         if centralized:
             w = precoding.ipmmse_directions(estimates, stats, plan)
-            sq_norm_sums[plan.pair_ap, plan.pair_group] += np.sum(np.abs(w[:, :-1]) ** 2, axis=(0, 2))
+            pair_sq_norms += np.sum(np.abs(w[:, :-1]) ** 2, axis=(0, 2))
         else:
             w = precoding.cb_precoders(estimates, stats, plan)
         del estimates
         acc.update(channels, w, plan)
 
     if centralized:
-        power_scale, per_ap_power = precoding.centralized_power(sq_norm_sums, acc.count, stats, plan)
+        power_scale, per_ap_power = precoding.centralized_power(pair_sq_norms, acc.count, stats, plan)
     else:
         power_scale = np.ones(plan.n_groups)
         # every serving AP splits its whole budget over the groups it serves
@@ -229,7 +229,7 @@ def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
                     partial=summaries,
                     failed_snapshot=i,
                 ) from exc
-    samples = np.array([s[f"sum_se_{cfg.sum_convention}"] for s in summaries])
+    samples = np.array([s["sum_se_per_user"] for s in summaries])
     values, probs = empirical_cdf(samples)
     return CampaignResult(
         config=cfg,

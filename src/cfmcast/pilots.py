@@ -124,8 +124,6 @@ def _serve_starved(gains, pilot_of, incumbent, counts):
     queue = list(np.flatnonzero(counts == 0))
     while queue:
         g = queue.pop(0)
-        if counts[g] > 0:
-            continue
         t = pilot_of[g]
         order = np.argsort(-gains[:, g], kind="stable")
         target = next(

@@ -17,8 +17,8 @@ system when the serving dimension n = |L_g| N is at most |S_g|, by the
 Woodbury identity in |S_g| dimensions otherwise.
 ``ipmmse_direction`` returns one group's unnormalized directions and
 ``ipmmse_directions`` lays every group's out over the served pairs; the caller
-sums their squared norms per served pair, the rows ``[:-1]``, into an (L, G)
-table, which ``centralized_power`` turns into the per-group scale and per-AP
+sums their squared norms per served pair, the rows ``[:-1]``, and
+``centralized_power`` turns these sums into the per-group scale and per-AP
 radiated power under the centralized fractional rule.  The distributed
 precoder scales each serving AP's own estimate with a closed-form
 normalization and a per-AP fractional split.
@@ -151,19 +151,20 @@ def fractional_power_centralized(trace_sums: np.ndarray, omega: np.ndarray, plan
     return power / busiest
 
 
-def centralized_power(sq_norm_sums: np.ndarray, count: int, stats, plan) -> tuple[np.ndarray, np.ndarray]:
+def centralized_power(pair_sq_norms: np.ndarray, count: int, stats, plan) -> tuple[np.ndarray, np.ndarray]:
     """Power step of the centralized precoder: (power_scale, per_ap_power).
 
-    ``sq_norm_sums[l, g]`` is the squared norm of AP l's part of group g's
-    precoding direction summed over ``count`` normalization realizations,
-    zero where l does not serve g.  The transmit precoder is
+    ``pair_sq_norms[p]`` is the squared norm of AP ``plan.pair_ap[p]``'s part
+    of group ``plan.pair_group[p]``'s precoding direction summed over
+    ``count`` normalization realizations.  The transmit precoder is
     sqrt(power_scale[g]) times the direction, so its sample mean squared norm
     is the fractional power rho[g]; ``per_ap_power`` is the resulting mean
     radiated power per AP.
     """
     if count == 0:
         raise StatsError("cannot normalize over zero realizations")
-    ap_norms = sq_norm_sums / count
+    ap_norms = np.zeros(plan.serving_mask.shape)
+    ap_norms[plan.pair_ap, plan.pair_group] = pair_sq_norms / count
     omegas = omega_factor(ap_norms)
     norms = ap_norms.sum(axis=0)
     trace_sums = np.where(plan.serving_mask, stats.trace_r_comp, 0.0).sum(axis=0)

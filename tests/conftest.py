@@ -301,8 +301,7 @@ def ipmmse_with_power(estimates, stats, plan):
     step are the ones the harness runs.
     """
     w = precoding.ipmmse_directions(estimates, stats, plan)
-    sums = np.zeros(plan.serving_mask.shape)
-    sums[plan.pair_ap, plan.pair_group] = np.sum(np.abs(w[:, :-1]) ** 2, axis=(0, 2))
+    sums = np.sum(np.abs(w[:, :-1]) ** 2, axis=(0, 2))
     power_scale, per_ap_power = precoding.centralized_power(sums, w.shape[0], stats, plan)
     return w, power_scale, per_ap_power
 

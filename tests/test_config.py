@@ -29,6 +29,13 @@ class TestDerived:
         assert small_config(precoder="ipmmse").resolved_nu() == pytest.approx(-0.5)
         assert small_config(precoder="cb").resolved_nu() == pytest.approx(0.5)
 
+    def test_sum_convention_is_a_read_only_constant(self):
+        cfg = small_config()
+        assert cfg.sum_convention == "per_user"
+        assert "sum_convention" not in cfg.to_dict()
+        with pytest.raises(AttributeError):
+            cfg.sum_convention = "per_group"
+
 
 class TestValidation:
     def test_rejects_bad_frame(self):
@@ -42,8 +49,11 @@ class TestValidation:
             SystemConfig.from_dict({**small_config().to_dict(), "mode": "single"})
         with pytest.raises(ConfigError):
             small_config(precoder="zf")
-        with pytest.raises(ConfigError):
-            small_config(sum_convention="per_stream")
+        # every campaign samples the per-user sum SE; the former knob is an unknown key
+        with pytest.raises(ConfigError, match="sum_convention"):
+            SystemConfig.from_dict({**small_config().to_dict(), "sum_convention": "per_group"})
+        with pytest.raises(ConfigError, match="sum_convention"):
+            small_config().with_overrides(sum_convention="per_user")
 
     def test_subgroup_needs_count(self):
         for bad in (None, 0, 13):
@@ -99,7 +109,6 @@ class TestValidation:
             ("side_m", None),
             ("cluster_side_m", False),
             ("precoder", 1),
-            ("sum_convention", None),
         ],
     )
     def test_rejects_wrong_types(self, field, value):

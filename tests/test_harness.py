@@ -231,15 +231,11 @@ class TestCampaign:
         assert np.array_equal(serial.samples, parallel.samples)
         assert serial.summaries == parallel.summaries
 
-    def test_sum_convention_selects_samples(self):
-        cfg_u = tiny_campaign_config(sum_convention="per_user")
-        cfg_g = tiny_campaign_config(sum_convention="per_group")
-        ru = harness.run_campaign(cfg_u, workers=1)
-        rg = harness.run_campaign(cfg_g, workers=1)
-        per_user = [s["sum_se_per_user"] for s in ru.summaries]
-        per_group = [s["sum_se_per_group"] for s in rg.summaries]
-        assert np.allclose(np.sort(per_user), ru.cdf_values)
-        assert np.allclose(np.sort(per_group), rg.cdf_values)
+    def test_samples_are_per_user_sums(self):
+        result = harness.run_campaign(tiny_campaign_config(), workers=1)
+        per_user = np.array([s["sum_se_per_user"] for s in result.summaries])
+        assert np.array_equal(result.samples, per_user)
+        assert np.array_equal(result.cdf_values, np.sort(per_user))
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["in_process", "pool"])
     def test_abort_carries_prefix(self, monkeypatch, tmp_path, workers):
@@ -454,8 +450,8 @@ EXIT_TWO = {
     # a UTF-16 byte-order mark does not decode as UTF-8
     "non_utf8": (b"\xff\xfe" + json.dumps({"n_groups": 4}).encode("utf-16-le"), (), "is not valid UTF-8 JSON"),
     # valid JSON that is not an object
-    "json_list": ([], (), "must hold a JSON object"),
-    "json_number": (3, (), "must hold a JSON object"),
+    "json_list": ([], (), "config file cfg.json must hold a JSON object"),
+    "json_number": (3, (), "config file cfg.json must hold a JSON object"),
     "n_groups_str": (dict(_SMALL, n_groups="4"), (), "must be of type"),
     "cluster_side_m_str": (dict(_SMALL, clusters=3, cluster_side_m="10"), (), "must be of type"),
     "realizations_float": (dict(_SMALL, realizations=8.5), (), "must be of type"),
@@ -468,6 +464,8 @@ EXIT_TWO = {
     "nested_deployment_null": (dict(_SMALL, deployment=None), (), "unknown config keys: ['deployment']"),
     # kappa is fixed in code: a config that sets it, in range or not, names an unknown key
     "kappa": (dict(_SMALL, kappa=-5.0), (), "unknown config keys: ['kappa']"),
+    # every campaign samples the per-user sum SE: the former convention key is unknown
+    "sum_convention": (dict(_SMALL, sum_convention="per_group"), (), "unknown config keys: ['sum_convention']"),
     "negative_seed": (None, _DESK + ("--seed", "-1", "--workers", "2"), "master_seed must be non-negative"),
     "missing_file": (None, ("--config", "nope.json"), "No such file or directory"),
     "zero_workers": (None, _DESK + ("--workers", "0"), "workers must be at least 1"),
@@ -504,14 +502,14 @@ class TestCli:
         code = self.run_cli(
             "--preset", "desk_uniform", "--groups", "1", "--precoder", "cb",
             "--snapshots", "1", "--realizations", "15", "--seed", "5",
-            "--sum-convention", "per_group", "--workers", "1", "--out", str(out),
+            "--workers", "1", "--out", str(out),
         )
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["n_groups"] == 1
         assert report["config"]["precoder"] == "cb"
         assert report["config"]["master_seed"] == 5
-        assert report["config"]["sum_convention"] == "per_group"
+        assert "sum_convention" not in report["config"]
 
     @pytest.mark.parametrize("case", EXIT_TWO.values(), ids=EXIT_TWO.keys())
     def test_bad_input_exits_two_creating_nothing(self, tmp_path, monkeypatch, capsys, case):
@@ -568,3 +566,11 @@ class TestCli:
     def test_requires_exactly_one_source(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+    def test_sum_convention_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("--preset", "desk_uniform", "--sum-convention", "per_group", "--out", str(out))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sum-convention" in capsys.readouterr().err
+        assert not out.exists()

@@ -198,11 +198,13 @@ class TestNormsAndOmega:
         # one group on two APs: over two realizations the per-AP squared norms
         # sum to 1+0+1+4 = 6 and 9+16+4+0 = 29, so the mean norms are 3 and
         # 14.5 and omega = 14.5/17.5; at G=1 rho = P/omega
-        plan = SimpleNamespace(serving_mask=np.ones((2, 1), dtype=bool))
+        plan = SimpleNamespace(
+            serving_mask=np.ones((2, 1), dtype=bool), pair_ap=np.array([0, 1]), pair_group=np.array([0, 0])
+        )
         stats = SimpleNamespace(trace_r_comp=np.array([[1.0], [3.0]]))
         dirs = np.array([[1.0 + 0j, 0.0, 3.0, 4.0], [1.0, 2.0, 2.0, 0.0]]).reshape(2, 2, 2)
-        sums = np.sum(np.abs(dirs) ** 2, axis=(0, 2))[:, None]
-        assert sums[:, 0] == pytest.approx([6.0, 29.0])
+        sums = np.sum(np.abs(dirs) ** 2, axis=(0, 2))
+        assert sums == pytest.approx([6.0, 29.0])
         scale, per_ap = precoding.centralized_power(sums, 2, stats, plan)
         assert scale[0] == pytest.approx(0.2 / 14.5)
         assert per_ap == pytest.approx([0.2 * 3.0 / 14.5, 0.2])
