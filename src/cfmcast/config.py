@@ -191,20 +191,10 @@ def preset(name: str) -> SystemConfig:
             n_groups=40,
             precoder="ipmmse",
         ),
-        "desk_clustered": SystemConfig(
-            n_aps=25,
-            n_antennas=2,
-            n_ms=40,
-            tau_p=5,
-            side_m=500.0,
-            snapshots=50,
-            realizations=100,
-            n_groups=4,
-            precoder="cb",
-            clusters=4,
-            cluster_side_m=10.0,
-        ),
     }
+    presets["desk_clustered"] = presets["desk_uniform"].with_overrides(
+        tau_p=5, n_groups=4, precoder="cb", clusters=4, cluster_side_m=10.0
+    )
     if name not in presets:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(presets)}")
     return presets[name]

@@ -54,9 +54,7 @@ def _chunk_bounds(total: int, chunk: int = CHUNK):
 class SnapshotResult:
     index: int
     report: evaluation.SeReport
-    group_sizes: np.ndarray
     per_ap_power: np.ndarray  # (L,) mean radiated power
-    radiated_frac: float  # per_ap_power.sum() / (L * DL_POWER_W)
 
     def summary(self) -> dict:
         rep = self.report
@@ -67,8 +65,8 @@ class SnapshotResult:
             "min_user_se": float(rep.se_user.min()),
             "median_user_se": float(np.median(rep.se_user)),
             "clamped": rep.clamped,
-            "n_groups": int(self.group_sizes.size),
-            "radiated_frac": self.radiated_frac,
+            "n_groups": int(rep.se_group.size),
+            "radiated_frac": float(self.per_ap_power.sum() / (self.per_ap_power.size * DL_POWER_W)),
         }
 
 
@@ -76,12 +74,9 @@ class SnapshotResult:
 class CampaignResult:
     config: SystemConfig
     samples: np.ndarray  # (snapshots,) per-user sum SE
-    cdf_values: np.ndarray
-    cdf_probs: np.ndarray
     summaries: list
     wall_time_s: float
     workers: int
-    worker_blas_threads: int | None  # OpenBLAS threads snapshots ran at; None without a bundled OpenBLAS
 
 
 def empirical_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,9 +175,7 @@ def _run_snapshot(cfg: SystemConfig, index: int, drawer: ThreadPoolExecutor) -> 
         per_ap_power = precoding.apa_power(stats.trace_r_comp, plan).sum(axis=1)
 
     _, _, sinr, clamped = acc.finalize(power_scale, plan.group_of)
-    report = evaluation.build_report(sinr, clamped, plan)
-    radiated_frac = float(per_ap_power.sum() / (cfg.n_aps * DL_POWER_W))
-    return SnapshotResult(index, report, plan.sizes, per_ap_power, radiated_frac)
+    return SnapshotResult(index, evaluation.build_report(sinr, clamped, plan), per_ap_power)
 
 
 def _summary(job: tuple[SystemConfig, int]) -> dict:
@@ -191,7 +184,7 @@ def _summary(job: tuple[SystemConfig, int]) -> dict:
 
 
 def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
-    """Run all snapshots and pool their sum-SE samples into the CDF.
+    """Run all snapshots and pool their sum-SE samples.
 
     A worker count below 1 raises ConfigError.  Results are independent of
     the worker count.  A pool starts at most one process per snapshot; the
@@ -229,17 +222,12 @@ def run_campaign(cfg: SystemConfig, workers: int = 1) -> CampaignResult:
                     partial=summaries,
                     failed_snapshot=i,
                 ) from exc
-    samples = np.array([s["sum_se_per_user"] for s in summaries])
-    values, probs = empirical_cdf(samples)
     return CampaignResult(
         config=cfg,
-        samples=samples,
-        cdf_values=values,
-        cdf_probs=probs,
+        samples=np.array([s["sum_se_per_user"] for s in summaries]),
         summaries=summaries,
         wall_time_s=time.monotonic() - t0,
         workers=workers,
-        worker_blas_threads=1 if openblas.thread_counts() else None,
     )
 
 
@@ -249,14 +237,15 @@ def write_outputs(result: CampaignResult, out_dir: str) -> None:
     cdf_path = os.path.join(out_dir, "cdf.csv")
     with open(cdf_path, "w", encoding="utf-8") as fh:
         fh.write("sum_se_bps_hz,cdf\n")
-        for v, p in zip(result.cdf_values, result.cdf_probs):
+        for v, p in zip(*empirical_cdf(result.samples)):
             # repr of a Python float is the shortest exact round-trip form
             fh.write(f"{float(v)!r},{float(p)!r}\n")
     report = {
         "config": result.config.to_dict(),
         "config_hash": result.config.config_hash(),
         "workers": result.workers,
-        "worker_blas_threads": result.worker_blas_threads,
+        # every snapshot runs OpenBLAS on one thread; None without a bundled OpenBLAS
+        "worker_blas_threads": 1 if openblas.thread_counts() else None,
         "wall_time_s": result.wall_time_s,
         "snapshots": result.summaries,
         "diagnostics": {

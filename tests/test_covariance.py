@@ -138,6 +138,20 @@ class TestField:
         with pytest.raises(SynthesisError):
             covariance.covariance_field(beta, np.zeros((2, 2)), 2)
 
+    def test_clip_tolerance(self, rng):
+        # a negative eigenvalue past the tolerance raises; a rounding-sized one is clipped
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+
+        def field(w):
+            return ((u * np.asarray(w)) @ u.conj().T)[None, None]
+
+        with pytest.raises(SynthesisError, match="clip tolerance"):
+            covariance._clip_psd(field([-3e-6, 1, 1, 1]))
+        r = field([-3e-13, 1, 1, 1])
+        trace = np.trace(r[0, 0]).real
+        clipped = covariance._clip_psd(r)
+        assert np.linalg.eigvalsh(clipped).min() >= -1e-15 * trace
+
 
 class TestInPlace:
     """The in-place synthesis and the blocked MS-major factors give the
