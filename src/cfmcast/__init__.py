@@ -14,7 +14,7 @@ from .pilots import PilotPlan, assign_pilots_and_cluster
 from .estimation import CompositeStats, composite_stats
 from .precoding import cb_precoders
 from .evaluation import SeReport
-from .harness import CampaignResult, run_campaign, run_snapshot, write_outputs
+from .harness import CampaignResult, run_campaign, run_campaigns, run_snapshot, write_outputs
 
 __version__ = "0.1.0"
 
@@ -38,6 +38,7 @@ __all__ = [
     "make_plan",
     "preset",
     "run_campaign",
+    "run_campaigns",
     "run_snapshot",
     "write_outputs",
 ]

@@ -23,7 +23,9 @@ class CampaignError(RuntimeError):
     Attributes
     ----------
     partial : list
-        Per-snapshot summaries completed before the failure.
+        Per-snapshot summaries completed before the failure.  A campaign of
+        several configs (``run_campaigns``) lists them snapshot by snapshot,
+        and within a snapshot in the order of its configs.
     failed_snapshot : int
         Index of the snapshot whose execution raised.
     """

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from cfmcast import covariance, estimation, evaluation, geometry, harness, precoding
+from cfmcast import covariance, estimation, evaluation, harness, precoding
 from cfmcast.config import GROUP_POWER_W, NOISE_W, PILOT_POWER_W, SystemConfig
 from cfmcast.errors import NumericalError
 
@@ -107,18 +107,16 @@ def per_group_gamma(r_cov, plan) -> np.ndarray:
 
 def build_pipeline(cfg: SystemConfig, index: int = 0, n_real: int | None = None) -> SimpleNamespace:
     """Run the snapshot pipeline up to channel estimates and keep every stage."""
-    dep = geometry.build_deployment(
-        cfg,
-        harness.stage_rng(cfg.master_seed, index, "aps"),
-        harness.stage_rng(cfg.master_seed, index, "ms"),
-        harness.stage_rng(cfg.master_seed, index, "shadowing"),
-    )
-    setup = harness.snapshot_setup(cfg, index, dep)
+    dep, r_cov, factors = harness.deployment_setup(cfg, index)
+    plan, stats = harness.service_setup(cfg, index, dep.beta, r_cov)
     t = cfg.realizations if n_real is None else n_real
-    channels = draw_channels(setup.factors, t, harness.stage_rng(cfg.master_seed, index, "channels"))
-    y = estimation.project_pilots(channels, setup.plan, harness.stage_rng(cfg.master_seed, index, "pilot_noise"))
-    estimates = estimation.estimate_composites(y, setup.stats, setup.plan)
-    return SimpleNamespace(cfg=cfg, dep=dep, **setup._asdict(), channels=channels, y=y, estimates=estimates)
+    channels = draw_channels(factors, t, harness.stage_rng(cfg.master_seed, index, "channels"))
+    y = estimation.project_pilots(channels, plan, harness.stage_rng(cfg.master_seed, index, "pilot_noise"))
+    estimates = estimation.estimate_composites(y, stats, plan)
+    return SimpleNamespace(
+        cfg=cfg, dep=dep, r_cov=r_cov, factors=factors, plan=plan, stats=stats,
+        channels=channels, y=y, estimates=estimates,
+    )
 
 
 def random_partition(rng: np.random.Generator, n_ms: int, n_groups: int) -> np.ndarray:

@@ -41,10 +41,11 @@ def boot_frac(a, b, n_boot=2000, seed=0):
     return float(np.mean(np.median(a[idx], axis=1) > np.median(b[idx], axis=1)))
 
 
-def campaign_samples(cfg):
+def shape_samples(base, shapes: dict) -> dict:
+    """Per-user sum-SE samples of each labelled shape, from one campaign over all of them."""
     # criterion 6 holds pooled campaigns to the serial bytes
-    result = harness.run_campaign(cfg, workers=2)
-    return np.array([s["sum_se_per_user"] for s in result.summaries])
+    results = harness.run_campaigns([base.with_overrides(**over) for over in shapes.values()], workers=2)
+    return {label: result.samples for label, result in zip(shapes, results)}
 
 
 def test_criterion_1_estimation_oracle():
@@ -180,17 +181,17 @@ def test_criterion_4_uniform_desk_trend():
     """
     t0 = time.monotonic()
     base = preset("desk_uniform")
-    samples = {
-        label: campaign_samples(base.with_overrides(**over))
-        for label, over in {
+    samples = shape_samples(
+        base,
+        {
             "uni_ip": dict(),
             "uni_cb": dict(precoder="cb"),
             "sub_ip": dict(n_groups=10),
             "sub_cb": dict(n_groups=10, precoder="cb"),
             "one_ip": dict(n_groups=1),
             "one_cb": dict(n_groups=1, precoder="cb"),
-        }.items()
-    }
+        },
+    )
     comparisons = [
         ("uni_ip", "sub_ip"),
         ("uni_ip", "one_ip"),
@@ -219,9 +220,9 @@ def test_criterion_4_uniform_desk_trend():
 def test_criterion_5_clustered_desk_trend():
     t0 = time.monotonic()
     base = preset("desk_clustered")
-    samples = {
-        label: campaign_samples(base.with_overrides(**over))
-        for label, over in {
+    samples = shape_samples(
+        base,
+        {
             "ip_uni": dict(n_groups=base.n_ms, precoder="ipmmse"),
             "ip_g1": dict(n_groups=1, precoder="ipmmse"),
             "ip_g4": dict(n_groups=4, precoder="ipmmse"),
@@ -230,8 +231,8 @@ def test_criterion_5_clustered_desk_trend():
             "cb_g1": dict(n_groups=1),
             "cb_g4": dict(n_groups=4),
             "cb_g8": dict(n_groups=8),
-        }.items()
-    }
+        },
+    )
     fracs = {}
     for pre in ("ip", "cb"):
         for g in ("g4", "g8"):

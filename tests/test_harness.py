@@ -49,18 +49,17 @@ class TestStageSeeding:
 
     def test_geometry_shared_across_service_configs(self):
         # group count and precoder do not enter the seed path, so paired comparisons
-        # see the same deployments
-        pipe_args = lambda cfg: (
-            cfg,
-            harness.stage_rng(cfg.master_seed, 0, "aps"),
-            harness.stage_rng(cfg.master_seed, 0, "ms"),
-            harness.stage_rng(cfg.master_seed, 0, "shadowing"),
-        )
-        from cfmcast import geometry
-
-        a = geometry.build_deployment(*pipe_args(tiny_campaign_config(precoder="ipmmse")))
-        b = geometry.build_deployment(*pipe_args(tiny_campaign_config(precoder="cb", n_groups=1)))
-        assert np.array_equal(a.beta, b.beta)
+        # see the same deployments, and run_shapes builds each one once
+        setups = [
+            harness.deployment_setup(tiny_campaign_config(precoder=precoder, n_groups=groups), 0)
+            for precoder in ("ipmmse", "cb")
+            for groups in (1, 3)
+        ]
+        (dep, r_cov, factors), *others = setups
+        for other_dep, other_r_cov, other_factors in others:
+            assert np.array_equal(dep.beta, other_dep.beta)
+            assert np.array_equal(r_cov, other_r_cov)
+            assert np.array_equal(factors, other_factors)
 
     def test_service_choice_keeps_grouping(self):
         # switching the precoder leaves the partition untouched, label for label
@@ -362,6 +361,62 @@ class TestCampaign:
     def test_zero_workers_raise(self):
         with pytest.raises(ConfigError):
             harness.run_campaign(tiny_campaign_config(), workers=0)
+
+
+class TestShapeCampaign:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in_process", "pool"])
+    def test_each_shape_writes_its_own_campaigns_outputs(self, tmp_path, workers):
+        # two chunks per snapshot; each shape's outputs are those of its own campaign
+        base = preset("desk_clustered").with_overrides(snapshots=3, realizations=harness.CHUNK + 6)
+        shapes = [(1, "cb"), (4, "ipmmse"), (4, "cb"), (40, "ipmmse")]
+        cfgs = [base.with_overrides(n_groups=g, precoder=p) for g, p in shapes]
+        results = harness.run_campaigns(cfgs, workers=workers)
+        assert len({r.wall_time_s for r in results}) == 1
+        for k, (cfg, result) in enumerate(zip(cfgs, results)):
+            assert result.config == cfg and result.workers == workers
+            harness.write_outputs(result, str(tmp_path / f"shared{k}"))
+            harness.write_outputs(harness.run_campaign(cfg, workers=workers), str(tmp_path / f"own{k}"))
+            shared, own = tmp_path / f"shared{k}", tmp_path / f"own{k}"
+            assert (shared / "cdf.csv").read_bytes() == (own / "cdf.csv").read_bytes()
+            reports = [json.loads((d / "report.json").read_text()) for d in (shared, own)]
+            for r in reports:
+                del r["wall_time_s"]
+            assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (None, "at least one config"),
+            (dict(tau_p=3), r"not in \['tau_p'\]"),
+            (dict(master_seed=1), r"not in \['master_seed'\]"),
+            (dict(realizations=20), r"not in \['realizations'\]"),
+            (dict(clusters=2, cluster_side_m=10.0), r"not in \['cluster_side_m', 'clusters'\]"),
+        ],
+        ids=["empty", "tau_p", "master_seed", "realizations", "clusters"],
+    )
+    def test_configs_differing_beyond_the_shape_raise(self, overrides, message):
+        cfg = tiny_campaign_config()
+        cfgs = [] if overrides is None else [cfg, cfg.with_overrides(n_groups=1, precoder="cb", **overrides)]
+        with pytest.raises(ConfigError, match=message):
+            harness.run_campaigns(cfgs)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in_process", "pool"])
+    def test_abort_carries_prefix_in_config_order(self, monkeypatch, workers):
+        # forked pool workers inherit the patched run_shapes
+        cfgs = [tiny_campaign_config(snapshots=4, n_groups=g) for g in (3, 1, 2)]
+        real = harness.run_shapes
+
+        def failing(c, index):
+            if index == 2:
+                raise RuntimeError("synthetic failure")
+            return real(c, index)
+
+        monkeypatch.setattr(harness, "run_shapes", failing)
+        with pytest.raises(CampaignError) as err:
+            harness.run_campaigns(cfgs, workers=workers)
+        assert err.value.failed_snapshot == 2
+        done = [(s["snapshot"], s["n_groups"]) for s in err.value.partial]
+        assert done == [(0, 3), (0, 1), (0, 2), (1, 3), (1, 1), (1, 2)]
 
 
 def _run_isolated(patch: str, workers: int) -> dict:
