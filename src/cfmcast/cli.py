@@ -12,6 +12,9 @@ from .config import PRECODERS, SystemConfig, preset
 from .errors import CampaignError, ConfigError
 from .harness import run_campaign, write_outputs, write_partial
 
+# the SystemConfig fields that a flag overrides, each flag stored under its field's name
+OVERRIDES = ("precoder", "n_groups", "snapshots", "realizations", "master_seed")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -23,11 +26,12 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="path to a JSON config mirroring SystemConfig")
     parser.add_argument("--precoder", choices=PRECODERS, help="override the precoder")
     parser.add_argument(
-        "--groups", type=int, help="override the multicast group count (1: single, n_ms: unicast)"
+        "--groups", dest="n_groups", metavar="GROUPS", type=int,
+        help="override the multicast group count (1: single, n_ms: unicast)",
     )
     parser.add_argument("--snapshots", type=int, help="override the snapshot count")
     parser.add_argument("--realizations", type=int, help="override realizations per snapshot")
-    parser.add_argument("--seed", type=int, help="override the master seed")
+    parser.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="override the master seed")
     parser.add_argument("--workers", type=int, default=1, help="parallel snapshot workers (default 1)")
     parser.add_argument("--out", help="output directory (default: simout_<config hash>)")
     return parser
@@ -35,20 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args) -> SystemConfig:
     cfg = preset(args.preset) if args.preset else SystemConfig.from_json(args.config)
-    overrides = {}
-    if args.groups is not None:
-        overrides["n_groups"] = args.groups
-    if args.precoder is not None:
-        overrides["precoder"] = args.precoder
-    if args.snapshots is not None:
-        overrides["snapshots"] = args.snapshots
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
-    return cfg
+    return cfg.with_overrides(**{k: getattr(args, k) for k in OVERRIDES if getattr(args, k) is not None})
 
 
 def main(argv=None) -> int:
@@ -82,7 +73,3 @@ def main(argv=None) -> int:
         f"outputs in {out_dir}"
     )
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

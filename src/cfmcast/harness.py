@@ -166,6 +166,7 @@ def _run_shapes(cfgs: list[SystemConfig], index: int, drawer: ThreadPoolExecutor
                 w = precoding.cb_precoders(estimates, stats, plan)
             del estimates
             acc.update(channels, w, plan)
+            del w
 
     results = []
     for c, (plan, stats), acc, sq_norms in zip(cfgs, shapes, accs, pair_sq_norms):

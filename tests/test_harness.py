@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import signal
@@ -567,6 +568,17 @@ class TestCli:
         assert report["config"]["precoder"] == "cb"
         assert report["config"]["master_seed"] == 5
         assert "sum_convention" not in report["config"]
+
+    def test_each_override_flag_is_stored_under_its_field(self):
+        assert set(cli.OVERRIDES) <= {f.name for f in dataclasses.fields(config.SystemConfig)}
+        parser = cli.build_parser()
+        for name in cli.OVERRIDES:
+            (flag,) = [action for action in parser._actions if action.dest == name]
+            assert flag.default is None
+        # the two flags named apart from their fields keep their help text
+        usage = " ".join(parser.format_usage().split())
+        assert "[--groups GROUPS]" in usage
+        assert "[--seed SEED]" in usage
 
     @pytest.mark.parametrize("case", EXIT_TWO.values(), ids=EXIT_TWO.keys())
     def test_bad_input_exits_two_creating_nothing(self, tmp_path, monkeypatch, capsys, case):

@@ -43,6 +43,12 @@ def path(request, monkeypatch):
     return request.param
 
 
+@pytest.mark.parametrize("package", ["json", "glob", "no_such_package"])
+def test_no_build_without_a_libs_directory(package):
+    # a package without <package>.libs, a plain module, and a name find_spec cannot find
+    assert openblas._load(package) is None
+
+
 @pytest.mark.parametrize("index", [0, 1])
 @pytest.mark.parametrize("name", ["fig3", "desk_clustered", "fig2_100"])
 def test_factor_is_scipys_in_values_and_layout(name, index, path):
