@@ -120,7 +120,7 @@ class SystemConfig:
 
     # --- derived quantities -------------------------------------------------
 
-    # perfbench/tracer.py reads the budget and exponent off the config of every traced
+    # perfbench/tracer.py reads the power budget off the config of every traced
     # snapshot, and perfbench/campaign.py the sum convention of a failed campaign
     @property
     def dl_power_w(self) -> float:
@@ -129,9 +129,6 @@ class SystemConfig:
     @property
     def sum_convention(self) -> str:
         return "per_user"
-
-    def resolved_nu(self) -> float:
-        return NU[self.precoder]
 
     # --- serialization ------------------------------------------------------
 

@@ -61,9 +61,10 @@ def _lloyd(features, n_groups, rng):
     centroids = _seed_centroids(features, n_groups, rng)
     labels = None
     history = []
+    norms2 = np.sum(features**2, axis=1)[:, None]
     for _ in range(KMEANS_MAX_ITERS):
         dist2 = (
-            np.sum(features**2, axis=1)[:, None]
+            norms2
             - 2.0 * features @ centroids.T
             + np.sum(centroids**2, axis=1)[None, :]
         )

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,10 +218,15 @@ def run_campaigns(cfgs: list[SystemConfig], workers: int = 1) -> list[CampaignRe
     t0 = time.monotonic()
     jobs = [(cfgs, i) for i in range(cfg.snapshots)]
     summaries = []  # snapshot-major, configs in order within a snapshot
+    broken = ()  # the exception type of a dead pool worker
     with contextlib.ExitStack() as stack:
         if workers == 1:
             results = map(_snapshot_summaries, jobs)
         else:
+            # imported here, so an in-process campaign never loads multiprocessing
+            import multiprocessing
+            from concurrent.futures.process import BrokenProcessPool as broken, ProcessPoolExecutor
+
             # a fork-context pool starts every process at its first submit
             pool = stack.enter_context(
                 ProcessPoolExecutor(
@@ -238,7 +241,7 @@ def run_campaigns(cfgs: list[SystemConfig], workers: int = 1) -> list[CampaignRe
                 summaries.extend(next(results))
             except Exception as exc:
                 # a raising map cancels the futures it has not yet yielded
-                broke = "the worker pool broke: " if isinstance(exc, BrokenProcessPool) else ""
+                broke = "the worker pool broke: " if isinstance(exc, broken) else ""
                 raise CampaignError(
                     f"snapshot {i} failed: {broke}{exc}",
                     partial=summaries,

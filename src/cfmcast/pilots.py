@@ -80,42 +80,28 @@ def _partition(group_of, n_groups: int) -> tuple[np.ndarray, list, np.ndarray]:
     return labels, [np.flatnonzero(labels == g) for g in range(n_groups)], sizes
 
 
-def pilot_interference(sums: np.ndarray, pilot_of: np.ndarray, tau_p: int) -> np.ndarray:
-    """Summed member gains at one AP of the groups holding each pilot, shape (tau_p,).
-
-    ``sums`` and ``pilot_of`` give each group that holds a pilot its summed
-    member gain at the AP and its pilot label.
-    """
-    return np.bincount(pilot_of, weights=sums, minlength=tau_p)
-
-
 def _assign_pilots(sums, tau_p, masters):
-    pilot_of = np.full(sums.shape[1], -1, dtype=int)
+    """Step 1: group g < tau_p takes pilot g, each later one the least loaded pilot at its strongest AP."""
+    pilot_of = np.arange(sums.shape[1])
+    load = np.zeros((sums.shape[0], tau_p))  # per (AP, pilot): the holders' summed gains
     for g in range(pilot_of.size):
-        if g < tau_p:
-            pilot_of[g] = g
-            continue
-        interference = pilot_interference(sums[masters[g], :g], pilot_of[:g], tau_p)
-        pilot_of[g] = int(np.argmin(interference))
+        if g >= tau_p:
+            pilot_of[g] = np.argmin(load[masters[g]])
+        load[:, pilot_of[g]] += sums[:, g]
     return pilot_of
 
 
 def _serve_strongest(gains, pilot_of, masters, tau_p):
-    """Step 2: per AP and per pilot in use, pick one group to serve."""
+    """Step 2: per pilot in use, each AP serves its strongest claimant, or the strongest group if none claims it."""
     n_aps, n_groups = gains.shape
     incumbent = np.full((n_aps, tau_p), -1, dtype=int)
-    counts = np.zeros(n_groups, dtype=int)
-    for t in range(tau_p):
+    claims = masters == np.arange(n_aps)[:, None]  # (L, G): group g claims its strongest AP l
+    for t in np.unique(pilot_of):
         cands = np.flatnonzero(pilot_of == t)
-        if cands.size == 0:
-            continue
-        for l in range(n_aps):
-            claimants = cands[masters[cands] == l]
-            pool = claimants if claimants.size else cands
-            winner = pool[int(np.argmax(gains[l, pool]))]
-            incumbent[l, t] = winner
-            counts[winner] += 1
-    return incumbent, counts
+        pool = claims[:, cands]
+        pool |= ~pool.any(axis=1, keepdims=True)
+        incumbent[:, t] = cands[np.argmax(np.where(pool, gains[:, cands], -np.inf), axis=1)]
+    return incumbent, np.bincount(incumbent[incumbent >= 0], minlength=n_groups)
 
 
 def _serve_starved(gains, pilot_of, incumbent, counts):

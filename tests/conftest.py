@@ -2,12 +2,13 @@
 reference implementations the program itself does not use."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from cfmcast import covariance, estimation, evaluation, harness, precoding
+from cfmcast import covariance, estimation, evaluation, harness, pilots, precoding
 from cfmcast.config import GROUP_POWER_W, NOISE_W, PILOT_POWER_W, SystemConfig
 from cfmcast.errors import NumericalError
 
@@ -153,6 +154,44 @@ def assert_pair_layout(plan):
     assert np.all(plan.pair_of[mask] < n_pairs)
     for g, aps in enumerate(plan.serving):
         assert np.array_equal(aps, np.flatnonzero(mask[:, g]))
+
+
+def loop_assign_pilots(sums, tau_p, masters):
+    """Reference for pilots._assign_pilots: each later group's pilot loads re-summed from every earlier group."""
+    pilot_of = np.full(sums.shape[1], -1, dtype=int)
+    for g in range(pilot_of.size):
+        if g < tau_p:
+            pilot_of[g] = g
+            continue
+        interference = np.bincount(pilot_of[:g], weights=sums[masters[g], :g], minlength=tau_p)
+        pilot_of[g] = int(np.argmin(interference))
+    return pilot_of
+
+
+def loop_serve_strongest(gains, pilot_of, masters, tau_p):
+    """Reference for pilots._serve_strongest: one choice per (pilot, AP) in a double loop."""
+    n_aps, n_groups = gains.shape
+    incumbent = np.full((n_aps, tau_p), -1, dtype=int)
+    counts = np.zeros(n_groups, dtype=int)
+    for t in range(tau_p):
+        cands = np.flatnonzero(pilot_of == t)
+        if cands.size == 0:
+            continue
+        for l in range(n_aps):
+            claimants = cands[masters[cands] == l]
+            pool = claimants if claimants.size else cands
+            winner = pool[int(np.argmax(gains[l, pool]))]
+            incumbent[l, t] = winner
+            counts[winner] += 1
+    return incumbent, counts
+
+
+def loop_plan(beta, group_of, tau_p):
+    """Reference for pilots.assign_pilots_and_cluster: its pilot and serving steps run as the loops above."""
+    with mock.patch.object(pilots, "_assign_pilots", loop_assign_pilots), mock.patch.object(
+        pilots, "_serve_strongest", loop_serve_strongest
+    ):
+        return pilots.assign_pilots_and_cluster(beta, group_of, tau_p)
 
 
 def mmse_composite_estimate(

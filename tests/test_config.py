@@ -25,10 +25,6 @@ class TestDerived:
         for cfg in (SystemConfig(n_groups=30), small_config(tau_p=20)):
             assert se_user(np.ones(1), cfg.tau_p) == pytest.approx([0.9])
 
-    def test_resolved_nu_defaults(self):
-        assert small_config(precoder="ipmmse").resolved_nu() == pytest.approx(-0.5)
-        assert small_config(precoder="cb").resolved_nu() == pytest.approx(0.5)
-
     def test_sum_convention_is_a_read_only_constant(self):
         cfg = small_config()
         assert cfg.sum_convention == "per_user"

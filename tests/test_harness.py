@@ -1,5 +1,6 @@
 """Campaign orchestration: seeding, determinism, outputs and the CLI."""
 
+import concurrent.futures.process
 import contextlib
 import csv
 import dataclasses
@@ -351,7 +352,7 @@ class TestCampaign:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InProcessPool)
         cfg = tiny_campaign_config(snapshots=2)
         result = harness.run_campaign(cfg, workers=500)
         assert sizes == [2]

@@ -1,4 +1,4 @@
-"""The bundled OpenBLAS builds: SciPy's Cholesky through ctypes, and start-up without scipy.linalg."""
+"""The bundled OpenBLAS builds: SciPy's Cholesky through ctypes, and start-up without scipy.linalg or the process pool."""
 
 import os
 import subprocess
@@ -71,15 +71,16 @@ def test_indefinite_matrix_raises(path):
         geometry.sample_shadowing(pos, 3, 10.0, np.random.default_rng(0))
 
 
-def test_campaign_runs_without_importing_scipy_linalg():
+def loaded_after_campaign(*modules: str) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after a one-worker campaign, as printed booleans."""
     script = textwrap.dedent(
-        """
+        f"""
         import sys
         import cfmcast
 
         cfg = cfmcast.preset("desk_uniform").with_overrides(snapshots=1, realizations=4)
         cfmcast.run_campaign(cfg)
-        print("scipy.linalg" in sys.modules)
+        print(*(name in sys.modules for name in {modules!r}))
         """
     )
     proc = subprocess.run(
@@ -90,4 +91,12 @@ def test_campaign_runs_without_importing_scipy_linalg():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    return proc.stdout.split()
+
+
+def test_campaign_runs_without_importing_scipy_linalg():
+    assert loaded_after_campaign("scipy.linalg") == ["False"]
+
+
+def test_in_process_campaign_runs_without_importing_the_process_pool():
+    assert loaded_after_campaign("multiprocessing", "concurrent.futures.process") == ["False", "False"]

@@ -5,7 +5,7 @@ import pytest
 
 from cfmcast import pilots
 
-from conftest import assert_pair_layout, random_service_instance
+from conftest import assert_pair_layout, loop_plan, random_partition, random_service_instance
 
 
 def strongest_serving(beta, plan):
@@ -33,17 +33,21 @@ class TestGroupGains:
         assert strongest_serving(beta, plan) == [0, 1]
 
 
-class TestPilotInterference:
-    def test_sums_holder_member_gains(self):
-        beta = np.array([[1.0, 0.5, 0.25, 4.0]])
-        # groups 0 (MS 0) and 1 (MSs 1 and 2) hold pilots 0 and 1; group 2 (MS 3) has none yet
-        sums = np.array([beta[0, 0], beta[0, 1] + beta[0, 2]])
-        interference = pilots.pilot_interference(sums, np.array([0, 1]), 3)
-        assert interference.shape == (3,)
-        assert interference[0] == pytest.approx(1.0)
-        assert interference[1] == pytest.approx(0.75)
-        # a pilot nobody holds yet has zero accumulated interference
-        assert interference[2] == pytest.approx(0.0)
+class TestRunningLoad:
+    def test_later_group_takes_weakest_pilot_at_its_strongest_ap(self):
+        # five singleton groups, three pilots.  Groups 0-2 take pilots 0-2.
+        # Group 3's strongest AP is AP 1, where the pilots carry 0.3, 0.1 and
+        # 0.4: it takes pilot 1.  Group 4's strongest AP is AP 0, where pilot
+        # 1 now carries 0.1 + 0.5 (it would win with group 1 alone) and
+        # pilots 0 and 2 tie at 0.2: the lower, pilot 0, wins the tie
+        beta = np.array(
+            [
+                [0.2, 0.1, 0.2, 0.5, 1.0],
+                [0.3, 0.1, 0.4, 0.9, 0.5],
+            ]
+        )
+        plan = pilots.assign_pilots_and_cluster(beta, np.arange(5), tau_p=3)
+        assert np.array_equal(plan.pilot_of, [0, 1, 2, 1, 0])
 
 
 class TestHandWorkedPlan:
@@ -174,6 +178,36 @@ class TestInvariants:
     def test_rejects_bad_tau_p(self):
         with pytest.raises(ValueError):
             pilots.assign_pilots_and_cluster(np.ones((2, 2)), np.arange(2), 0)
+
+
+class TestAgainstLoops:
+    """The array rules give the plan of the per-group and per-(pilot, AP) loops they replace."""
+
+    @staticmethod
+    def instance(rng):
+        # no cap on the group count, so a pilot may hold more groups than there are APs
+        n_aps, n_ms, tau_p = (int(v) for v in rng.integers(1, [7, 16, 8]))
+        group_of = random_partition(rng, n_ms, int(rng.integers(1, n_ms + 1)))
+        if rng.random() < 0.5:
+            beta = 10.0 ** rng.normal(-8.0, 1.5, size=(n_aps, n_ms))
+        else:  # three gain levels, so group gains and pilot loads tie
+            beta = rng.choice([1e-9, 2e-9, 4e-9], size=(n_aps, n_ms))
+        return beta, group_of, tau_p
+
+    def test_fuzzed_plans_equal_loop_plans(self, rng):
+        seen = dict.fromkeys(["spare pilots", "single group", "tied gains", "double-up"], 0)
+        for _ in range(300):
+            beta, group_of, tau_p = self.instance(rng)
+            plan = pilots.assign_pilots_and_cluster(beta, group_of, tau_p)
+            want = loop_plan(beta, group_of, tau_p)
+            assert np.array_equal(plan.pilot_of, want.pilot_of)
+            assert np.array_equal(plan.serving_mask, want.serving_mask)
+            gains = np.stack([beta[:, m].sum(axis=1) / m.size for m in plan.members], axis=1)
+            seen["spare pilots"] += tau_p > plan.n_groups
+            seen["single group"] += plan.n_groups == 1
+            seen["tied gains"] += any(np.unique(row).size < row.size for row in gains)
+            seen["double-up"] += np.bincount(plan.pilot_of).max() > beta.shape[0]
+        assert min(seen.values()) > 0, seen
 
 
 class TestPilotMembers:
