@@ -57,10 +57,9 @@ def _repair_empty(labels, features, centroids, n_groups):
 
 
 def _lloyd(features, n_groups, rng):
-    """One k-means++-seeded Lloyd run: labels and the WCSS after each iteration."""
+    """One k-means++-seeded Lloyd run: (labels, within-cluster sum of squares)."""
     centroids = _seed_centroids(features, n_groups, rng)
     labels = None
-    history = []
     norms2 = np.sum(features**2, axis=1)[:, None]
     for _ in range(KMEANS_MAX_ITERS):
         dist2 = (
@@ -73,10 +72,9 @@ def _lloyd(features, n_groups, rng):
         labels, centroids = _repair_empty(labels, features, centroids, n_groups)
         for g in range(n_groups):
             centroids[g] = features[labels == g].mean(axis=0)
-        history.append(float(np.sum((features - centroids[labels]) ** 2)))
         if old_labels is not None and np.array_equal(labels, old_labels):
             break
-    return labels, history
+    return labels, float(np.sum((features - centroids[labels]) ** 2))
 
 
 def kmeans_subgroups(beta: np.ndarray, n_groups: int, rng: np.random.Generator) -> np.ndarray:
@@ -91,12 +89,8 @@ def kmeans_subgroups(beta: np.ndarray, n_groups: int, rng: np.random.Generator) 
     n_ms = features.shape[0]
     if not 1 <= n_groups <= n_ms:
         raise ValueError(f"n_groups must lie in [1, {n_ms}], got {n_groups}")
-    best = None
-    for _ in range(KMEANS_RESTARTS):
-        labels, history = _lloyd(features, n_groups, rng)
-        if best is None or history[-1] < best[0]:
-            best = (history[-1], labels)
-    return best[1]
+    runs = [_lloyd(features, n_groups, rng) for _ in range(KMEANS_RESTARTS)]
+    return min(runs, key=lambda run: run[1])[0]
 
 
 def make_plan(beta: np.ndarray, rng: np.random.Generator, n_groups: int) -> np.ndarray:

@@ -18,10 +18,11 @@ Woodbury identity in |S_g| dimensions otherwise.
 ``ipmmse_direction`` returns one group's unnormalized directions and
 ``ipmmse_directions`` lays every group's out over the served pairs; the caller
 sums their squared norms per served pair, the rows ``[:-1]``, and
-``centralized_power`` turns these sums into the per-group scale and per-AP
-radiated power under the centralized fractional rule.  The distributed
-precoder scales each serving AP's own estimate with a closed-form
-normalization and a per-AP fractional split.
+``centralized_power`` turns these sums, in one pass, into each group's
+concentration omega, the centralized fractional powers, the per-group scale
+and the per-AP radiated power.  The distributed precoder scales each serving
+AP's own estimate with a closed-form normalization and a per-AP fractional
+split.
 """
 
 from __future__ import annotations
@@ -118,39 +119,6 @@ def ipmmse_directions(estimates: np.ndarray, stats, plan) -> np.ndarray:
     return w
 
 
-def omega_factor(ap_norms: np.ndarray) -> np.ndarray:
-    """Spatial power concentration of each group's precoder across its APs.
-
-    ``ap_norms`` holds mean squared norms per AP along axis 0 (zero where an AP
-    does not serve the group); the result is the largest per-AP fraction, a
-    dimensionless load in (0, 1], per column.
-    """
-    total = ap_norms.sum(axis=0)
-    if np.any(total <= 0):
-        raise StatsError("precoder norms vanished; cannot form omega")
-    return ap_norms.max(axis=0) / total
-
-
-def fractional_power_centralized(trace_sums: np.ndarray, omega: np.ndarray, plan) -> np.ndarray:
-    """Per-group downlink powers under the centralized fractional rule.
-
-    The rule takes the budget DL_POWER_W and the exponents nu = NU["ipmmse"]
-    and KAPPA.  ``trace_sums[g]`` is the composite covariance trace summed
-    over the group's serving APs.  The denominator is the load of the group's busiest
-    serving AP, which keeps every AP's expected radiated power within budget.
-    Raises NumericalError when a busiest load is zero or a power is not
-    finite, as when trace_sums**nu underflows or overflows.
-    """
-    mask, nu = plan.serving_mask, NU["ipmmse"]
-    load = trace_sums**nu * omega ** (1.0 - KAPPA)
-    ap_load = np.where(mask, load, 0.0).sum(axis=1)
-    busiest = np.where(mask, ap_load[:, None], 0.0).max(axis=0)
-    power = DL_POWER_W * trace_sums**nu * omega ** (-KAPPA)
-    if np.any(busiest <= 0) or not np.all(np.isfinite(power)):
-        raise NumericalError(f"fractional powers are not finite (nu = {nu}, kappa = {KAPPA})")
-    return power / busiest
-
-
 def centralized_power(pair_sq_norms: np.ndarray, count: int, stats, plan) -> tuple[np.ndarray, np.ndarray]:
     """Power step of the centralized precoder: (power_scale, per_ap_power).
 
@@ -160,16 +128,33 @@ def centralized_power(pair_sq_norms: np.ndarray, count: int, stats, plan) -> tup
     sqrt(power_scale[g]) times the direction, so its sample mean squared norm
     is the fractional power rho[g]; ``per_ap_power`` is the resulting mean
     radiated power per AP.
+
+    The fractional rule, with nu = NU["ipmmse"] and KAPPA: omega[g] in (0, 1]
+    is the largest per-AP share of group g's mean squared norm and t[g] its
+    composite covariance trace summed over its serving APs; each AP's load
+    sums t^nu * omega^(1 - kappa) over its groups, and rho[g] is DL_POWER_W *
+    t[g]^nu * omega[g]^-kappa over the load of g's busiest serving AP, which
+    keeps every AP's expected radiated power within budget.  Raises
+    StatsError when a group's norms vanish, NumericalError when a busiest
+    load is zero or a power is not finite (t**nu underflowed or overflowed).
     """
     if count == 0:
         raise StatsError("cannot normalize over zero realizations")
-    ap_norms = np.zeros(plan.serving_mask.shape)
+    mask, nu = plan.serving_mask, NU["ipmmse"]
+    ap_norms = np.zeros(mask.shape)
     ap_norms[plan.pair_ap, plan.pair_group] = pair_sq_norms / count
-    omegas = omega_factor(ap_norms)
     norms = ap_norms.sum(axis=0)
-    trace_sums = np.where(plan.serving_mask, stats.trace_r_comp, 0.0).sum(axis=0)
-    rho = fractional_power_centralized(trace_sums, omegas, plan)
-    power_scale = rho / norms
+    if np.any(norms <= 0):
+        raise StatsError("precoder norms vanished; cannot form omega")
+    omega = ap_norms.max(axis=0) / norms
+    weights = np.where(mask, stats.trace_r_comp, 0.0).sum(axis=0) ** nu
+    load = weights * omega ** (1.0 - KAPPA)
+    ap_load = np.where(mask, load, 0.0).sum(axis=1)
+    busiest = np.where(mask, ap_load[:, None], 0.0).max(axis=0)
+    power = DL_POWER_W * weights * omega ** (-KAPPA)
+    if np.any(busiest <= 0) or not np.all(np.isfinite(power)):
+        raise NumericalError(f"fractional powers are not finite (nu = {nu}, kappa = {KAPPA})")
+    power_scale = power / busiest / norms
     return power_scale, ap_norms @ power_scale
 
 

@@ -9,8 +9,8 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from cfmcast import covariance, estimation, evaluation, harness, pilots, precoding
-from cfmcast.config import GROUP_POWER_W, NOISE_W, PILOT_POWER_W, SystemConfig
-from cfmcast.errors import NumericalError
+from cfmcast.config import DL_POWER_W, GROUP_POWER_W, KAPPA, NOISE_W, NU, PILOT_POWER_W, SystemConfig
+from cfmcast.errors import NumericalError, StatsError
 
 
 def small_config(**overrides) -> SystemConfig:
@@ -341,6 +341,65 @@ def ipmmse_with_power(estimates, stats, plan):
     sums = np.sum(np.abs(w[:, :-1]) ** 2, axis=(0, 2))
     power_scale, per_ap_power = precoding.centralized_power(sums, w.shape[0], stats, plan)
     return w, power_scale, per_ap_power
+
+
+def omega_factor(ap_norms: np.ndarray) -> np.ndarray:
+    """Largest per-AP fraction of each column's mean squared norm, in (0, 1]."""
+    total = ap_norms.sum(axis=0)
+    if np.any(total <= 0):
+        raise StatsError("precoder norms vanished; cannot form omega")
+    return ap_norms.max(axis=0) / total
+
+
+def fractional_power_centralized(trace_sums: np.ndarray, omega: np.ndarray, plan) -> np.ndarray:
+    """Per-group powers rho under the centralized fractional rule, (G,).
+
+    ``trace_sums[g]`` is the composite covariance trace summed over the
+    group's serving APs; each power is divided by the load of the group's
+    busiest serving AP.
+    """
+    mask, nu = plan.serving_mask, NU["ipmmse"]
+    load = trace_sums**nu * omega ** (1.0 - KAPPA)
+    ap_load = np.where(mask, load, 0.0).sum(axis=1)
+    busiest = np.where(mask, ap_load[:, None], 0.0).max(axis=0)
+    power = DL_POWER_W * trace_sums**nu * omega ** (-KAPPA)
+    if np.any(busiest <= 0) or not np.all(np.isfinite(power)):
+        raise NumericalError(f"fractional powers are not finite (nu = {nu}, kappa = {KAPPA})")
+    return power / busiest
+
+
+def three_step_power(pair_sq_norms: np.ndarray, count: int, stats, plan) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle of ``precoding.centralized_power`` in three steps: omega, rho, then the scale."""
+    if count == 0:
+        raise StatsError("cannot normalize over zero realizations")
+    ap_norms = np.zeros(plan.serving_mask.shape)
+    ap_norms[plan.pair_ap, plan.pair_group] = pair_sq_norms / count
+    omegas = omega_factor(ap_norms)
+    norms = ap_norms.sum(axis=0)
+    trace_sums = np.where(plan.serving_mask, stats.trace_r_comp, 0.0).sum(axis=0)
+    rho = fractional_power_centralized(trace_sums, omegas, plan)
+    power_scale = rho / norms
+    return power_scale, ap_norms @ power_scale
+
+
+def random_power_instance(rng: np.random.Generator) -> tuple:
+    """A random input of the centralized power step: (pair_sq_norms, count, stats, plan).
+
+    Every group is served by at least one AP and, with two or more groups,
+    some AP serves several; the pair sums and the composite covariance traces
+    spread over several decades.
+    """
+    n_aps, n_groups = rng.integers(1, 9), rng.integers(1, 9)
+    mask = rng.random((n_aps, n_groups)) < rng.uniform(0.2, 0.8)
+    mask[rng.integers(n_aps, size=n_groups), np.arange(n_groups)] = True
+    if n_groups > 1:
+        mask[rng.integers(n_aps), rng.choice(n_groups, size=2, replace=False)] = True
+    plan = pilots.PilotPlan(
+        n_pilots=1, group_of=np.arange(n_groups), pilot_of=np.zeros(n_groups, dtype=int), serving_mask=mask
+    )
+    sums = 10.0 ** rng.uniform(-12, -2, size=plan.pair_ap.size)
+    stats = SimpleNamespace(trace_r_comp=10.0 ** rng.uniform(-14, -4, size=mask.shape))
+    return sums, int(rng.integers(1, 65)), stats, plan
 
 
 @pytest.fixture

@@ -76,11 +76,17 @@ class TestFingerprints:
 
 
 class TestKMeans:
-    def test_wcss_history_non_increasing(self, rng):
-        beta = 10.0 ** rng.normal(-8, 1.0, size=(6, 30))
-        _, history = grouping._lloyd(grouping.db_fingerprints(beta), 5, np.random.default_rng(2))
-        h = np.asarray(history)
-        assert np.all(np.diff(h) <= 1e-9)
+    def test_final_wcss_non_increasing_over_iteration_caps(self, rng, monkeypatch):
+        # capping Lloyd at 1, 2, ... iterations from one seed runs prefixes of
+        # the same run, whose final WCSS never increases; this run takes seven
+        # iterations to converge
+        features = grouping.db_fingerprints(10.0 ** rng.normal(-8, 1.0, size=(6, 120)))
+        wcss = []
+        for cap in range(1, 11):
+            monkeypatch.setattr(grouping, "KMEANS_MAX_ITERS", cap)
+            wcss.append(grouping._lloyd(features, 12, np.random.default_rng(2))[1])
+        assert np.all(np.diff(wcss) <= 1e-9)
+        assert wcss[-1] < wcss[0]
 
     def test_valid_partition(self, rng):
         beta = 10.0 ** rng.normal(-8, 1.0, size=(5, 25))

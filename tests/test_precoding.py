@@ -9,7 +9,16 @@ from cfmcast import config, pilots, precoding
 from cfmcast.config import DL_POWER_W
 from cfmcast.errors import NumericalError, StatsError
 
-from conftest import build_pipeline, full_load, ipmmse_with_power, oracle_direction, small_config
+from conftest import (
+    build_pipeline,
+    fractional_power_centralized,
+    full_load,
+    ipmmse_with_power,
+    oracle_direction,
+    random_power_instance,
+    small_config,
+    three_step_power,
+)
 
 # small configs on either side of the solve-dimension switch; each predicate
 # holds for the (n, |S_g|) of some group in its config
@@ -193,19 +202,34 @@ class TestIpmmseDirection:
         assert cos < 1.0 - 1e-6
 
 
+def power_plan(mask):
+    """The serving relation of a hand-built centralized power step."""
+    mask = np.array(mask)
+    pair_ap, pair_group = np.nonzero(mask)
+    return SimpleNamespace(serving_mask=mask, pair_ap=pair_ap, pair_group=pair_group)
+
+
+def traces(trace_r_comp):
+    return SimpleNamespace(trace_r_comp=np.array(trace_r_comp))
+
+
+def fractional_powers(sums, trace_r_comp, mask):
+    """rho of ``centralized_power`` at one realization: each group's total radiated power."""
+    scale, _ = precoding.centralized_power(np.array(sums), 1, traces(trace_r_comp), power_plan(mask))
+    ap_norms = np.zeros(np.shape(mask))
+    ap_norms[np.nonzero(mask)] = sums
+    return scale * ap_norms.sum(axis=0)
+
+
 class TestNormsAndOmega:
     def test_centralized_power_hand_value(self):
         # one group on two APs: over two realizations the per-AP squared norms
         # sum to 1+0+1+4 = 6 and 9+16+4+0 = 29, so the mean norms are 3 and
         # 14.5 and omega = 14.5/17.5; at G=1 rho = P/omega
-        plan = SimpleNamespace(
-            serving_mask=np.ones((2, 1), dtype=bool), pair_ap=np.array([0, 1]), pair_group=np.array([0, 0])
-        )
-        stats = SimpleNamespace(trace_r_comp=np.array([[1.0], [3.0]]))
         dirs = np.array([[1.0 + 0j, 0.0, 3.0, 4.0], [1.0, 2.0, 2.0, 0.0]]).reshape(2, 2, 2)
         sums = np.sum(np.abs(dirs) ** 2, axis=(0, 2))
         assert sums == pytest.approx([6.0, 29.0])
-        scale, per_ap = precoding.centralized_power(sums, 2, stats, plan)
+        scale, per_ap = precoding.centralized_power(sums, 2, traces([[1.0], [3.0]]), power_plan([[True], [True]]))
         assert scale[0] == pytest.approx(0.2 / 14.5)
         assert per_ap == pytest.approx([0.2 * 3.0 / 14.5, 0.2])
 
@@ -214,40 +238,42 @@ class TestNormsAndOmega:
             precoding.centralized_power(np.zeros((2, 1)), 0, None, None)
 
     def test_omega_factor_share(self):
-        assert precoding.omega_factor(np.array([3.0, 1.0])) == pytest.approx(0.75)
-        with pytest.raises(StatsError):
-            precoding.omega_factor(np.zeros(2))
+        # at G = 1 rho = P / omega, and the busiest AP radiates the whole budget
+        one_ap = power_plan([[True]])
+        _, per_ap = precoding.centralized_power(np.array([5.0]), 1, traces([[1e-7]]), one_ap)
+        assert per_ap == pytest.approx([DL_POWER_W])
+        two_aps = power_plan([[True], [True]])
+        _, per_ap = precoding.centralized_power(np.array([3.0, 1.0]), 1, traces([[1e-7], [2e-7]]), two_aps)
+        assert per_ap.sum() == pytest.approx(DL_POWER_W / 0.75)
+        assert per_ap.max() == pytest.approx(DL_POWER_W)
+        with pytest.raises(StatsError, match="norms vanished"):
+            precoding.centralized_power(np.zeros(2), 1, traces([[1e-7], [2e-7]]), two_aps)
 
 
 class TestFractionalPower:
     def test_single_group_budget(self):
         # one group served by one AP concentrates everything: rho equals the
         # downlink budget
-        plan = SimpleNamespace(serving_mask=np.array([[True]]))
-        rho = precoding.fractional_power_centralized(np.array([2.5e-7]), np.array([1.0]), plan)
+        rho = fractional_powers([4.0], [[2.5e-7]], [[True]])
         assert rho[0] == pytest.approx(0.2)
 
     def test_flat_exponents_reduce_to_load_ratio(self, monkeypatch):
         # nu = kappa = 0: the numerator is the plain budget and each AP's load
-        # is the sum of its groups' omegas
+        # is the sum of its groups' omegas, 3/5 and 1
         monkeypatch.setitem(config.NU, "ipmmse", 0.0)
         monkeypatch.setattr(precoding, "KAPPA", 0.0)
-        plan = SimpleNamespace(serving_mask=np.array([[True, False], [True, True]]))
-        omega = np.array([0.6, 1.0])
-        rho = precoding.fractional_power_centralized(np.array([3.0, 7.0]), omega, plan)
+        rho = fractional_powers([3.0, 2.0, 1.0], [[3.0, 0.0], [4.0, 7.0]], [[True, False], [True, True]])
         assert rho[0] == pytest.approx(0.2 / 1.6)
         assert rho[1] == pytest.approx(0.2 / 1.6)
 
     def test_exponent_effects(self):
         # a group with a larger covariance trace receives less power under a
         # negative trace exponent
-        plan = SimpleNamespace(serving_mask=np.array([[True, False], [False, True]]))
-        rho = precoding.fractional_power_centralized(np.array([1.0, 16.0]), np.array([1.0, 1.0]), plan)
+        rho = fractional_powers([2.0, 5.0], [[1.0, 0.0], [0.0, 16.0]], [[True, False], [False, True]])
         assert rho[0] == pytest.approx(0.2)
         assert rho[1] == pytest.approx(0.2)
         # compare across groups within one AP instead
-        plan_shared = SimpleNamespace(serving_mask=np.array([[True, True]]))
-        rho = precoding.fractional_power_centralized(np.array([1.0, 16.0]), np.array([1.0, 1.0]), plan_shared)
+        rho = fractional_powers([2.0, 5.0], [[1.0, 16.0]], [[True, True]])
         assert rho[1] / rho[0] == pytest.approx(0.25)
         # the busiest (only) AP's expected power still meets the budget
         assert rho.sum() == pytest.approx(0.2)
@@ -256,9 +282,23 @@ class TestFractionalPower:
     def test_vanishing_or_infinite_weights_raise(self, monkeypatch, nu):
         # 1e-8 ** 50 is zero, so every busiest load is zero; 1e-8 ** -50 is inf
         monkeypatch.setitem(config.NU, "ipmmse", nu)
-        plan = SimpleNamespace(serving_mask=np.array([[True, True]]))
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
-            precoding.fractional_power_centralized(np.array([1e-8, 2e-8]), np.array([1.0, 1.0]), plan)
+            fractional_powers([1.0, 1.0], [[1e-8, 2e-8]], [[True, True]])
+
+
+class TestFoldedPowerStep:
+    def test_matches_three_step_oracle(self):
+        # random plans with every group served and some APs shared: the folded
+        # step reproduces the three-step oracle bitwise and keeps every AP
+        # within budget
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            sums, count, stats, plan = random_power_instance(rng)
+            scale, per_ap = precoding.centralized_power(sums, count, stats, plan)
+            want_scale, want_per_ap = three_step_power(sums, count, stats, plan)
+            assert np.array_equal(scale, want_scale)
+            assert np.array_equal(per_ap, want_per_ap)
+            assert np.all(per_ap <= DL_POWER_W * (1 + 1e-12))
 
 
 class TestServedPairLayout:
@@ -293,7 +333,7 @@ class TestCentralizedPipeline:
         trace_sums = np.array(
             [pipe.stats.trace_r_comp[plan.serving[g], g].sum() for g in range(plan.n_groups)]
         )
-        rho = precoding.fractional_power_centralized(trace_sums, omega, plan)
+        rho = fractional_power_centralized(trace_sums, omega, plan)
         radiated = np.zeros(cfg.n_aps)
         for g, aps in enumerate(plan.serving):
             w = np.sqrt(scale[g]) * dirs[:, plan.pair_of[aps, g]]
@@ -301,7 +341,7 @@ class TestCentralizedPipeline:
             assert per_ap.sum() == pytest.approx(rho[g], rel=1e-9)
             radiated[aps] += per_ap
         np.testing.assert_allclose(per_ap_power, radiated, rtol=1e-9)
-        assert np.all(per_ap_power <= DL_POWER_W * 1.01)
+        assert np.all(per_ap_power <= DL_POWER_W * (1 + 1e-12))
         assert per_ap_power.sum() == pytest.approx(rho.sum(), rel=1e-9)
 
 
